@@ -19,17 +19,9 @@ from contextlib import nullcontext
 from .arith import is_prime
 from .congruence import factor_band_classify
 from .errors import CheckpointError
-from .search import (
-    max_ratio_report,
-    run_scan,
-    scan_names,
-)
-from .verify import default_bound, run_suite, suite_names
+from .search import _SCANS, max_ratio_report, run_scan, scan_names
+from .verify import _ALIASES, default_bound, run_suite, suite_names
 from .wpoly import construct_W, verify_W
-
-_SUITE_CHOICES = sorted(
-    set(suite_names()) | {"form3-cross", "form4-cross", "w-properties"}
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a named identity/property suite")
-    p_verify.add_argument("suite", choices=_SUITE_CHOICES)
+    p_verify.add_argument("suite", choices=sorted([*suite_names(), *_ALIASES]))
     p_verify.add_argument("--bound", type=int, default=None, help="suite-specific upper bound")
 
     p_scan = sub.add_parser("scan", help="run a search scan emitting records")
@@ -54,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_scan.add_argument("--checkpoint", help="checkpoint file for resumable runs")
     p_scan.add_argument("--checkpoint-interval", type=int, default=1000)
-    p_scan.add_argument("--threads", type=int, default=1)
 
     p_wpoly = sub.add_parser("wpoly", help="construct and export W for a prime")
     p_wpoly.add_argument("p", type=int)
@@ -100,22 +91,15 @@ class _Usage(Exception):
 
 
 def _scan_params(args) -> dict:
-    name = args.scan
-    if name in ("wilson", "wilson-cube", "jones", "wolstenholme-primes", "mod5"):
-        if args.limit is None:
-            raise _Usage(f"scan {name} requires --limit")
-        return {"limit": args.limit}
-    if name == "new-conjecture":
-        if args.p_max is None or args.q_max is None:
-            raise _Usage("scan new-conjecture requires --p-max and --q-max")
-        return {"p_max": args.p_max, "q_max": args.q_max}
-    if name == "pairs":
-        if args.known:
-            return {"known": True, "stretch": bool(args.stretch)}
-        if args.p_max is None or args.q_max is None:
-            raise _Usage("scan pairs requires --known or --p-max and --q-max")
-        return {"p_max": args.p_max, "q_max": args.q_max}
-    raise _Usage(f"unknown scan {name}")
+    sd = _SCANS[args.scan]
+    if sd.known and args.known:
+        return {"known": True, "stretch": args.stretch}
+    params = {k: getattr(args, k) for k in sd.required}
+    if sd.missing(params):
+        flags = " and ".join("--" + k.replace("_", "-") for k in sd.required)
+        either = "--known or " if sd.known else ""
+        raise _Usage(f"scan {args.scan} requires {either}{flags}")
+    return params
 
 
 def _cmd_scan(args) -> int:
@@ -139,7 +123,6 @@ def _cmd_scan(args) -> int:
                 fmt=args.format,
                 checkpoint_path=args.checkpoint,
                 checkpoint_interval=args.checkpoint_interval,
-                threads=args.threads,
                 observer=observer,
             )
     except CheckpointError as exc:

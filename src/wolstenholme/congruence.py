@@ -101,16 +101,19 @@ def w_exact(n: int) -> int:
     return binomial_exact(2 * n - 1, n - 1)
 
 
-def w_iter(limit: int):
-    """Yield (n, w(n)) for n = 1..limit with O(1) big-integer ops per step.
+def w_iter(limit: int, start: int = 1):
+    """Yield (n, w(n)) for n = start..limit with O(1) big-integer ops per step.
 
-    Uses w(n) = w(n-1) * 2(2n-1) / n, an exact integer recurrence.
+    Enters at w(start), then steps w(n) = w(n-1) * 2(2n-1) / n, an exact
+    integer recurrence.
     """
-    w = 1
-    yield 1, w
-    for n in range(2, limit + 1):
-        w = w * (2 * (2 * n - 1)) // n
+    if start < 1:
+        raise ValueError("w(n) requires n >= 1")
+    n, w = start, math.comb(2 * start - 1, start - 1)
+    while n <= limit:
         yield n, w
+        n += 1
+        w = w * (2 * (2 * n - 1)) // n
 
 
 def w_mod(n: int, m: int) -> ResidueClass:

@@ -19,10 +19,8 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable, Iterator
 
 from .arith import binomial_mod, is_prime, primes_in, primes_upto, valuation
@@ -30,6 +28,7 @@ from .congruence import (
     PAIR_DIRECT_BUDGET,
     pair_criterion,
     pair_direct_check,
+    w_iter,
     w_mod,
     wilson_residue,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "checkpoint_save",
     "checkpoint_load",
     "run_scan",
-    "records_to_csv",
     "scan_names",
     "scan_wilson",
     "scan_wilson_cube",
@@ -168,18 +166,12 @@ def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoin
 # --------------------------------------------------------------------------
 # Scan generators: yield (subject, [records]) in strictly ascending subject
 # order, one yield per subject, never skipping a subject of the scan's space.
+# Each walks the subjects lo..hi it is given; the scan table supplies them.
 # --------------------------------------------------------------------------
 
 
-def _w_start(n: int) -> int:
-    # w(n-1), cheap chunk entry point for the incremental recurrence
-    return comb(2 * n - 3, n - 2) if n >= 2 else 1
-
-
-def _gen_wilson(params: dict, h: str, lo: int | None = None, hi: int | None = None):
-    limit = params["limit"]
-    a, b = max(2, lo or 2), min(limit, hi if hi is not None else limit)
-    for p in primes_in(a, b):
+def _gen_wilson(params: dict, h: str, lo: int, hi: int):
+    for p in primes_in(lo, hi):
         v = wilson_residue(p, 2)
         recs = []
         if v.holds:
@@ -195,10 +187,8 @@ def _gen_wilson(params: dict, h: str, lo: int | None = None, hi: int | None = No
         yield p, recs
 
 
-def _gen_wilson_cube(params: dict, h: str, lo: int | None = None, hi: int | None = None):
-    limit = params["limit"]
-    a, b = max(2, lo or 2), min(limit, hi if hi is not None else limit)
-    for n in range(a, b + 1):
+def _gen_wilson_cube(params: dict, h: str, lo: int, hi: int):
+    for n in range(lo, hi + 1):
         recs = []
         # composite n > 4 has n | (n-1)!, so (n-1)! = 0 != -1 (mod n^3);
         # only primes and n = 4 need the modular product
@@ -217,12 +207,8 @@ def _gen_wilson_cube(params: dict, h: str, lo: int | None = None, hi: int | None
         yield n, recs
 
 
-def _gen_jones(params: dict, h: str, lo: int | None = None, hi: int | None = None):
-    limit = params["limit"]
-    a, b = max(2, lo or 2), min(limit, hi if hi is not None else limit)
-    w = _w_start(a)
-    for n in range(a, b + 1):
-        w = w * (2 * (2 * n - 1)) // n
+def _gen_jones(params: dict, h: str, lo: int, hi: int):
+    for n, w in w_iter(hi, lo):
         recs = []
         if w % n**3 == 1:
             prime_ok = n >= 5 and is_prime(n)
@@ -244,10 +230,8 @@ def _gen_jones(params: dict, h: str, lo: int | None = None, hi: int | None = Non
         yield n, recs
 
 
-def _gen_wolstenholme(params: dict, h: str, lo: int | None = None, hi: int | None = None):
-    limit = params["limit"]
-    a, b = max(5, lo or 5), min(limit, hi if hi is not None else limit)
-    for p in primes_in(a, b):
+def _gen_wolstenholme(params: dict, h: str, lo: int, hi: int):
+    for p in primes_in(lo, hi):
         recs = []
         if w_mod(p, p**4).value == 1:
             # independent route: prime-power binomial instead of the product
@@ -264,12 +248,8 @@ def _gen_wolstenholme(params: dict, h: str, lo: int | None = None, hi: int | Non
         yield p, recs
 
 
-def _gen_mod5(params: dict, h: str, lo: int | None = None, hi: int | None = None):
-    limit = params["limit"]
-    a, b = max(2, lo or 2), min(limit, hi if hi is not None else limit)
-    w = _w_start(a)
-    for n in range(a, b + 1):
-        w = w * (2 * (2 * n - 1)) // n
+def _gen_mod5(params: dict, h: str, lo: int, hi: int):
+    for n, w in w_iter(hi, lo):
         recs = []
         if w % n**5 == 1:
             recs.append(
@@ -284,16 +264,13 @@ def _gen_mod5(params: dict, h: str, lo: int | None = None, hi: int | None = None
         yield n, recs
 
 
-def _gen_new_conjecture(params: dict, h: str, lo: int | None = None, hi: int | None = None):
-    p_max, q_max = params["p_max"], params["q_max"]
-    a, b = max(5, lo or 5), min(p_max, hi if hi is not None else p_max)
-    qs = primes_upto(q_max)
-    w = _w_start(a)
-    n = a
-    for p in primes_in(a, b):
-        while n <= p:
-            w = w * (2 * (2 * n - 1)) // n
-            n += 1
+def _gen_new_conjecture(params: dict, h: str, lo: int, hi: int):
+    qs = primes_upto(params["q_max"])
+    ws = w_iter(hi, lo)
+    for p in primes_in(lo, hi):
+        for n, w in ws:
+            if n == p:
+                break
         m = w - 1  # w(p) - 1, to be scanned for square prime divisors
         recs = []
         for q in qs:
@@ -335,30 +312,31 @@ def _pair_record(p: int, q: int, h: str, always: bool) -> list[ScanRecord]:
     return [ScanRecord("pairs", (p, q), witness, verdict, h)]
 
 
-def _gen_pairs(params: dict, h: str, lo: int | None = None, hi: int | None = None):
+def _gen_pairs(params: dict, h: str, lo: int, hi: int):
     if params.get("known"):
         # published pairs are expected hits, so a miss is emitted as a fail
         pairs = KNOWN_PAIRS if params.get("stretch") else KNOWN_PAIRS[:2]
         for p, q in pairs:
-            if lo is not None and p < lo:
-                continue
-            if hi is not None and p > hi:
-                continue
             yield (p, q), _pair_record(p, q, h, always=True)
         return
-    p_max, q_max = params["p_max"], params["q_max"]
-    a, b = max(5, lo or 5), min(p_max, hi if hi is not None else p_max)
-    for p in primes_in(a, b):
-        for q in primes_in(p + 1, q_max):
+    for p in primes_in(lo, hi):
+        for q in primes_in(p + 1, params["q_max"]):
             yield (p, q), _pair_record(p, q, h, always=False)
 
 
 @dataclass(frozen=True)
 class _ScanDef:
-    name: str
+    """The one definition of a scan: its generator, subject bounds and params."""
+
     generate: Callable
     bounds: Callable[[dict], tuple[int, int]]
     required: tuple[str, ...]
+    known: bool = False  # {"known": True} checks published subjects instead
+
+    def missing(self, params: dict) -> list[str]:
+        if self.known and params.get("known"):
+            return []
+        return [k for k in self.required if params.get(k) is None]
 
 
 def _pairs_bounds(params: dict) -> tuple[int, int]:
@@ -368,22 +346,17 @@ def _pairs_bounds(params: dict) -> tuple[int, int]:
 
 
 _SCANS = {
-    "wilson": _ScanDef("wilson", _gen_wilson, lambda p: (2, p["limit"]), ("limit",)),
-    "wilson-cube": _ScanDef(
-        "wilson-cube", _gen_wilson_cube, lambda p: (2, p["limit"]), ("limit",)
-    ),
-    "jones": _ScanDef("jones", _gen_jones, lambda p: (2, p["limit"]), ("limit",)),
+    "wilson": _ScanDef(_gen_wilson, lambda p: (2, p["limit"]), ("limit",)),
+    "wilson-cube": _ScanDef(_gen_wilson_cube, lambda p: (2, p["limit"]), ("limit",)),
+    "jones": _ScanDef(_gen_jones, lambda p: (2, p["limit"]), ("limit",)),
     "wolstenholme-primes": _ScanDef(
-        "wolstenholme-primes", _gen_wolstenholme, lambda p: (5, p["limit"]), ("limit",)
+        _gen_wolstenholme, lambda p: (5, p["limit"]), ("limit",)
     ),
-    "mod5": _ScanDef("mod5", _gen_mod5, lambda p: (2, p["limit"]), ("limit",)),
+    "mod5": _ScanDef(_gen_mod5, lambda p: (2, p["limit"]), ("limit",)),
     "new-conjecture": _ScanDef(
-        "new-conjecture",
-        _gen_new_conjecture,
-        lambda p: (5, p["p_max"]),
-        ("p_max", "q_max"),
+        _gen_new_conjecture, lambda p: (5, p["p_max"]), ("p_max", "q_max")
     ),
-    "pairs": _ScanDef("pairs", _gen_pairs, _pairs_bounds, ()),
+    "pairs": _ScanDef(_gen_pairs, _pairs_bounds, ("p_max", "q_max"), known=True),
 }
 
 
@@ -406,25 +379,15 @@ class ScanSummary:
     fails: int
 
 
-def _chunk_ranges(lo: int, hi: int, chunks: int) -> list[tuple[int, int]]:
-    size = max(1, (hi - lo + 1 + chunks - 1) // chunks)
-    return [(a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
-
-
-def _subject_stream(sd: _ScanDef, params: dict, h: str, threads: int) -> Iterator:
-    if threads <= 1:
-        yield from sd.generate(params, h)
-        return
-    lo, hi = sd.bounds(params)
-    ranges = _chunk_ranges(lo, hi, threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(lambda r: list(sd.generate(params, h, r[0], r[1])), rng)
-            for rng in ranges
-        ]
-        # merge in chunk order: chunks are contiguous, so subject order holds
-        for fut in futures:
-            yield from fut.result()
+def _stream(name: str, params: dict, h: str) -> Iterator:
+    """Check params against the scan table and return the scan's subject stream."""
+    if name not in _SCANS:
+        raise ValueError(f"unknown scan {name!r}; choose from {scan_names()}")
+    sd = _SCANS[name]
+    missing = sd.missing(params)
+    if missing:
+        raise ValueError(f"scan {name} missing params {missing}")
+    return sd.generate(params, h, *sd.bounds(params))
 
 
 def run_scan(
@@ -435,7 +398,6 @@ def run_scan(
     fmt: str = "jsonl",
     checkpoint_path: str | None = None,
     checkpoint_interval: int = 1000,
-    threads: int = 1,
     limit_subjects: int | None = None,
     observer: Callable[[ScanRecord], None] | None = None,
 ) -> ScanSummary:
@@ -447,13 +409,8 @@ def run_scan(
     unflushed work.  limit_subjects stops early after that many subjects
     (used to exercise interruption in tests).
     """
-    if name not in _SCANS:
-        raise ValueError(f"unknown scan {name!r}; choose from {scan_names()}")
-    sd = _SCANS[name]
-    missing = [k for k in sd.required if k not in params]
-    if missing:
-        raise ValueError(f"scan {name} missing params {missing}")
     h = params_digest(params)
+    stream = _stream(name, params, h)
 
     resume_after: Subject | None = None
     already_emitted = 0
@@ -470,7 +427,7 @@ def run_scan(
     last: Subject | None = resume_after
     since_checkpoint = 0
 
-    for subject, recs in _subject_stream(sd, params, h, threads):
+    for subject, recs in stream:
         if resume_after is not None and subject <= resume_after:
             replayed += len(recs)
             continue
@@ -543,17 +500,9 @@ def _make_writer(sink, fmt: str, header: bool):
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def records_to_csv(records: list[ScanRecord], sink) -> None:
-    emit = _make_writer(sink, "csv", header=True)
-    for rec in records:
-        emit(rec)
-
-
 def _collect(name: str, params: dict) -> list[ScanRecord]:
-    sd = _SCANS[name]
-    h = params_digest(params)
     out: list[ScanRecord] = []
-    for _, recs in sd.generate(params, h):
+    for _, recs in _stream(name, params, params_digest(params)):
         out.extend(recs)
     return out
 
@@ -609,12 +558,8 @@ def scan_pair_units(
     published pair only runs under stretch (it takes a while).
     """
     if known:
-        params: dict = {"known": True, "stretch": stretch}
-    else:
-        if p_max is None or q_max is None:
-            raise ValueError("range mode needs p_max and q_max")
-        params = {"p_max": p_max, "q_max": q_max}
-    return _collect("pairs", params)
+        return _collect("pairs", {"known": True, "stretch": stretch})
+    return _collect("pairs", {"p_max": p_max, "q_max": q_max})
 
 
 def max_ratio_report(records: list[ScanRecord]) -> dict:

@@ -12,14 +12,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .arith import is_prime, primes_upto
+from .arith import factor_completely, primes_upto
 from .congruence import (
     divisor_product_check,
     factor_band_classify,
     w_exact,
     wilson_restatement_check,
 )
-from .errors import AssertionFailure
+from .errors import AssertionFailure, FactoringBudgetExceeded
 from .symmetric import (
     bayat_valuations,
     check_form,
@@ -130,23 +130,6 @@ def _suite_bands(bound: int) -> Iterator[SuiteResult]:
         yield SuiteResult("bands", p, not bad, f"mismatched q={bad}" if bad else "")
 
 
-def _trial_prime_divisors(m: int, above: int, limit: int = 10**6) -> list[int]:
-    # prime divisors of m greater than `above`, found by bounded trial
-    # division; a surviving prime cofactor counts, a composite one does not
-    found = []
-    f = 2
-    while f <= limit and f * f <= m:
-        if m % f == 0:
-            if f > above:
-                found.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1 and m > above and is_prime(m):
-        found.append(m)
-    return found
-
-
 def _suite_wpoly(bound: int) -> Iterator[SuiteResult]:
     st = stirling_tables(max(2 * bound - 4, 1))
     for p in primes_upto(bound):
@@ -158,9 +141,14 @@ def _suite_wpoly(bound: int) -> Iterator[SuiteResult]:
             verify_W(p, w_poly)
         except AssertionFailure as exc:
             problems.append(str(exc))
-        n_over_p3 = (w_exact(p) - 1) // p**3
-        for q in _trial_prime_divisors(n_over_p3, above=2 * p):
-            if not large_prime_divisor_check(p, q, w_poly=w_poly):
+        # prime divisors by trial division to 10^6; a surviving composite
+        # cofactor is left out
+        try:
+            factors = factor_completely((w_exact(p) - 1) // p**3)
+        except FactoringBudgetExceeded as exc:
+            factors = exc.partial
+        for q in factors:
+            if q > 2 * p and not large_prime_divisor_check(p, q, w_poly=w_poly):
                 problems.append(f"divisor equivalence failed at q={q}")
         content = 0
         for c in w_poly.coeffs:

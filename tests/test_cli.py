@@ -2,6 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from wolstenholme.cli import _build_parser, _scan_params
+from wolstenholme.search import params_digest
+
 
 def cli(*args, stdin=None):
     return subprocess.run(
@@ -19,8 +24,9 @@ class TestVerifyCommand:
         assert r.stdout == ""  # violations only on stdout
         assert "0 violations" in r.stderr
 
-    def test_alias_names(self):
-        r = cli("verify", "form3-cross", "--bound", "12")
+    @pytest.mark.parametrize("alias", ["form3-cross", "form4-cross", "w-properties"])
+    def test_alias_names(self, alias):
+        r = cli("verify", alias, "--bound", "12")
         assert r.returncode == 0
 
     def test_wpoly_suite(self):
@@ -46,6 +52,38 @@ class TestScanCommand:
     def test_unknown_scan_exits_two(self):
         r = cli("scan", "nonesuch", "--limit", "5")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["jones", "--limit", "300"], "663ce1e9324db482"),
+            (["new-conjecture", "--p-max", "2000", "--q-max", "100000"], "77370d61bf938fd1"),
+            (["new-conjecture", "--p-max", "100", "--q-max", "1000"], "aa1259285147acd1"),
+            (["pairs", "--known"], "73c511deafc1180b"),
+            (["pairs", "--known", "--stretch"], "b18287a79aa114e0"),
+            (["pairs", "--p-max", "30", "--q-max", "900"], "5626c578a0981286"),
+        ],
+        ids=["limit", "new-conjecture", "new-conjecture-readme", "known", "known-stretch", "pairs-range"],
+    )
+    def test_params_hash_pinned(self, argv, digest):
+        params = _scan_params(_build_parser().parse_args(["scan", *argv]))
+        assert params_digest(params) == digest
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["jones"], "requires --limit"),
+            (["new-conjecture", "--p-max", "50"], "requires --p-max and --q-max"),
+            (["pairs", "--q-max", "50"], "requires --known or --p-max and --q-max"),
+        ],
+    )
+    def test_usage_error_leaves_out_file(self, tmp_path, argv, message):
+        out = tmp_path / "records.jsonl"
+        out.write_text("kept\n")
+        r = cli("scan", *argv, "--out", str(out))
+        assert r.returncode == 2
+        assert message in r.stderr
+        assert out.read_text() == "kept\n"
 
     def test_stdout_deterministic(self):
         a = cli("scan", "new-conjecture", "--p-max", "50", "--q-max", "500")

@@ -34,8 +34,12 @@ class TestWExact:
             assert 2 * w_exact(n) == math.comb(2 * n, n)
 
     def test_iter_matches_exact(self):
-        for n, w in w_iter(200):
+        full = list(w_iter(200))
+        for n, w in full:
             assert w == w_exact(n)
+        # entered mid-range, the recurrence continues the run from 1
+        for start in (2, 5, 137, 200, 201):
+            assert list(w_iter(200, start)) == full[start - 1:]
 
 
 class TestWMod:

@@ -163,13 +163,6 @@ class TestRunner:
         run_scan("pairs", params, buf, checkpoint_path=cpath, checkpoint_interval=3)
         assert buf.getvalue() == full
 
-    def test_threads_do_not_change_bytes(self):
-        params = {"limit": 300}
-        sequential = self._full("jones", params)
-        buf = io.StringIO()
-        run_scan("jones", params, buf, threads=3)
-        assert buf.getvalue() == sequential
-
     def test_rejects_resume_of_other_scan(self, tmp_path):
         cpath = str(tmp_path / "cp.json")
         run_scan("jones", {"limit": 20}, io.StringIO(), checkpoint_path=cpath)
@@ -180,9 +173,14 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_scan("nonesuch", {}, io.StringIO())
 
-    def test_missing_params(self):
+    @pytest.mark.parametrize(
+        "name, params",
+        [("jones", {}), ("pairs", {"p_max": 10}), ("pairs", {})],
+        ids=["jones", "pairs-no-q_max", "pairs-empty"],
+    )
+    def test_missing_params(self, name, params):
         with pytest.raises(ValueError):
-            run_scan("jones", {}, io.StringIO())
+            run_scan(name, params, io.StringIO())
 
     def test_csv_roundtrip(self):
         buf = io.StringIO()
