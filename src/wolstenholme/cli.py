@@ -4,8 +4,8 @@ Data records go to stdout (or --out); diagnostics and timing go to stderr,
 so record streams pipe cleanly.  Identical invocations produce identical
 output bytes.
 
-Exit codes: 0 success, 1 a mathematical expectation was violated,
-2 usage or configuration error.
+Exit codes: 0 success, 1 a mathematical expectation was violated (or
+`report` found a damaged stream), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -111,6 +111,14 @@ def _cmd_scan(args) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     resuming = bool(args.checkpoint and os.path.exists(args.checkpoint))
+    if resuming and args.out is None:
+        # a resume reads back and truncates its output, which stdout cannot do
+        print(
+            f"usage error: checkpoint {args.checkpoint} exists; resuming needs "
+            "--out (the file the first run wrote)",
+            file=sys.stderr,
+        )
+        return 2
     hits: list = []
     observer = hits.append if args.scan == "new-conjecture" else None
     t0 = time.perf_counter()
@@ -184,27 +192,106 @@ def _cmd_classify(args) -> int:
     return 1 if mismatches else 0
 
 
+def _parse_row(row: dict) -> dict:
+    """Check one record's fields; raise ValueError when it is malformed."""
+    subject = row["subject"]
+    parts = subject if isinstance(subject, list) else [subject]
+    if not (
+        isinstance(row["scan"], str)
+        and isinstance(row["verdict"], str)
+        and isinstance(row["params_hash"], str)
+        and isinstance(row["witness"], dict)
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in parts)
+    ):
+        raise ValueError("malformed record")
+    row["subject_key"] = tuple(parts)
+    return row
+
+
+def _parse_line(line: str) -> dict | None:
+    try:
+        return _parse_row(json.loads(line))
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def _parse_csv_row(row: dict) -> dict | None:
+    if None in row:  # more fields than columns
+        return None
+    try:
+        row["witness"] = json.loads(row["witness"])
+        row["subject"] = json.loads(row["subject"])
+        return _parse_row(row)
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
 def _iter_report_rows(fh, fmt: str):
+    """Yield each record as a dict, or None for a line that does not parse."""
     if fmt == "jsonl":
         for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+            if line.strip():
+                yield _parse_line(line)
     else:
         import csv
 
-        for row in csv.DictReader(fh):
-            row["witness"] = json.loads(row["witness"])
-            yield row
+        try:
+            for row in csv.DictReader(fh):
+                yield _parse_csv_row(row)
+        except csv.Error:  # a torn quote makes the rest of the file one huge field
+            yield None
+
+
+class _Damage:
+    """Counts what an intact stream never holds: unparseable lines, a record
+    at or before one already seen in its scan, and mixed params hashes."""
+
+    def __init__(self):
+        self.unparseable = self.out_of_order = 0
+        self.hashes: dict[str, set[str]] = {}
+        self.front: dict[str, tuple] = {}  # scan -> (max subject, records seen there)
+
+    def add(self, row: dict | None) -> None:
+        if row is None:
+            self.unparseable += 1
+            return
+        scan, subject = row["scan"], row["subject_key"]
+        self.hashes.setdefault(scan, set()).add(row["params_hash"])
+        # several records may share a subject (one per q in new-conjecture),
+        # so a repeat is the same subject with the same witness
+        key = json.dumps(row["witness"], sort_keys=True)
+        top, keys = self.front.get(scan, (None, set()))
+        if top is None or subject > top:
+            self.front[scan] = (subject, {key})
+        elif subject < top or key in keys:
+            self.out_of_order += 1
+        else:
+            keys.add(key)
+
+    def summary(self) -> dict:
+        mixed = sorted(s for s, hs in self.hashes.items() if len(hs) > 1)
+        return {
+            "unparseable_lines": self.unparseable,
+            "repeated_or_backwards_subjects": self.out_of_order,
+            "scans_with_mixed_params_hash": mixed,
+        }
 
 
 def _cmd_report(args) -> int:
-    fh = open(args.file) if args.file else sys.stdin
+    try:
+        fh = open(args.file) if args.file else sys.stdin
+    except OSError as exc:
+        print(f"usage error: cannot read {args.file}: {exc.strerror}", file=sys.stderr)
+        return 2
+    damage = _Damage()
     try:
         by_scan: dict[str, dict[str, int]] = {}
         nc_hits = []
         total = fails = 0
         for row in _iter_report_rows(fh, args.format):
+            damage.add(row)
+            if row is None:
+                continue
             total += 1
             scan = row["scan"]
             verdict = row["verdict"]
@@ -212,12 +299,13 @@ def _cmd_report(args) -> int:
                 by_scan.setdefault(scan, {}).get(verdict, 0) + 1
             )
             fails += verdict == "fail"
-            if scan == "new-conjecture" and "q" in row.get("witness", {}):
-                nc_hits.append((int(row["subject"]), int(row["witness"]["q"])))
+            if scan == "new-conjecture" and "q" in row["witness"]:
+                nc_hits.append((row["subject_key"][0], int(row["witness"]["q"])))
     finally:
         if args.file:
             fh.close()
-    summary: dict = {"records": total, "by_scan": by_scan}
+    damaged = damage.summary()
+    summary: dict = {"records": total, "by_scan": by_scan, "damage": damaged}
     if nc_hits:
         from fractions import Fraction
 
@@ -227,7 +315,10 @@ def _cmd_report(args) -> int:
             "max_q_over_p": str(best),
         }
     print(json.dumps(summary, sort_keys=True))
-    return 1 if fails else 0
+    for kind, found in damaged.items():
+        if found:
+            print(f"damaged stream: {kind}: {found}", file=sys.stderr)
+    return 1 if fails or any(damaged.values()) else 0
 
 
 def main(argv: list[str] | None = None) -> int:

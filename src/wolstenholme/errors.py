@@ -75,3 +75,7 @@ class ParamsMismatch(CheckpointError):
 
 class CorruptFile(CheckpointError):
     """Checkpoint file is unreadable or structurally invalid."""
+
+
+class PrefixMismatch(CheckpointError):
+    """The output to resume does not start with the bytes the checkpoint covers."""

@@ -2,10 +2,11 @@
 
 Each scan walks a totally ordered subject space (integers, primes, or prime
 pairs) and emits ScanRecords as JSON lines.  Running a scan twice with the
-same parameters produces byte-identical streams; interrupting at a
-checkpoint and resuming reproduces the uninterrupted stream exactly,
-because resumption replays the generator deterministically and drops
-records for already-completed subjects.
+same parameters produces byte-identical streams; interrupting (even by
+SIGKILL) and resuming reproduces the uninterrupted stream exactly.  A
+checkpoint records the last completed subject plus the byte length and
+sha256 of the stream through it; resuming checks that prefix, truncates
+whatever was written after it, and starts the generator after that subject.
 
 Verdicts: "hit" marks a found subject matching the scan's expectation,
 "fail" marks a record violating an assertion the scan makes (e.g. a Jones
@@ -32,7 +33,13 @@ from .congruence import (
     w_mod,
     wilson_residue,
 )
-from .errors import CheckpointError, CorruptFile, ParamsMismatch, VersionMismatch
+from .errors import (
+    CheckpointError,
+    CorruptFile,
+    ParamsMismatch,
+    PrefixMismatch,
+    VersionMismatch,
+)
 
 __all__ = [
     "ScanRecord",
@@ -55,7 +62,7 @@ __all__ = [
     "max_ratio_report",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # published pairs (p, q) with w(pq) = 1 (mod pq); the third is stretch-sized
 KNOWN_PAIRS = ((29, 937), (787, 2543), (69239, 231433))
@@ -90,6 +97,8 @@ class Checkpoint:
     params_hash: str
     last_subject: Subject
     records_emitted: int
+    offset: int = 0  # bytes of the stream through last_subject, CSV header included
+    sha256: str = hashlib.sha256().hexdigest()  # digest of those bytes
     format_version: int = FORMAT_VERSION
 
 
@@ -109,6 +118,8 @@ def checkpoint_save(cp: Checkpoint, path: str) -> None:
         if isinstance(cp.last_subject, tuple)
         else cp.last_subject,
         "records_emitted": cp.records_emitted,
+        "offset": cp.offset,
+        "sha256": cp.sha256,
     }
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -130,20 +141,23 @@ def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoin
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptFile(f"cannot read checkpoint {path}: {exc}") from exc
-    required = {
-        "format_version",
-        "scan",
-        "params",
-        "params_hash",
-        "last_subject",
-        "records_emitted",
-    }
-    if not isinstance(payload, dict) or not required.issubset(payload):
+    if not isinstance(payload, dict) or "format_version" not in payload:
         raise CorruptFile(f"checkpoint {path} is missing fields")
     if payload["format_version"] != FORMAT_VERSION:
         raise VersionMismatch(
             f"checkpoint format {payload['format_version']} != {FORMAT_VERSION}"
         )
+    required = {
+        "scan",
+        "params",
+        "params_hash",
+        "last_subject",
+        "records_emitted",
+        "offset",
+        "sha256",
+    }
+    if not required.issubset(payload):
+        raise CorruptFile(f"checkpoint {path} is missing fields")
     if params_digest(payload["params"]) != payload["params_hash"]:
         raise CorruptFile(f"checkpoint {path} params digest does not match")
     if expected_params is not None and params_digest(expected_params) != payload["params_hash"]:
@@ -159,6 +173,8 @@ def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoin
         params_hash=payload["params_hash"],
         last_subject=last,
         records_emitted=payload["records_emitted"],
+        offset=payload["offset"],
+        sha256=payload["sha256"],
         format_version=payload["format_version"],
     )
 
@@ -166,7 +182,8 @@ def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoin
 # --------------------------------------------------------------------------
 # Scan generators: yield (subject, [records]) in strictly ascending subject
 # order, one yield per subject, never skipping a subject of the scan's space.
-# Each walks the subjects lo..hi it is given; the scan table supplies them.
+# Each walks the subjects lo..hi it is given; the scan table supplies them,
+# and a resumed run passes the subject after its checkpoint as lo.
 # --------------------------------------------------------------------------
 
 
@@ -312,15 +329,19 @@ def _pair_record(p: int, q: int, h: str, always: bool) -> list[ScanRecord]:
     return [ScanRecord("pairs", (p, q), witness, verdict, h)]
 
 
-def _gen_pairs(params: dict, h: str, lo: int, hi: int):
+def _gen_pairs(params: dict, h: str, lo: tuple[int, int], hi: int):
+    # pairs run in lexicographic order; lo is the first (p, q) to check
     if params.get("known"):
         # published pairs are expected hits, so a miss is emitted as a fail
         pairs = KNOWN_PAIRS if params.get("stretch") else KNOWN_PAIRS[:2]
         for p, q in pairs:
-            yield (p, q), _pair_record(p, q, h, always=True)
+            if (p, q) >= lo:
+                yield (p, q), _pair_record(p, q, h, always=True)
         return
-    for p in primes_in(lo, hi):
-        for q in primes_in(p + 1, params["q_max"]):
+    p_lo, q_lo = lo
+    for p in primes_in(p_lo, hi):
+        q_from = max(p + 1, q_lo) if p == p_lo else p + 1
+        for q in primes_in(q_from, params["q_max"]):
             yield (p, q), _pair_record(p, q, h, always=False)
 
 
@@ -329,7 +350,7 @@ class _ScanDef:
     """The one definition of a scan: its generator, subject bounds and params."""
 
     generate: Callable
-    bounds: Callable[[dict], tuple[int, int]]
+    bounds: Callable[[dict], tuple[Subject, int]]
     required: tuple[str, ...]
     known: bool = False  # {"known": True} checks published subjects instead
 
@@ -338,11 +359,12 @@ class _ScanDef:
             return []
         return [k for k in self.required if params.get(k) is None]
 
-
-def _pairs_bounds(params: dict) -> tuple[int, int]:
-    if params.get("known"):
-        return KNOWN_PAIRS[0][0], KNOWN_PAIRS[-1][0]
-    return 5, params["p_max"]
+    def stream(self, params: dict, h: str, after: Subject | None = None) -> Iterator:
+        """The scan's (subject, records) stream, entered just after `after`."""
+        lo, hi = self.bounds(params)
+        if after is not None:
+            lo = (after[0], after[1] + 1) if isinstance(after, tuple) else after + 1
+        return self.generate(params, h, lo, hi)
 
 
 _SCANS = {
@@ -356,7 +378,9 @@ _SCANS = {
     "new-conjecture": _ScanDef(
         _gen_new_conjecture, lambda p: (5, p["p_max"]), ("p_max", "q_max")
     ),
-    "pairs": _ScanDef(_gen_pairs, _pairs_bounds, ("p_max", "q_max"), known=True),
+    "pairs": _ScanDef(
+        _gen_pairs, lambda p: ((5, 0), p.get("p_max")), ("p_max", "q_max"), known=True
+    ),
 }
 
 
@@ -379,15 +403,72 @@ class ScanSummary:
     fails: int
 
 
-def _stream(name: str, params: dict, h: str) -> Iterator:
-    """Check params against the scan table and return the scan's subject stream."""
+def _scan_def(name: str, params: dict) -> _ScanDef:
+    """Check params against the scan table and return the scan's definition."""
     if name not in _SCANS:
         raise ValueError(f"unknown scan {name!r}; choose from {scan_names()}")
     sd = _SCANS[name]
     missing = sd.missing(params)
     if missing:
         raise ValueError(f"scan {name} missing params {missing}")
-    return sd.generate(params, h, *sd.bounds(params))
+    return sd
+
+
+class _Tally:
+    """Write-through sink wrapper: the byte count and sha256 of the stream."""
+
+    def __init__(self, sink, offset: int = 0, digest=None):
+        self.sink = sink
+        self.offset = offset
+        self.digest = digest or hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        data = text.encode()  # records are ASCII, so this is the file's bytes
+        self.offset += len(data)
+        self.digest.update(data)
+        self.sink.write(text)
+
+
+def _prefix_digest(sink, size: int):
+    """Length and running sha256 of the first size bytes already in sink: a
+    file opened from a path (read back in chunks), or an in-memory stream."""
+    digest = hashlib.sha256()
+    name = getattr(sink, "name", None)
+    if isinstance(name, str) and os.path.isfile(name):
+        _flush(sink)
+        got = 0
+        with open(name, "rb") as fh:
+            while got < size and (chunk := fh.read(min(1 << 16, size - got))):
+                digest.update(chunk)
+                got += len(chunk)
+        return got, digest
+    if hasattr(sink, "getvalue"):
+        data = sink.getvalue().encode()[:size]
+        digest.update(data)
+        return len(data), digest
+    raise CheckpointError(
+        "cannot resume onto a stream that cannot be read back; write to a file"
+    )
+
+
+def _cut_back(sink, cp: Checkpoint) -> _Tally:
+    """Check that sink starts with the bytes cp covers, drop what follows them
+    (records written after the checkpoint, perhaps a torn line), and return a
+    tally that continues from there."""
+    got, digest = _prefix_digest(sink, cp.offset)
+    if got != cp.offset:
+        raise PrefixMismatch(
+            f"the output holds {got} bytes, fewer than the {cp.offset} the "
+            "checkpoint covers"
+        )
+    if digest.hexdigest() != cp.sha256:
+        raise PrefixMismatch(
+            f"the output's first {cp.offset} bytes differ from those the "
+            "checkpoint covers"
+        )
+    sink.truncate(cp.offset)
+    sink.seek(cp.offset)
+    return _Tally(sink, cp.offset, digest)
 
 
 def run_scan(
@@ -404,33 +485,44 @@ def run_scan(
     """Drive a scan: emit records to sink, checkpointing as it goes.
 
     If checkpoint_path exists, the run resumes after its last completed
-    subject (the caller should open sink in append mode).  Checkpoints are
+    subject.  sink must then hold the earlier output: a file opened from its
+    path (append mode is fine) or an in-memory stream.  Its first
+    `offset` bytes must match the checkpoint's sha256, else PrefixMismatch;
+    anything after them is truncated, and the generator starts after
+    last_subject, so no earlier subject is computed again.  Checkpoints are
     written only after the records they cover, so a checkpoint never claims
     unflushed work.  limit_subjects stops early after that many subjects
     (used to exercise interruption in tests).
     """
     h = params_digest(params)
-    stream = _stream(name, params, h)
+    sd = _scan_def(name, params)
 
-    resume_after: Subject | None = None
+    after: Subject | None = None
     already_emitted = 0
+    tally = _Tally(sink)
     if checkpoint_path and os.path.exists(checkpoint_path):
         cp = checkpoint_load(checkpoint_path, expected_params=params)
         if cp.scan != name:
             raise ParamsMismatch(f"checkpoint is for scan {cp.scan!r}, not {name!r}")
-        resume_after = cp.last_subject
+        tally = _cut_back(sink, cp)
+        after = cp.last_subject
         already_emitted = cp.records_emitted
 
-    emit = _make_writer(sink, fmt, header=resume_after is None)
+    emit = _make_writer(tally, fmt, header=after is None)
     subjects = records = hits = fails = 0
-    replayed = 0
-    last: Subject | None = resume_after
+    last: Subject | None = after
     since_checkpoint = 0
 
-    for subject, recs in stream:
-        if resume_after is not None and subject <= resume_after:
-            replayed += len(recs)
-            continue
+    def save() -> None:
+        checkpoint_save(
+            Checkpoint(
+                name, params, h, last, already_emitted + records,
+                tally.offset, tally.digest.hexdigest(),
+            ),
+            checkpoint_path,
+        )
+
+    for subject, recs in sd.stream(params, h, after):
         for rec in recs:
             emit(rec)
             if observer is not None:
@@ -443,23 +535,14 @@ def run_scan(
         since_checkpoint += 1
         if checkpoint_path and since_checkpoint >= checkpoint_interval:
             _flush(sink)
-            checkpoint_save(
-                Checkpoint(name, params, h, last, already_emitted + records), checkpoint_path
-            )
+            save()
             since_checkpoint = 0
         if limit_subjects is not None and subjects >= limit_subjects:
             break
 
-    if resume_after is not None and replayed != already_emitted:
-        raise CheckpointError(
-            f"replay produced {replayed} records before the checkpoint, "
-            f"but it claims {already_emitted}; determinism violated"
-        )
     _flush(sink)
     if checkpoint_path and last is not None:
-        checkpoint_save(
-            Checkpoint(name, params, h, last, already_emitted + records), checkpoint_path
-        )
+        save()
     return ScanSummary(name, h, subjects, records, hits, fails)
 
 
@@ -472,7 +555,7 @@ def _flush(sink) -> None:
 _CSV_COLUMNS = ("scan", "subject", "witness", "verdict", "params_hash")
 
 
-def _make_writer(sink, fmt: str, header: bool):
+def _make_writer(sink: _Tally, fmt: str, header: bool):
     if fmt == "jsonl":
         def emit(rec: ScanRecord) -> None:
             sink.write(rec.to_json() + "\n")
@@ -502,7 +585,7 @@ def _make_writer(sink, fmt: str, header: bool):
 
 def _collect(name: str, params: dict) -> list[ScanRecord]:
     out: list[ScanRecord] = []
-    for _, recs in _stream(name, params, params_digest(params)):
+    for _, recs in _scan_def(name, params).stream(params, params_digest(params)):
         out.extend(recs)
     return out
 

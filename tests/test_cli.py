@@ -1,6 +1,9 @@
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -116,6 +119,57 @@ class TestScanCommand:
         assert r2.returncode == 0  # resume after completion appends nothing
         assert out.read_text() == full
 
+    def test_resume_onto_stdout_is_usage_error(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        cp = tmp_path / "cp.json"
+        args = ("scan", "jones", "--limit", "200", "--checkpoint", str(cp))
+        assert cli(*args, "--out", str(out), "--checkpoint-interval", "10").returncode == 0
+        saved = cp.read_text()
+        r = cli(*args)
+        assert r.returncode == 2
+        assert "resuming needs --out" in r.stderr
+        assert r.stdout == ""
+        assert cp.read_text() == saved
+
+    def test_damaged_prefix_exits_two(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        cp = tmp_path / "cp.json"
+        args = ("scan", "jones", "--limit", "200", "--out", str(out), "--checkpoint", str(cp))
+        assert cli(*args).returncode == 0
+        data = bytearray(out.read_bytes())
+        data[10] ^= 1
+        out.write_bytes(bytes(data))
+        r = cli(*args)
+        assert r.returncode == 2
+        assert "checkpoint error" in r.stderr
+        assert out.read_bytes() == bytes(data)
+
+    def test_sigkill_then_rerun_is_byte_identical(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        cp = tmp_path / "cp.json"
+        argv = [sys.executable, "-m", "wolstenholme.cli", "scan", "jones",
+                "--limit", "6000", "--out", str(out), "--checkpoint", str(cp)]
+        full = cli("scan", "jones", "--limit", "6000").stdout
+        proc = subprocess.Popen(argv, stderr=subprocess.DEVNULL)
+        try:
+            # kill once records past the checkpoint have reached the file
+            deadline = time.monotonic() + 30
+            while proc.poll() is None and time.monotonic() < deadline:
+                try:
+                    offset = json.loads(cp.read_text())["offset"]
+                except (OSError, ValueError):
+                    offset = None
+                if offset is not None and out.stat().st_size > offset:
+                    break
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGKILL)
+        finally:
+            proc.wait(timeout=30)
+        assert proc.returncode == -signal.SIGKILL  # interrupted, not finished
+        r = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        assert r.returncode == 0
+        assert out.read_text() == full
+
     def test_csv_format(self):
         r = cli("scan", "wilson", "--limit", "600", "--format", "csv")
         assert r.returncode == 0
@@ -166,6 +220,11 @@ class TestReportCommand:
         summary = json.loads(rep.stdout)
         assert summary["records"] == 1
         assert summary["new_conjecture"]["max_q_over_p"] == "3/13"
+        assert summary["damage"] == {
+            "repeated_or_backwards_subjects": 0,
+            "scans_with_mixed_params_hash": [],
+            "unparseable_lines": 0,
+        }
 
     def test_fail_records_exit_one(self):
         line = json.dumps(
@@ -179,3 +238,67 @@ class TestReportCommand:
         )
         rep = cli("report", stdin=line + "\n")
         assert rep.returncode == 1
+
+    def test_missing_file_exits_two(self, tmp_path):
+        rep = cli("report", str(tmp_path / "nope.jsonl"))
+        assert rep.returncode == 2
+        assert "usage error" in rep.stderr
+        assert "Traceback" not in rep.stderr
+
+
+def _record(subject, params_hash="h", **witness) -> str:
+    rec = {"scan": "s", "subject": subject, "witness": witness, "verdict": "hit",
+           "params_hash": params_hash}
+    return json.dumps(rec, separators=(",", ":")) + "\n"
+
+
+class TestReportDamage:
+    def _damage(self, stream, *extra):
+        rep = cli("report", *extra, stdin=stream)
+        assert "Traceback" not in rep.stderr
+        return rep.returncode, json.loads(rep.stdout)["damage"]
+
+    def test_torn_line(self):
+        code, damage = self._damage(_record(5) + '{"scan":"jones","subj')
+        assert code == 1
+        assert damage["unparseable_lines"] == 1
+
+    def test_duplicated_tail(self):
+        stream = cli("scan", "jones", "--limit", "300").stdout
+        lines = stream.splitlines(keepends=True)
+        code, damage = self._damage(stream + "".join(lines[-5:]))
+        assert code == 1
+        assert damage["repeated_or_backwards_subjects"] == 5
+
+    def test_pair_subjects_going_backwards(self):
+        stream = _record([7, 11]) + _record([7, 13]) + _record([5, 900]) + _record([7, 13])
+        code, damage = self._damage(stream)
+        assert code == 1
+        assert damage["repeated_or_backwards_subjects"] == 2
+
+    def test_records_sharing_a_subject_are_fine(self):
+        # new-conjecture emits one record per q for the same p
+        code, damage = self._damage(_record(13, q="3") + _record(13, q="5") + _record(17))
+        assert code == 0
+        assert damage["repeated_or_backwards_subjects"] == 0
+
+    def test_mixed_params_hash(self):
+        code, damage = self._damage(_record(5, "a") + _record(7, "b"))
+        assert code == 1
+        assert damage["scans_with_mixed_params_hash"] == ["s"]
+
+    def test_csv_damage(self):
+        stream = cli("scan", "wilson", "--limit", "600", "--format", "csv").stdout
+        lines = stream.splitlines(keepends=True)
+        code, damage = self._damage(stream + lines[1] + "wilson,7,{", "--format", "csv")
+        assert code == 1
+        assert damage["repeated_or_backwards_subjects"] == 1
+        assert damage["unparseable_lines"] == 1
+
+    def test_csv_torn_quote_mid_file(self):
+        header = "scan,subject,witness,verdict,params_hash\n"
+        # the torn quote swallows everything after it: more than csv's field limit
+        stream = header + 's,5,"{""q\n' + "s,7,{},hit,h\n" * 12000
+        code, damage = self._damage(stream, "--format", "csv")
+        assert code == 1
+        assert damage["unparseable_lines"] == 1

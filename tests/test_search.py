@@ -1,12 +1,21 @@
+import hashlib
 import io
 import json
 import os
 
 import pytest
 
+from wolstenholme import search
 from wolstenholme.arith import primes_upto
-from wolstenholme.errors import CorruptFile, ParamsMismatch, VersionMismatch
+from wolstenholme.errors import (
+    CheckpointError,
+    CorruptFile,
+    ParamsMismatch,
+    PrefixMismatch,
+    VersionMismatch,
+)
 from wolstenholme.search import (
+    FORMAT_VERSION,
     Checkpoint,
     checkpoint_load,
     checkpoint_save,
@@ -108,7 +117,7 @@ class TestCheckpointFile:
         cp = Checkpoint("jones", {"limit": 50}, params_digest({"limit": 50}), 37, 4)
         checkpoint_save(cp, path)
         raw = json.load(open(path))
-        raw["format_version"] = 2
+        raw["format_version"] = FORMAT_VERSION + 1
         json.dump(raw, open(path, "w"))
         with pytest.raises(VersionMismatch):
             checkpoint_load(path)
@@ -201,3 +210,138 @@ class TestRunner:
         cp = checkpoint_load(cpath)
         assert cp.last_subject == 50
         assert os.path.exists(cpath)
+
+
+class TestSeekResume:
+    """Resume checks the checkpointed prefix, truncates after it and seeks."""
+
+    def _leg1(self, tmp_path, name, params, fmt="jsonl", cut=40):
+        out = tmp_path / f"out.{fmt}"
+        cpath = str(tmp_path / "cp.json")
+        with open(out, "w") as sink:
+            run_scan(name, params, sink, fmt=fmt, checkpoint_path=cpath,
+                     checkpoint_interval=7, limit_subjects=cut)
+        return out, cpath
+
+    def _leg2(self, out, cpath, name, params, fmt="jsonl"):
+        with open(out, "a") as sink:
+            run_scan(name, params, sink, fmt=fmt, checkpoint_path=cpath,
+                     checkpoint_interval=7)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_tail_after_checkpoint_is_dropped(self, tmp_path, fmt):
+        params = {"limit": 300}
+        full = io.StringIO()
+        run_scan("jones", params, full, fmt=fmt)
+        out, cpath = self._leg1(tmp_path, "jones", params, fmt)
+        cp = checkpoint_load(cpath)
+        assert out.stat().st_size == cp.offset
+        with open(out, "a") as fh:  # what SIGKILL leaves: flushed records, a torn line
+            fh.write(full.getvalue()[cp.offset:][:500] + '{"scan":"jones","subj')
+        self._leg2(out, cpath, "jones", params, fmt)
+        assert out.read_text() == full.getvalue()
+
+    def test_tail_dropped_in_memory(self, tmp_path):
+        params = {"p_max": 20, "q_max": 900}
+        full = io.StringIO()
+        run_scan("pairs", params, full)
+        buf = io.StringIO()
+        cpath = str(tmp_path / "cp.json")
+        run_scan("pairs", params, buf, checkpoint_path=cpath,
+                 checkpoint_interval=3, limit_subjects=5)
+        buf.write("duplicated tail\n")
+        run_scan("pairs", params, buf, checkpoint_path=cpath, checkpoint_interval=3)
+        assert buf.getvalue() == full.getvalue()
+
+    @pytest.mark.parametrize("where", ["flip", "short"])
+    def test_damaged_prefix_raises(self, tmp_path, where):
+        params = {"limit": 300}
+        out, cpath = self._leg1(tmp_path, "jones", params)
+        data = bytearray(out.read_bytes())
+        if where == "flip":
+            data[len(data) // 2] ^= 1
+        else:
+            del data[-1]
+        out.write_bytes(bytes(data))
+        with pytest.raises(PrefixMismatch):
+            self._leg2(out, cpath, "jones", params)
+        assert out.read_bytes() == bytes(data)  # nothing truncated or appended
+
+    def test_unreadable_sink_raises(self, tmp_path):
+        cpath = str(tmp_path / "cp.json")
+        run_scan("jones", {"limit": 20}, io.StringIO(), checkpoint_path=cpath)
+
+        class WriteOnly:
+            def write(self, text):
+                raise AssertionError("nothing may be written")
+
+        with pytest.raises(CheckpointError):
+            run_scan("jones", {"limit": 20}, WriteOnly(), checkpoint_path=cpath)
+
+    def test_v1_checkpoint_rejected(self, tmp_path):
+        path = str(tmp_path / "cp.json")
+        v1 = {
+            "format_version": 1,
+            "scan": "jones",
+            "params": {"limit": 50},
+            "params_hash": params_digest({"limit": 50}),
+            "last_subject": 37,
+            "records_emitted": 4,
+        }
+        with open(path, "w") as fh:
+            json.dump(v1, fh)
+        with pytest.raises(VersionMismatch):
+            checkpoint_load(path)
+        with pytest.raises(VersionMismatch):
+            run_scan("jones", {"limit": 50}, io.StringIO(), checkpoint_path=path)
+
+    def test_checkpoint_offset_and_digest(self, tmp_path):
+        out, cpath = self._leg1(tmp_path, "wilson", {"limit": 600}, "csv", cut=200)
+        cp = checkpoint_load(cpath)
+        data = out.read_bytes()
+        assert data.startswith(b"scan,subject,witness,verdict,params_hash\n")
+        assert cp.offset == len(data)
+        assert cp.sha256 == hashlib.sha256(data).hexdigest()
+
+    def _spy(self, monkeypatch, name):
+        seen = []
+        real = getattr(search, name)
+
+        def spy(*args):
+            seen.append(args[:2] if name == "pair_criterion" else args[0])
+            return real(*args)
+
+        monkeypatch.setattr(search, name, spy)
+        return seen
+
+    def test_resume_computes_no_earlier_subject(self, tmp_path, monkeypatch):
+        params = {"limit": 400}
+        out, cpath = self._leg1(tmp_path, "wilson", params, cut=30)
+        last = checkpoint_load(cpath).last_subject
+        seen = self._spy(monkeypatch, "wilson_residue")
+        self._leg2(out, cpath, "wilson", params)
+        assert seen and min(seen) > last
+        assert [json.loads(l)["subject"] for l in out.read_text().splitlines()] == [5, 13]
+
+    def test_resume_pairs_mid_p(self, tmp_path, monkeypatch):
+        params = {"p_max": 20, "q_max": 900}
+        full = io.StringIO()
+        run_scan("pairs", params, full)
+        out, cpath = self._leg1(tmp_path, "pairs", params, cut=200)
+        last = checkpoint_load(cpath).last_subject
+        assert last[0] == 7  # 151 subjects at p = 5, so the cut falls inside p = 7
+        seen = self._spy(monkeypatch, "pair_criterion")
+        self._leg2(out, cpath, "pairs", params)
+        assert seen[0][0] == last[0]  # entered inside p = 7, not at the next p
+        assert all(pq > last for pq in seen)
+        assert out.read_text() == full.getvalue()
+
+    def test_resume_known_pairs(self, tmp_path, monkeypatch):
+        params = {"known": True, "stretch": False}
+        full = io.StringIO()
+        run_scan("pairs", params, full)
+        out, cpath = self._leg1(tmp_path, "pairs", params, cut=1)
+        seen = self._spy(monkeypatch, "pair_criterion")
+        self._leg2(out, cpath, "pairs", params)
+        assert seen == [(787, 2543)]
+        assert out.read_text() == full.getvalue()
