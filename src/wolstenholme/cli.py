@@ -209,6 +209,8 @@ def _parse_row(row: dict) -> dict:
 
 
 def _parse_line(line: str) -> dict | None:
+    if not line.isascii():
+        return None
     try:
         return _parse_row(json.loads(line))
     except (ValueError, KeyError, TypeError):
@@ -216,7 +218,8 @@ def _parse_line(line: str) -> dict | None:
 
 
 def _parse_csv_row(row: dict) -> dict | None:
-    if None in row:  # more fields than columns
+    # extra fields (a list under key None), a missing one (None), non-ASCII
+    if not all(isinstance(v, str) and v.isascii() for v in row.values()):
         return None
     try:
         row["witness"] = json.loads(row["witness"])
@@ -278,8 +281,16 @@ class _Damage:
 
 
 def _cmd_report(args) -> int:
+    # records are ASCII: decode any other byte to a lone surrogate rather than
+    # raise, so the line holding it counts as unparseable
+    text = {"encoding": "ascii", "errors": "surrogateescape"}
     try:
-        fh = open(args.file) if args.file else sys.stdin
+        if args.file:
+            fh = open(args.file, **text)
+        else:
+            fh = sys.stdin
+            if hasattr(fh, "reconfigure"):
+                fh.reconfigure(**text)
     except OSError as exc:
         print(f"usage error: cannot read {args.file}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from .arith import (
     is_prime,
     primes_in,
 )
-from .errors import BudgetExceeded, FactoringBudgetExceeded, AssertionFailure, PreconditionViolated
+from .errors import BudgetExceeded, AssertionFailure, PreconditionViolated
 
 __all__ = [
     "CongruenceVerdict",
@@ -119,25 +119,27 @@ def w_iter(limit: int, start: int = 1):
 def w_mod(n: int, m: int) -> ResidueClass:
     """w(n) mod m.
 
-    Fast path: when every prime factor q of m satisfies q = n or q > 2n-1,
-    all factors k and n+k (1 <= k < n) are invertible mod m, so the residue
-    is the O(n) modular product of (n+k) * k^-1.  Otherwise the binomial is
-    reduced per prime power of m and recombined by CRT.
+    w(n) * (n-1)! = (n+1)(n+2)...(2n-1), so whenever (n-1)! is a unit mod m
+    the residue is the O(n) modular product of (n+k) times the inverse of
+    (n-1)!.  That route is tried only for m > 2n-1.  The smaller moduli
+    include every m < n, which always shares a prime with (n-1)!, and for
+    all of them binomial_mod is cheap: its per-prime-power unit tables are
+    small and cached (gating at m >= n instead made the bands suite slower).
+    Every other modulus goes through binomial_mod.
     """
     if n < 1:
         raise ValueError("w(n) requires n >= 1")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    try:
-        factors = factor_completely(m)
-    except FactoringBudgetExceeded:
-        return binomial_mod(2 * n - 1, n - 1, m)
-    if all(q == n or q > 2 * n - 1 for q in factors):
-        num = den = 1
+    if m > 2 * n - 1:
+        den = 1
         for k in range(1, n):
-            num = num * (n + k) % m
             den = den * k % m
-        return ResidueClass(num * pow(den, -1, m) % m, m)
+        if math.gcd(den, m) == 1:
+            num = 1
+            for k in range(n + 1, 2 * n):
+                num = num * k % m
+            return ResidueClass(num * pow(den, -1, m) % m, m)
     return binomial_mod(2 * n - 1, n - 1, m)
 
 
@@ -162,21 +164,18 @@ def wprime_mod(n: int, m: int) -> ResidueClass:
 
     Under that precondition every k coprime to n is invertible mod m, so the
     defining product can be evaluated as (prod of 2n-k) * (prod of k)^-1.
+    The precondition holds iff m divides n^e for e >= every exponent in m,
+    and m.bit_length() bounds those exponents.
     """
     if n < 1:
         raise ValueError("w'(n) requires n >= 1")
-    bad = [q for q in factor_completely(m) if n % q != 0]
-    if bad:
+    if pow(n, m.bit_length(), m):
         raise PreconditionViolated(
-            f"prime factors {bad} of modulus {m} do not divide n={n}"
+            f"modulus {m} has a prime factor that does not divide n={n}"
         )
-    rad = sorted(set(factor_completely(n)))
     num = den = 1
     for k in range(1, n + 1):
-        for q in rad:
-            if k % q == 0:
-                break
-        else:
+        if math.gcd(k, n) == 1:
             num = num * (2 * n - k) % m
             den = den * k % m
     return ResidueClass(num * pow(den, -1, m) % m, m)

@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -62,7 +62,7 @@ __all__ = [
     "max_ratio_report",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # published pairs (p, q) with w(pq) = 1 (mod pq); the third is stretch-sized
 KNOWN_PAIRS = ((29, 937), (787, 2543), (69239, 231433))
@@ -99,6 +99,7 @@ class Checkpoint:
     records_emitted: int
     offset: int = 0  # bytes of the stream through last_subject, CSV header included
     sha256: str = hashlib.sha256().hexdigest()  # digest of those bytes
+    fmt: str = "jsonl"  # the stream's format; a resume must write the same
     format_version: int = FORMAT_VERSION
 
 
@@ -109,18 +110,7 @@ def params_digest(params: dict) -> str:
 
 def checkpoint_save(cp: Checkpoint, path: str) -> None:
     """Atomic write: temp file in the same directory, then rename."""
-    payload = {
-        "format_version": cp.format_version,
-        "scan": cp.scan,
-        "params": cp.params,
-        "params_hash": cp.params_hash,
-        "last_subject": list(cp.last_subject)
-        if isinstance(cp.last_subject, tuple)
-        else cp.last_subject,
-        "records_emitted": cp.records_emitted,
-        "offset": cp.offset,
-        "sha256": cp.sha256,
-    }
+    payload = asdict(cp)  # a tuple last_subject is written as a JSON list
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -147,16 +137,8 @@ def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoin
         raise VersionMismatch(
             f"checkpoint format {payload['format_version']} != {FORMAT_VERSION}"
         )
-    required = {
-        "scan",
-        "params",
-        "params_hash",
-        "last_subject",
-        "records_emitted",
-        "offset",
-        "sha256",
-    }
-    if not required.issubset(payload):
+    names = [f.name for f in fields(Checkpoint)]
+    if not set(names).issubset(payload):
         raise CorruptFile(f"checkpoint {path} is missing fields")
     if params_digest(payload["params"]) != payload["params_hash"]:
         raise CorruptFile(f"checkpoint {path} params digest does not match")
@@ -164,19 +146,10 @@ def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoin
         raise ParamsMismatch(
             f"checkpoint {path} belongs to params {payload['params']}"
         )
-    last = payload["last_subject"]
-    if isinstance(last, list):
-        last = tuple(last)
-    return Checkpoint(
-        scan=payload["scan"],
-        params=payload["params"],
-        params_hash=payload["params_hash"],
-        last_subject=last,
-        records_emitted=payload["records_emitted"],
-        offset=payload["offset"],
-        sha256=payload["sha256"],
-        format_version=payload["format_version"],
-    )
+    kwargs = {name: payload[name] for name in names}
+    if isinstance(kwargs["last_subject"], list):
+        kwargs["last_subject"] = tuple(kwargs["last_subject"])
+    return Checkpoint(**kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -485,14 +458,15 @@ def run_scan(
     """Drive a scan: emit records to sink, checkpointing as it goes.
 
     If checkpoint_path exists, the run resumes after its last completed
-    subject.  sink must then hold the earlier output: a file opened from its
-    path (append mode is fine) or an in-memory stream.  Its first
-    `offset` bytes must match the checkpoint's sha256, else PrefixMismatch;
-    anything after them is truncated, and the generator starts after
-    last_subject, so no earlier subject is computed again.  Checkpoints are
-    written only after the records they cover, so a checkpoint never claims
-    unflushed work.  limit_subjects stops early after that many subjects
-    (used to exercise interruption in tests).
+    subject; a checkpoint of another scan or format raises ParamsMismatch
+    before sink is touched.  sink must then hold the earlier output: a file
+    opened from its path (append mode is fine) or an in-memory stream.  Its
+    first `offset` bytes must match the checkpoint's sha256, else
+    PrefixMismatch; anything after them is truncated, and the generator
+    starts after last_subject, so no earlier subject is computed again.
+    Checkpoints are written only after the records they cover, so a
+    checkpoint never claims unflushed work.  limit_subjects stops early
+    after that many subjects (used to exercise interruption in tests).
     """
     h = params_digest(params)
     sd = _scan_def(name, params)
@@ -502,8 +476,10 @@ def run_scan(
     tally = _Tally(sink)
     if checkpoint_path and os.path.exists(checkpoint_path):
         cp = checkpoint_load(checkpoint_path, expected_params=params)
-        if cp.scan != name:
-            raise ParamsMismatch(f"checkpoint is for scan {cp.scan!r}, not {name!r}")
+        if (cp.scan, cp.fmt) != (name, fmt):
+            raise ParamsMismatch(
+                f"checkpoint is for scan {cp.scan!r} in {cp.fmt}, not {name!r} in {fmt}"
+            )
         tally = _cut_back(sink, cp)
         after = cp.last_subject
         already_emitted = cp.records_emitted
@@ -517,7 +493,7 @@ def run_scan(
         checkpoint_save(
             Checkpoint(
                 name, params, h, last, already_emitted + records,
-                tally.offset, tally.digest.hexdigest(),
+                tally.offset, tally.digest.hexdigest(), fmt,
             ),
             checkpoint_path,
         )

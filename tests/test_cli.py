@@ -144,6 +144,16 @@ class TestScanCommand:
         assert "checkpoint error" in r.stderr
         assert out.read_bytes() == bytes(data)
 
+    def test_resume_in_other_format_exits_two(self, tmp_path):
+        out, cp = tmp_path / "out.csv", tmp_path / "cp.json"
+        args = ("scan", "jones", "--limit", "200", "--out", str(out), "--checkpoint", str(cp))
+        assert cli(*args, "--format", "csv").returncode == 0
+        before = out.read_bytes()
+        r = cli(*args)
+        assert r.returncode == 2
+        assert "checkpoint error" in r.stderr
+        assert out.read_bytes() == before
+
     def test_sigkill_then_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "records.jsonl"
         cp = tmp_path / "cp.json"
@@ -293,6 +303,33 @@ class TestReportDamage:
         code, damage = self._damage(stream + lines[1] + "wilson,7,{", "--format", "csv")
         assert code == 1
         assert damage["repeated_or_backwards_subjects"] == 1
+        assert damage["unparseable_lines"] == 1
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_ascii_bytes(self, tmp_path, fmt, source):
+        header = "scan,subject,witness,verdict,params_hash\n" if fmt == "csv" else ""
+        good = _record(5) if fmt == "jsonl" else "s,5,{},hit,h\n"
+        data = (header + good).encode() + b"\xff\xfe\n"
+        args = ["report", "--format", fmt]
+        if source == "file":
+            path = tmp_path / f"bad.{fmt}"
+            path.write_bytes(data)
+            args.append(str(path))
+        rep = subprocess.run(
+            [sys.executable, "-m", "wolstenholme.cli", *args],
+            capture_output=True,
+            input=data if source == "stdin" else None,
+        )
+        assert b"Traceback" not in rep.stderr
+        assert rep.returncode == 1
+        summary = json.loads(rep.stdout)
+        assert summary["records"] == 1
+        assert summary["damage"]["unparseable_lines"] == 1
+
+    def test_non_ascii_inside_a_record(self):
+        code, damage = self._damage(_record(5).replace('"h"', '"h\u00e9"'))
+        assert code == 1
         assert damage["unparseable_lines"] == 1
 
     def test_csv_torn_quote_mid_file(self):

@@ -42,6 +42,27 @@ class TestWExact:
             assert list(w_iter(200, start)) == full[start - 1:]
 
 
+def _next_prime(x: int) -> int:
+    x += 1
+    while not is_prime(x):
+        x += 1
+    return x
+
+
+def _gate_moduli(n: int) -> tuple[int, ...]:
+    """Moduli around the product route's gate m > 2n-1: 2n-1 and 2n, q^2 for
+    a prime n < q <= 2n-1, n*r for a prime r > 2n, r*s for primes r < n < s."""
+    moduli = [m for m in (2 * n - 1, 2 * n) if m >= 2]
+    q = _next_prime(n)
+    if q <= 2 * n - 1:
+        moduli.append(q * q)
+    moduli.append(n * _next_prime(2 * n))
+    below = primes_upto(n - 1)
+    if below:
+        moduli.append(below[-1] * q)
+    return tuple(moduli)
+
+
 class TestWMod:
     def test_examples(self):
         assert w_mod(5, 125).value == 1
@@ -53,13 +74,20 @@ class TestWMod:
         # large-prime moduli take the product route
         for n in range(1, 80):
             w = w_exact(n)
-            for m in (4, 9, 30, 64, n * n + 1, 101, 997, n**3 if n > 1 else 8):
+            moduli = (4, 9, 30, 64, n * n + 1, 101, 997, n**3 if n > 1 else 8)
+            for m in moduli + _gate_moduli(n):
                 assert w_mod(n, m).value == w % m, (n, m)
 
     def test_prime_power_of_subject(self):
-        # modulus p^e with n = p exercises the q = n branch of the fast path
+        # modulus p^e with n = p: (p-1)! is a unit, so the product route runs
         for p in (5, 7, 11, 13, 101):
             assert w_mod(p, p**3).value == w_exact(p) % p**3
+
+    def test_unfactorable_modulus(self):
+        # two large primes: trial division cannot split m, and n is past the
+        # exact fallback of binomial_mod, but (n-1)! is a unit mod m
+        n, m = 200_001, (2**61 - 1) * (2**89 - 1)
+        assert w_mod(n, m).value == math.comb(2 * n - 1, n - 1) % m
 
 
 class TestWPrime:
@@ -87,6 +115,10 @@ class TestWPrime:
     def test_mod_precondition(self):
         with pytest.raises(PreconditionViolated):
             wprime_mod(6, 35)  # 5 and 7 do not divide 6
+        with pytest.raises(PreconditionViolated):
+            wprime_mod(6, (2**61 - 1) * (2**89 - 1))  # too large to factor
+        with pytest.raises(PreconditionViolated):
+            wprime_mod(12, 2**20 * 5)  # 2 divides 12, 5 does not
 
 
 class TestDivisorProduct:

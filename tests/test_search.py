@@ -98,6 +98,20 @@ class TestCheckpointFile:
         checkpoint_save(cp, path)
         assert checkpoint_load(path) == cp
 
+    def test_every_field_roundtrips(self, tmp_path):
+        params = {"p_max": 40, "q_max": 60}
+        cp = Checkpoint("pairs", params, params_digest(params), (29, 937), 1,
+                        offset=143, sha256="ab" * 32, fmt="csv")
+        path = str(tmp_path / "cp.json")
+        checkpoint_save(cp, path)
+        assert checkpoint_load(path) == cp
+        raw = json.load(open(path))
+        assert raw["fmt"] == "csv" and raw["format_version"] == FORMAT_VERSION
+        del raw["fmt"]
+        json.dump(raw, open(path, "w"))
+        with pytest.raises(CorruptFile):
+            checkpoint_load(path)
+
     def test_tuple_subject_roundtrip(self, tmp_path):
         params = {"p_max": 40, "q_max": 60}
         cp = Checkpoint("pairs", params, params_digest(params), (29, 937), 1)
@@ -267,6 +281,15 @@ class TestSeekResume:
             self._leg2(out, cpath, "jones", params)
         assert out.read_bytes() == bytes(data)  # nothing truncated or appended
 
+    @pytest.mark.parametrize("first, second", [("csv", "jsonl"), ("jsonl", "csv")])
+    def test_resume_in_other_format_rejected(self, tmp_path, first, second):
+        params = {"limit": 300}
+        out, cpath = self._leg1(tmp_path, "jones", params, first)
+        before = out.read_bytes()
+        with pytest.raises(ParamsMismatch):
+            self._leg2(out, cpath, "jones", params, second)
+        assert out.read_bytes() == before  # nothing truncated or appended
+
     def test_unreadable_sink_raises(self, tmp_path):
         cpath = str(tmp_path / "cp.json")
         run_scan("jones", {"limit": 20}, io.StringIO(), checkpoint_path=cpath)
@@ -345,3 +368,31 @@ class TestSeekResume:
         self._leg2(out, cpath, "pairs", params)
         assert seen == [(787, 2543)]
         assert out.read_text() == full.getvalue()
+
+
+# sha256 of each scan's jsonl stream at a size that runs in well under a
+# second, pinned so that a change to the arithmetic routes that alters one
+# byte fails here.  Streams that are empty at these sizes (wilson-cube and
+# mod5 always so far, wolstenholme-primes below 16843) pin only that.
+_EMPTY = hashlib.sha256(b"").hexdigest()
+STREAM_DIGESTS = [
+    ("wilson", {"limit": 2000},
+     "216c69c36cdc0f6a0724297bd6456e467c11e349f59fca91e572768a74808a2c"),
+    ("wilson-cube", {"limit": 1000}, _EMPTY),
+    ("jones", {"limit": 1500},
+     "833854e397032706c7d5c3ebbd75a0b2f87fa3c4ce1b8577795c422e6631747e"),
+    ("mod5", {"limit": 2000}, _EMPTY),
+    ("wolstenholme-primes", {"limit": 2000}, _EMPTY),
+    ("pairs", {"p_max": 30, "q_max": 1000},
+     "1a3914c8bade0e932efc39fc32d683206f3d67d20e21f27dea858e9c37193c4c"),
+    ("new-conjecture", {"p_max": 200, "q_max": 5000},
+     "e6bf5058da59d68bd022df8e9833b8b603222b096abbbed9470524f9e21b1414"),
+]
+
+
+@pytest.mark.parametrize("name, params, digest", STREAM_DIGESTS,
+                         ids=[name for name, _, _ in STREAM_DIGESTS])
+def test_stream_digest_pinned(name, params, digest):
+    buf = io.StringIO()
+    run_scan(name, params, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
