@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain, cycle, islice
 from math import isqrt
 
 from .errors import (
@@ -316,6 +317,20 @@ _TRIAL_LIMIT = 10**6
 _EXACT_FALLBACK_LIMIT = 200_000
 
 
+# Trial divisors: 2, 3, 5, then only the integers coprime to 30, which from 7
+# on are spaced by these gaps (one turn spans 30).  The divisors below
+# _WHEEL_END are a tuple, so a small m builds no iterator chain.
+_WHEEL_STEPS = (4, 2, 4, 2, 4, 6, 2, 6)
+_WHEEL_END = 7 + 30 * 32
+
+
+def _wheel(start: int):
+    return accumulate(cycle(_WHEEL_STEPS), initial=start)
+
+
+_SMALL_DIVISORS = (2, 3, 5, *islice(_wheel(7), 8 * 32))
+
+
 def factor_completely(m: int, trial_limit: int = _TRIAL_LIMIT) -> dict[int, int]:
     """Factor m by trial division up to trial_limit plus one primality check.
 
@@ -327,8 +342,12 @@ def factor_completely(m: int, trial_limit: int = _TRIAL_LIMIT) -> dict[int, int]
         raise ValueError("factorization requires m >= 1")
     factors: dict[int, int] = {}
     rest = m
-    for p in range(2, trial_limit + 1):
-        if p * p > rest:
+    if rest < _WHEEL_END * _WHEEL_END:
+        divisors = _SMALL_DIVISORS
+    else:
+        divisors = chain(_SMALL_DIVISORS, _wheel(_WHEEL_END))
+    for p in divisors:
+        if p > trial_limit or p * p > rest:
             break
         while rest % p == 0:
             factors[p] = factors.get(p, 0) + 1

@@ -18,20 +18,28 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .arith import binomial_mod, is_prime, primes_in, primes_upto, valuation
+from .arith import (
+    ResidueClass,
+    binomial_mod,
+    is_prime,
+    primes_in,
+    primes_upto,
+    valuation,
+)
 from .congruence import (
     PAIR_DIRECT_BUDGET,
+    CongruenceVerdict,
     pair_criterion,
     pair_direct_check,
     w_iter,
     w_mod,
-    wilson_residue,
 )
 from .errors import (
     CheckpointError,
@@ -160,49 +168,76 @@ def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoin
 # --------------------------------------------------------------------------
 
 
+class _CarriedFactorial:
+    """n! exactly for non-decreasing n: the first call computes it, each later
+    call extends the previous value by one math.prod over the gap, so a scan
+    stepping through its subjects pays a few big-int operations in C for
+    each one."""
+
+    def __init__(self):
+        self.n: int | None = None
+        self.value = 1
+
+    def at(self, n: int) -> int:
+        if self.n is None:
+            self.value = math.factorial(n)
+        else:
+            self.value *= math.prod(range(self.n + 1, n + 1))
+        self.n = n
+        return self.value
+
+
+def _wilson_verdict(n: int, fact: int, e: int) -> CongruenceVerdict:
+    """wilson_residue(n, e) from the exact (n-1)! carried by the scan."""
+    m = n**e
+    return CongruenceVerdict.check(n, ResidueClass(fact % m, m), m - 1)
+
+
+def _wilson_record(scan: str, v: CongruenceVerdict, verdict: str, h: str) -> ScanRecord:
+    witness = {"residue": str(v.residue.value), "modulus": str(v.modulus)}
+    return ScanRecord(scan, v.subject, witness, verdict, h)
+
+
 def _gen_wilson(params: dict, h: str, lo: int, hi: int):
+    fact = _CarriedFactorial()
     for p in primes_in(lo, hi):
-        v = wilson_residue(p, 2)
-        recs = []
-        if v.holds:
-            recs.append(
-                ScanRecord(
-                    "wilson",
-                    p,
-                    {"residue": str(v.residue.value), "modulus": str(v.modulus)},
-                    "hit",
-                    h,
-                )
-            )
-        yield p, recs
+        v = _wilson_verdict(p, fact.at(p - 1), 2)
+        yield p, [_wilson_record("wilson", v, "hit", h)] if v.holds else []
 
 
 def _gen_wilson_cube(params: dict, h: str, lo: int, hi: int):
+    fact = _CarriedFactorial()
     for n in range(lo, hi + 1):
         recs = []
         # composite n > 4 has n | (n-1)!, so (n-1)! = 0 != -1 (mod n^3);
-        # only primes and n = 4 need the modular product
+        # only primes and n = 4 need the residue
         if n == 4 or is_prime(n):
-            v = wilson_residue(n, 3)
+            v = _wilson_verdict(n, fact.at(n - 1), 3)
             if v.holds:
-                recs.append(
-                    ScanRecord(
-                        "wilson-cube",
-                        n,
-                        {"residue": str(v.residue.value), "modulus": str(v.modulus)},
-                        "fail",  # the scan asserts no such n exists
-                        h,
-                    )
-                )
+                # the scan asserts no such n exists
+                recs.append(_wilson_record("wilson-cube", v, "fail", h))
         yield n, recs
 
 
+def _w_mod_cube(p: int, low: _CarriedFactorial, high: _CarriedFactorial) -> int:
+    """w(p) mod p^3 for a prime p, by the factorial formula
+    w(p) = ((2p-1)!/p) / ((p-1)!)^2, independent of the scan's recurrence."""
+    m = p**3
+    top = high.at(2 * p - 1) % (m * p) // p  # p divides (2p-1)! exactly once
+    bottom = low.at(p - 1) % m
+    return top * pow(bottom * bottom, -1, m) % m
+
+
 def _gen_jones(params: dict, h: str, lo: int, hi: int):
+    low, high = _CarriedFactorial(), _CarriedFactorial()
     for n, w in w_iter(hi, lo):
         recs = []
         if w % n**3 == 1:
             prime_ok = n >= 5 and is_prime(n)
-            reverified = w_mod(n, n**3).value == 1
+            if prime_ok:
+                reverified = _w_mod_cube(n, low, high) == 1
+            else:
+                reverified = w_mod(n, n**3).value == 1
             verdict = "hit" if prime_ok and reverified else "fail"
             recs.append(
                 ScanRecord(
@@ -220,11 +255,21 @@ def _gen_jones(params: dict, h: str, lo: int, hi: int):
         yield n, recs
 
 
-def _gen_wolstenholme(params: dict, h: str, lo: int, hi: int):
+def _w_at_primes(lo: int, hi: int):
+    """Yield (p, w(p)) for the primes lo <= p <= hi, read off w_iter."""
+    ws = w_iter(hi, lo)
     for p in primes_in(lo, hi):
+        for n, w in ws:
+            if n == p:
+                break
+        yield p, w
+
+
+def _gen_wolstenholme(params: dict, h: str, lo: int, hi: int):
+    for p, w in _w_at_primes(lo, hi):
         recs = []
-        if w_mod(p, p**4).value == 1:
-            # independent route: prime-power binomial instead of the product
+        if w % p**4 == 1:
+            # independent route: prime-power binomial instead of the recurrence
             reverified = binomial_mod(2 * p - 1, p - 1, p**4).value == 1
             recs.append(
                 ScanRecord(
@@ -254,35 +299,43 @@ def _gen_mod5(params: dict, h: str, lo: int, hi: int):
         yield n, recs
 
 
+# q^2 per group in new-conjecture: one gcd against the group's product of
+# squares rules out all of its q at once
+_Q_GROUP = 256
+
+
 def _gen_new_conjecture(params: dict, h: str, lo: int, hi: int):
     qs = primes_upto(params["q_max"])
-    ws = w_iter(hi, lo)
-    for p in primes_in(lo, hi):
-        for n, w in ws:
-            if n == p:
-                break
+    groups = [
+        (qs[i : i + _Q_GROUP], math.prod(q * q for q in qs[i : i + _Q_GROUP]))
+        for i in range(0, len(qs), _Q_GROUP)
+    ]
+    for p, w in _w_at_primes(lo, hi):
         m = w - 1  # w(p) - 1, to be scanned for square prime divisors
         recs = []
-        for q in qs:
-            if q == p or m % (q * q):
-                continue
-            v = valuation(m, q)
-            reverified = w_mod(p, q * q).value == 1
-            verdict = "hit" if q < p and reverified else "fail"
-            recs.append(
-                ScanRecord(
-                    "new-conjecture",
-                    p,
-                    {
-                        "q": str(q),
-                        "valuation": str(v),
-                        "ratio_p_over_q": str(Fraction(p, q)),
-                        "reverified": reverified,
-                    },
-                    verdict,
-                    h,
+        for group, squares in groups:
+            if math.gcd(m % squares, squares) == 1:
+                continue  # no q of the group divides m
+            for q in group:
+                if q == p or m % (q * q):
+                    continue
+                v = valuation(m, q)
+                reverified = w_mod(p, q * q).value == 1
+                verdict = "hit" if q < p and reverified else "fail"
+                recs.append(
+                    ScanRecord(
+                        "new-conjecture",
+                        p,
+                        {
+                            "q": str(q),
+                            "valuation": str(v),
+                            "ratio_p_over_q": str(Fraction(p, q)),
+                            "reverified": reverified,
+                        },
+                        verdict,
+                        h,
+                    )
                 )
-            )
         yield p, recs
 
 

@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--stretch",
         action="store_true",
         default=False,
-        help="run long stretch checks (third published pair, 16843 scans)",
+        help="run long stretch checks (third published pair, w'(16843^2))",
     )
 
 

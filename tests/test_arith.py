@@ -236,6 +236,43 @@ class TestFactorization:
         p = 2124679  # second Wolstenholme prime, above nothing special: just prime
         assert factor_completely(4 * p) == {2: 2, p: 1}
 
+    @staticmethod
+    def _plain(m, trial_limit):
+        """Trial division by every integer 2..trial_limit, as factor_completely
+        did before it skipped the multiples of 2, 3 and 5."""
+        factors, rest = {}, m
+        for p in range(2, trial_limit + 1):
+            if p * p > rest:
+                break
+            while rest % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                rest //= p
+        if rest > 1:
+            if rest <= trial_limit * trial_limit or is_prime(rest):
+                factors[rest] = factors.get(rest, 0) + 1
+            else:
+                return "budget", m, factors, rest
+        return factors
+
+    @pytest.mark.parametrize("trial_limit", [1, 2, 4, 5, 6, 7, 30, 961, 967, 1000])
+    def test_wheel_matches_plain_loop(self, trial_limit):
+        rng = random.Random(trial_limit)
+        ms = [
+            *range(1, 3000),
+            *range(967**2 - 400, 967**2 + 400),  # where the divisor tuple ends
+            *(rng.getrandbits(bits) for bits in (24, 40, 64) for _ in range(40)),
+            31 * 37, 8 * 31 * 37, 1009 * 1013, 2 * 3 * 5 * 1009 * 1013,
+        ]
+        budget = 0
+        for m in ms:
+            try:
+                got = factor_completely(m, trial_limit)
+            except FactoringBudgetExceeded as exc:
+                got = "budget", exc.n, exc.partial, exc.cofactor
+                budget += 1
+            assert got == self._plain(m, trial_limit), m
+        assert budget  # every limit meets some cofactor it cannot split
+
 
 class TestNumValuation:
     def test_spec_examples(self):

@@ -2,11 +2,13 @@ import hashlib
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from wolstenholme import search
-from wolstenholme.arith import primes_upto
+from wolstenholme.arith import is_prime, primes_upto, valuation
+from wolstenholme.congruence import w_exact, w_mod, wilson_residue
 from wolstenholme.errors import (
     CheckpointError,
     CorruptFile,
@@ -341,7 +343,8 @@ class TestSeekResume:
         params = {"limit": 400}
         out, cpath = self._leg1(tmp_path, "wilson", params, cut=30)
         last = checkpoint_load(cpath).last_subject
-        seen = self._spy(monkeypatch, "wilson_residue")
+        # the scan's one per-subject reduction: (n-1)! mod n^e
+        seen = self._spy(monkeypatch, "_wilson_verdict")
         self._leg2(out, cpath, "wilson", params)
         assert seen and min(seen) > last
         assert [json.loads(l)["subject"] for l in out.read_text().splitlines()] == [5, 13]
@@ -368,6 +371,112 @@ class TestSeekResume:
         self._leg2(out, cpath, "pairs", params)
         assert seen == [(787, 2543)]
         assert out.read_text() == full.getvalue()
+
+
+def _spy_calls(monkeypatch, name):
+    """Record (args, result) of each call to search.<name> while a scan runs."""
+    seen = []
+    real = getattr(search, name)
+
+    def spy(*args):
+        out = real(*args)
+        seen.append((args, out))
+        return out
+
+    monkeypatch.setattr(search, name, spy)
+    return seen
+
+
+def _drain(name, params, after=None):
+    """A scan's (subject, records) stream, entered after `after` as a resume is."""
+    return list(search._SCANS[name].stream(params, params_digest(params), after))
+
+
+class TestCarriedPaths:
+    """Each carried or grouped path against the per-subject kernel it
+    replaced, run from the first subject and entered mid-range."""
+
+    @pytest.mark.parametrize("scan, e", [("wilson", 2), ("wilson-cube", 3)])
+    @pytest.mark.parametrize("after", [None, 3, 1499])
+    def test_wilson_residues(self, monkeypatch, scan, e, after):
+        seen = _spy_calls(monkeypatch, "_wilson_verdict")
+        _drain(scan, {"limit": 3000}, after)
+        start = 2 if after is None else after + 1
+        expected = [n for n in range(start, 3001) if is_prime(n) or (e == 3 and n == 4)]
+        assert [args[0] for args, _ in seen] == expected
+        for (n, _, _), verdict in seen:
+            assert verdict == wilson_residue(n, e)
+
+    @pytest.mark.parametrize("after", [None, 1499])
+    def test_wolstenholme_residues(self, monkeypatch, after):
+        seen = []
+        real = search._w_at_primes
+
+        def spy(lo, hi):
+            for p, w in real(lo, hi):
+                seen.append((p, w % p**4))
+                yield p, w
+
+        monkeypatch.setattr(search, "_w_at_primes", spy)
+        _drain("wolstenholme-primes", {"limit": 3000}, after)
+        start = 5 if after is None else after + 1
+        assert [p for p, _ in seen] == [p for p in primes_upto(3000) if p >= start]
+        for p, residue in seen:
+            assert residue == w_mod(p, p**4).value
+
+    @pytest.mark.parametrize("after", [None, 1000])
+    def test_jones_factorial_formula(self, monkeypatch, after):
+        seen = _spy_calls(monkeypatch, "_w_mod_cube")
+        _drain("jones", {"limit": 1999}, after)
+        start = 5 if after is None else after + 1
+        assert [args[0] for args, _ in seen] == [
+            p for p in primes_upto(1999) if p >= start
+        ]
+        for (p, _, _), residue in seen:
+            assert residue == w_mod(p, p**3).value
+
+    def test_jones_formula_off_wolstenholme(self):
+        # below 5 the residue is not 1, so the formula's value is visible
+        for p, residue in ((2, 3), (3, 10)):
+            assert search._w_mod_cube(
+                p, search._CarriedFactorial(), search._CarriedFactorial()
+            ) == residue
+
+    @staticmethod
+    def _plain_new_conjecture(params, after):
+        """The ungrouped search: every q^2 against the exact w(p) - 1."""
+        h = params_digest(params)
+        qs = primes_upto(params["q_max"])
+        start = 5 if after is None else after + 1
+        out = []
+        for p in primes_upto(params["p_max"]):
+            if p < start:
+                continue
+            m = w_exact(p) - 1
+            recs = []
+            for q in qs:
+                if q == p or m % (q * q):
+                    continue
+                reverified = w_mod(p, q * q).value == 1
+                witness = {
+                    "q": str(q),
+                    "valuation": str(valuation(m, q)),
+                    "ratio_p_over_q": str(Fraction(p, q)),
+                    "reverified": reverified,
+                }
+                verdict = "hit" if q < p and reverified else "fail"
+                recs.append(search.ScanRecord("new-conjecture", p, witness, verdict, h))
+            out.append((p, recs))
+        return out
+
+    @pytest.mark.parametrize("group", [1, 7, 256])
+    @pytest.mark.parametrize("after", [None, 100])
+    def test_grouped_new_conjecture(self, monkeypatch, group, after):
+        params = {"p_max": 300, "q_max": 20000}
+        plain = self._plain_new_conjecture(params, after)
+        assert any(recs for _, recs in plain)  # hits at 13, 107, 113 and 137
+        monkeypatch.setattr(search, "_Q_GROUP", group)
+        assert _drain("new-conjecture", params, after) == plain
 
 
 # sha256 of each scan's jsonl stream at a size that runs in well under a
