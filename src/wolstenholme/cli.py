@@ -153,17 +153,23 @@ def _cmd_wpoly(args) -> int:
         return 2
     w_poly = construct_W(args.p)
     report = verify_W(args.p, w_poly)
-    doc = {
-        "p": args.p,
-        "coeffs_ascending": [str(c) for c in w_poly.coeffs],
-    }
-    with _open_out(args.out) as sink:
-        sink.write(json.dumps(doc, separators=(",", ":")) + "\n")
-    print(
-        f"verify_W({args.p}): degree={report.degree} leading={report.leading} "
-        f"a0={report.a0} W({args.p})={report.w_at_p}",
-        file=sys.stderr,
-    )
+    # exact values computed here, not parsed input, may pass CPython's digit cap
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = {
+            "p": args.p,
+            "coeffs_ascending": [str(c) for c in w_poly.coeffs],
+        }
+        with _open_out(args.out) as sink:
+            sink.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        print(
+            f"verify_W({args.p}): degree={report.degree} leading={report.leading} "
+            f"a0={report.a0} W({args.p})={report.w_at_p}",
+            file=sys.stderr,
+        )
+    finally:
+        sys.set_int_max_str_digits(old_limit)
     return 0
 
 

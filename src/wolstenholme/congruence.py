@@ -300,11 +300,12 @@ def factor_band_classify(p: int) -> list[FactorBand]:
     """Classify every prime sqrt(2p-1) <= q <= 2p-1, q != p, by its band.
 
     Band index n = floor((2p-1)/q); odd n predicts q | w(p), even n predicts
-    q does not divide w(p).  actual_divides is computed through w_mod.
+    q does not divide w(p).  actual_divides reduces the exact w(p) mod q.
     """
     if p < 5 or not is_prime(p):
         raise ValueError("requires a prime p >= 5")
     top = 2 * p - 1
+    w = w_exact(p)
     bands = []
     for q in primes_in(math.isqrt(top - 1) + 1, top):
         if q == p:
@@ -317,7 +318,7 @@ def factor_band_classify(p: int) -> list[FactorBand]:
                 interval=(Fraction(top, n + 1), Fraction(top, n)),
                 q=q,
                 predicted_divides=bool(n % 2),
-                actual_divides=w_mod(p, q).value == 0,
+                actual_divides=w % q == 0,
             )
         )
     return bands

@@ -33,7 +33,7 @@ from .symmetric import (
     stirling1_via_form3,
     stirling_tables,
 )
-from .wpoly import construct_W, large_prime_divisor_check, trend_scan, verify_W
+from .wpoly import large_prime_divisor_check, trend_scan, verify_W, w_polys
 
 __all__ = ["SuiteResult", "suite_names", "default_bound", "run_suite"]
 
@@ -131,12 +131,8 @@ def _suite_bands(bound: int) -> Iterator[SuiteResult]:
 
 
 def _suite_wpoly(bound: int) -> Iterator[SuiteResult]:
-    st = stirling_tables(max(2 * bound - 4, 1))
-    for p in primes_upto(bound):
-        if p < 5:
-            continue
+    for p, w_poly in w_polys(bound):
         problems = []
-        w_poly = construct_W(p, st=st)
         try:
             verify_W(p, w_poly)
         except AssertionFailure as exc:
@@ -150,10 +146,8 @@ def _suite_wpoly(bound: int) -> Iterator[SuiteResult]:
         for q in factors:
             if q > 2 * p and not large_prime_divisor_check(p, q, w_poly=w_poly):
                 problems.append(f"divisor equivalence failed at q={q}")
-        content = 0
-        for c in w_poly.coeffs:
-            content = math.gcd(content, c)
-        for rec in trend_scan(p, -10 * p * p, -1):
+        content = math.gcd(*w_poly.coeffs)
+        for rec in trend_scan(p, w_poly, -10 * p * p, -1):
             if rec.divides_w1:
                 if rec.r_exceeds_2p:
                     problems.append(f"trend violated at n={rec.n}, r={rec.r}")

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .arith import double_factorial, factorial_exact, is_prime, valuation
+from .arith import double_factorial, factorial_exact, is_prime, primes_in
 from .congruence import w_exact
 from .errors import (
     AssertionFailure,
@@ -21,7 +22,7 @@ from .errors import (
     InexactDivision,
     NotApplicable,
 )
-from .symmetric import StirlingTables, stirling_tables
+from .symmetric import stirling_tables
 
 __all__ = [
     "IntPoly",
@@ -35,6 +36,7 @@ __all__ = [
     "poly_shift",
     "poly_divexact_x",
     "term_basis",
+    "w_polys",
     "construct_W",
     "verify_W",
     "coeff_profile",
@@ -104,15 +106,6 @@ def poly_divexact_x(f: IntPoly) -> IntPoly:
     return IntPoly(f.coeffs[1:])
 
 
-def _mul_linear(coeffs: list[int], c: int) -> list[int]:
-    # multiply by (x + c)
-    out = [0] * (len(coeffs) + 1)
-    for i, a in enumerate(coeffs):
-        out[i] += a * c
-        out[i + 1] += a
-    return out
-
-
 def _div_linear(coeffs: list[int], c: int) -> list[int]:
     # exact division by (x + c), i.e. synthetic division at root -c
     out = [0] * (len(coeffs) - 1)
@@ -135,20 +128,23 @@ class TermBasis:
     basis: IntPoly
 
 
-def term_basis(k: int, j: int) -> TermBasis:
-    """Build the (k, j) basis as an explicit product of linear factors.
+def _base(k: int) -> list[int]:
+    """D(x+1, k)/(x(x+1)): the product of x+v over v = 1-k .. 1+k but 0, 1."""
+    coeffs = [1]
+    for v in range(1 - k, k + 2):
+        if v not in (0, 1):  # multiply by (x + v)
+            coeffs = [v * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
-    D(x+1, k) runs over x+v for v = 1-k .. 1+k; the three removed factors
-    x, x+1, x+1+j are distinct members of that range for 1 <= j <= k.
+
+def term_basis(k: int, j: int) -> TermBasis:
+    """The (k, j) basis: D(x+1, k)/(x(x+1)) divided exactly by x+1+j.
+
+    x+1+j is a factor of D(x+1, k) other than x and x+1 for 1 <= j <= k.
     """
     if not 1 <= j <= k:
         raise ValueError(f"need 1 <= j <= k, got (k={k}, j={j})")
-    coeffs = [1]
-    for v in range(1 - k, k + 2):
-        if v in (0, 1, 1 + j):
-            continue
-        coeffs = _mul_linear(coeffs, v)
-    poly = IntPoly(tuple(coeffs))
+    poly = IntPoly(tuple(_div_linear(_base(k), 1 + j)))
     assert poly.degree == 2 * k - 2
     return TermBasis(k, j, poly)
 
@@ -158,53 +154,48 @@ def _check_prime_ge5(p: int) -> None:
         raise ValueError(f"requires a prime p >= 5, got {p}")
 
 
-def construct_W(p: int, st: StirlingTables | None = None) -> IntPoly:
-    """Build W for the prime p; integer coefficients, degree 2p-7.
+def w_polys(p_max: int) -> Iterator[tuple[int, IntPoly]]:
+    """Yield (p, W(p)) for each prime 5 <= p <= p_max, ascending, in one pass.
 
-    One term per odd k <= p-2:
-      x^(p-k-3) * (2p-4)!/(2k)! * sum_j (-1)^(j+k) C(2k, k+j) S(j+k, j) * basis(k, j)
-    where the k = p-2 power x^(-1) is realized by an exact division by x of
-    the inner sum (its constant term must vanish).  The evaluation identity
-    against the exact w(p) is asserted before returning.
+    V_1 = I_1 and V_k = x^2 (2k-3)(2k-2)(2k-1)(2k) V_(k-2) + I_k for odd k,
+    where I_k = sum_j (-1)^(j+k) C(2k, k+j) S(j+k, j) basis(k, j) does not
+    depend on p; W(p) = V_(p-2)/x, checked against the exact w(p).
     """
-    _check_prime_ge5(p)
-    if st is None or st.n_max < 2 * p - 4:
-        st = stirling_tables(2 * p - 4)
-    f_top = factorial_exact(2 * p - 4)
-    acc = [0] * (2 * p - 6)
-    for k in range(1, p - 1, 2):
-        base = [1]
-        for v in range(1 - k, k + 2):
-            if v not in (0, 1):
-                base = _mul_linear(base, v)
+    st = stirling_tables(2 * p_max - 4)
+    v: list[int] = []
+    for k in range(1, p_max - 1, 2):
+        base = _base(k)
         inner = [0] * (2 * k - 1)
         for j in range(1, k + 1):
             c = (-1) ** (j + k) * math.comb(2 * k, k + j) * st.s2(j + k, j)
-            basis = _div_linear(base, 1 + j)
-            for i, b in enumerate(basis):
+            for i, b in enumerate(_div_linear(base, 1 + j)):
                 inner[i] += c * b
-        scale = f_top // factorial_exact(2 * k)
-        inner = [ci * scale for ci in inner]
-        if k == p - 2:
-            if inner[0] != 0:
-                raise ConstructionAssertFailure(
-                    f"k = p-2 inner sum has nonzero constant term at p={p}"
-                )
-            inner = inner[1:]
-            offset = 0
-        else:
-            offset = p - k - 3
-        for i, ci in enumerate(inner):
-            acc[offset + i] += ci
-    w_poly = IntPoly(tuple(acc))
-    if w_poly.degree != 2 * p - 7:
-        raise ConstructionAssertFailure(
-            f"degree {w_poly.degree} != 2p-7 = {2 * p - 7} at p={p}"
-        )
-    lhs = poly_eval(w_poly, p) * (p + 1) * p**3
-    rhs = (w_exact(p) - 1) * f_top * factorial_exact(p - 1)
-    if lhs != rhs:
-        raise ConstructionAssertFailure(f"evaluation identity failed at p={p}")
+        ratio = (2 * k - 3) * (2 * k - 2) * (2 * k - 1) * (2 * k)
+        for i, a in enumerate(v):
+            inner[i + 2] += ratio * a
+        v = inner
+        p = k + 2
+        if p < 5 or not is_prime(p):
+            continue
+        if v[0] != 0:
+            raise ConstructionAssertFailure(f"nonzero constant term at p={p}")
+        w_poly = IntPoly(tuple(v[1:]))
+        if w_poly.degree != 2 * p - 7:
+            raise ConstructionAssertFailure(
+                f"degree {w_poly.degree} != 2p-7 = {2 * p - 7} at p={p}"
+            )
+        lhs = poly_eval(w_poly, p) * (p + 1) * p**3
+        rhs = (w_exact(p) - 1) * factorial_exact(2 * p - 4) * factorial_exact(p - 1)
+        if lhs != rhs:
+            raise ConstructionAssertFailure(f"evaluation identity failed at p={p}")
+        yield p, w_poly
+
+
+def construct_W(p: int) -> IntPoly:
+    """W for the prime p >= 5: the element of w_polys(p) at p."""
+    _check_prime_ge5(p)
+    for _, w_poly in w_polys(p):
+        pass
     return w_poly
 
 
@@ -364,27 +355,25 @@ class TrendRecord:
     r_exceeds_2p: bool
 
 
-def trend_scan(p: int, n_lo: int, n_hi: int) -> list[TrendRecord]:
+def trend_scan(p: int, w_poly: IntPoly, n_lo: int, n_hi: int) -> list[TrendRecord]:
     """Scan n in [n_lo, n_hi] (all negative, so r = p - n > p is prime-sized).
 
-    Emits a record for each prime r = p - n dividing W(n).  The observed
-    trend is that r never also divides W'(n); that holds in the r > 2p
-    regime, while r < 2p records hit the coefficient content of W (primes
-    up to 2p-5 divide every coefficient) and divide both polynomials
-    trivially.  Callers flag divides_w1 records with r_exceeds_2p set.
+    Given w_poly = W(p), emits a record for each prime r = p - n dividing
+    W(n), in ascending n.  The observed trend is that r never also divides
+    W'(n); that holds in the r > 2p regime, while r < 2p records hit the
+    coefficient content of W (primes up to 2p-5 divide every coefficient)
+    and divide both polynomials trivially.  Callers flag divides_w1 records
+    with r_exceeds_2p set.
     """
     _check_prime_ge5(p)
     if n_hi >= 0:
         raise ValueError("requires n_hi < 0 so that r = p - n > p")
     if n_lo > n_hi:
         raise ValueError("empty range")
-    w_poly = construct_W(p)
     w1 = poly_derivative(w_poly)
     records = []
-    for n in range(n_lo, n_hi + 1):
-        r = p - n
-        if not is_prime(r):
-            continue
+    for r in primes_in(p - n_hi, p - n_lo):
+        n = p - r
         if poly_eval_mod(w_poly, n, r) == 0:
             records.append(
                 TrendRecord(
@@ -396,4 +385,4 @@ def trend_scan(p: int, n_lo: int, n_hi: int) -> list[TrendRecord]:
                     r_exceeds_2p=r > 2 * p,
                 )
             )
-    return records
+    return records[::-1]

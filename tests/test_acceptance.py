@@ -37,7 +37,6 @@ from wolstenholme.search import (
     scan_wilson_cube,
     scan_wolstenholme_primes,
 )
-from wolstenholme.symmetric import stirling_tables
 from wolstenholme.verify import run_suite
 from wolstenholme.wpoly import construct_W, trend_scan, verify_W
 
@@ -162,11 +161,10 @@ def test_criterion_06_identity_suites(suite, bound):
 def test_criterion_07_wolstenholme_polynomial():
     w5 = construct_W(5)
     ok = w5.coeffs == (30, 345, -30, 15)
-    st = stirling_tables(2 * 61 - 4)
     for p in primes_upto(61):
         if p < 5:
             continue
-        rep = verify_W(p, construct_W(p, st=st))  # raises on any failed clause
+        rep = verify_W(p, construct_W(p))  # raises on any failed clause
         ok = ok and rep.degree == 2 * p - 7
     report(7, "W(p) structure for primes 5..61", ok)
     assert ok
@@ -179,18 +177,17 @@ def test_criterion_08_trend_scan():
     # therefore meaningful exactly for r > 2p: assert zero double-divisor
     # records there, and account for every sub-2p double-divisor record as
     # a content artifact.
-    st = stirling_tables(2 * 61 - 4)
     trend_violations = []
     unexplained = []
     records = 0
     for p in primes_upto(61):
         if p < 5:
             continue
-        w_poly = construct_W(p, st=st)
+        w_poly = construct_W(p)
         content = 0
         for c in w_poly.coeffs:
             content = math.gcd(content, c)
-        for rec in trend_scan(p, -10 * p * p, -1):
+        for rec in trend_scan(p, w_poly, -10 * p * p, -1):
             records += 1
             if not rec.divides_w1:
                 continue

@@ -7,8 +7,10 @@ import time
 
 import pytest
 
+from wolstenholme import cli as cli_module
 from wolstenholme.cli import _build_parser, _scan_params
 from wolstenholme.search import params_digest
+from wolstenholme.wpoly import construct_W
 
 
 def cli(*args, stdin=None):
@@ -208,6 +210,22 @@ class TestWpolyCommand:
         assert doc["p"] == 61
         assert len(doc["coeffs_ascending"]) == 2 * 61 - 6  # degree 115
         assert all(isinstance(c, str) for c in doc["coeffs_ascending"])
+
+    def test_export_past_int_str_digit_limit(self, tmp_path, monkeypatch):
+        # coefficients of W(151) have up to 751 digits, past a 640-digit cap
+        w151 = construct_W(151)
+        monkeypatch.setattr(cli_module, "construct_W", lambda p: w151)
+        default_out = tmp_path / "default.json"
+        assert cli_module.main(["wpoly", "151", "--out", str(default_out)]) == 0
+        capped_out = tmp_path / "capped.json"
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert cli_module.main(["wpoly", "151", "--out", str(capped_out)]) == 0
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+        assert capped_out.read_bytes() == default_out.read_bytes()
 
 
 class TestClassifyCommand:

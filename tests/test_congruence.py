@@ -268,6 +268,12 @@ class TestFactorBands:
             for b in factor_band_classify(p):
                 assert b.predicted_divides == b.actual_divides, (p, b.q)
 
+    def test_actual_divides_matches_w_mod(self):
+        # the exact w(p) reduced mod q against the per-q modular route
+        for p in [*primes_upto(500)[2:], 2003]:
+            for b in factor_band_classify(p):
+                assert b.actual_divides == (w_mod(p, b.q).value == 0), (p, b.q)
+
     def test_band_geometry(self):
         for b in factor_band_classify(37):
             assert b.q >= math.isqrt(2 * 37 - 1)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wolstenholme.arith import double_factorial, factorial_exact, primes_upto
+from wolstenholme.arith import double_factorial, factorial_exact, is_prime, primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme.errors import (
     AssertionFailure,
@@ -13,6 +13,7 @@ from wolstenholme.errors import (
 from wolstenholme.symmetric import stirling_tables
 from wolstenholme.wpoly import (
     IntPoly,
+    TrendRecord,
     coeff_profile,
     construct_W,
     hensel_lift,
@@ -26,9 +27,47 @@ from wolstenholme.wpoly import (
     term_basis,
     trend_scan,
     verify_W,
+    w_polys,
 )
 
 W5_COEFFS = (30, 345, -30, 15)  # 15x^3 - 30x^2 + 345x + 30, W(5) = 2880
+
+
+def _w_by_scaled_sum(p, st):
+    """W(p) as the per-p sum over odd k <= p-2 of
+    x^(p-k-3) * (2p-4)!/(2k)! * I_k, the k = p-2 term divided by x.
+
+    The reference that the one-pass recurrence of w_polys is checked against.
+    """
+    f_top = factorial_exact(2 * p - 4)
+    acc = [0] * (2 * p - 6)
+    for k in range(1, p - 1, 2):
+        inner = [0] * (2 * k - 1)
+        for j in range(1, k + 1):
+            c = (-1) ** (j + k) * math.comb(2 * k, k + j) * st.s2(j + k, j)
+            for i, b in enumerate(term_basis(k, j).basis.coeffs):
+                inner[i] += c * b
+        scale = f_top // factorial_exact(2 * k)
+        if k == p - 2:
+            assert inner[0] == 0
+            inner, offset = inner[1:], 0
+        else:
+            offset = p - k - 3
+        for i, ci in enumerate(inner):
+            acc[offset + i] += ci * scale
+    return IntPoly(tuple(acc))
+
+
+def _trend_by_is_prime(p, w_poly, n_lo, n_hi):
+    """trend_scan's records by testing each r = p - n with is_prime."""
+    w1 = poly_derivative(w_poly)
+    records = []
+    for n in range(n_lo, n_hi + 1):
+        r = p - n
+        if is_prime(r) and poly_eval_mod(w_poly, n, r) == 0:
+            divides_w1 = poly_eval_mod(w1, n, r) == 0
+            records.append(TrendRecord(p, n, r, True, divides_w1, r > 2 * p))
+    return records
 
 
 class TestPolyOps:
@@ -110,11 +149,10 @@ class TestConstructW:
         assert rep.leading == 945
 
     def test_verify_sweep_to_31(self):
-        st = stirling_tables(2 * 31 - 4)
         for p in primes_upto(31):
             if p < 5:
                 continue
-            w_poly = construct_W(p, st=st)
+            w_poly = construct_W(p)
             rep = verify_W(p, w_poly)
             assert rep.degree == 2 * p - 7
             assert rep.leading == double_factorial(2 * p - 5)
@@ -136,6 +174,31 @@ class TestConstructW:
     def test_rejects_nonprime(self):
         with pytest.raises(ValueError):
             construct_W(9)
+
+
+class TestWPolys:
+    def test_pass_matches_scaled_sum_to_61(self):
+        st = stirling_tables(2 * 61 - 4)
+        got = list(w_polys(61))
+        assert [p for p, _ in got] == [p for p in primes_upto(61) if p >= 5]
+        for p, w_poly in got:
+            assert w_poly == _w_by_scaled_sum(p, st), p
+        assert got[0][1].coeffs == W5_COEFFS
+
+    def test_construct_W_is_the_pass_element(self):
+        by_p = dict(w_polys(37))
+        for p in (5, 7, 11, 29, 37):
+            assert construct_W(p) == by_p[p]
+
+    def test_no_primes_below_5(self):
+        for bound in range(-1, 5):
+            assert list(w_polys(bound)) == []
+
+    def test_suite_empty_below_5(self):
+        from wolstenholme.verify import run_suite
+
+        for bound in range(0, 5):
+            assert list(run_suite("wpoly", bound)) == []
 
 
 class TestCoeffProfile:
@@ -220,16 +283,35 @@ class TestShiftDivisibility:
 
 class TestTrendScan:
     def test_p5_empty_window(self):
-        assert trend_scan(5, -30, -1) == []
-        assert trend_scan(5, -2, -2) == []
+        w5 = IntPoly(W5_COEFFS)
+        assert trend_scan(5, w5, -30, -1) == []
+        assert trend_scan(5, w5, -2, -2) == []
 
     def test_known_r_above_2p_record(self):
         # 263 = 13 - (-250) divides (w(13)-1)/13^3, and the trend holds there
-        recs = trend_scan(13, -250, -250)
+        recs = trend_scan(13, construct_W(13), -250, -250)
         assert len(recs) == 1
         rec = recs[0]
         assert rec.r == 263 and rec.r_exceeds_2p
         assert rec.divides_w and not rec.divides_w1
+
+    @pytest.mark.parametrize(
+        "p, n_lo, n_hi",
+        [
+            (13, -250, -4),  # r = 17 .. 263, both ends prime
+            (13, -251, -3),  # r = 16 .. 264, neither end prime
+            (13, -250, -3),  # r = 16 .. 263
+            (13, -251, -4),  # r = 17 .. 264
+            (13, -250, -250),  # the single prime r = 263
+            (13, -251, -251),  # the single composite r = 264
+            (17, -10 * 17 * 17, -1),
+        ],
+    )
+    def test_sieve_matches_is_prime_loop(self, p, n_lo, n_hi):
+        w_poly = construct_W(p)
+        assert trend_scan(p, w_poly, n_lo, n_hi) == _trend_by_is_prime(
+            p, w_poly, n_lo, n_hi
+        )
 
     def test_small_r_records_are_content_artifacts(self):
         # primes p < r < 2p divide every coefficient of W, hence W and W'
@@ -239,7 +321,7 @@ class TestTrendScan:
         content = 0
         for c in w_poly.coeffs:
             content = math.gcd(content, c)
-        recs = trend_scan(p, -10 * p * p, -1)
+        recs = trend_scan(p, w_poly, -10 * p * p, -1)
         doubles = [r for r in recs if r.divides_w1]
         assert doubles, "expected content-driven records at p=17"
         for rec in doubles:
@@ -247,18 +329,17 @@ class TestTrendScan:
             assert content % rec.r == 0
 
     def test_no_trend_violations_above_2p_small(self):
-        for p in primes_upto(23):
-            if p < 5:
-                continue
-            for rec in trend_scan(p, -10 * p * p, -1):
+        for p, w_poly in w_polys(23):
+            for rec in trend_scan(p, w_poly, -10 * p * p, -1):
                 if rec.r_exceeds_2p:
                     assert not rec.divides_w1, rec
 
     def test_range_validation(self):
+        w5 = IntPoly(W5_COEFFS)
         with pytest.raises(ValueError):
-            trend_scan(5, -10, 0)
+            trend_scan(5, w5, -10, 0)
         with pytest.raises(ValueError):
-            trend_scan(5, -1, -5)
+            trend_scan(5, w5, -1, -5)
 
 
 def test_wpoly_verify_suite_clean():
