@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .arith import (
     ResidueClass,
@@ -19,6 +20,7 @@ from .arith import (
     factor_completely,
     is_prime,
     primes_in,
+    primes_upto,
 )
 from .errors import BudgetExceeded, AssertionFailure, PreconditionViolated
 
@@ -32,6 +34,7 @@ __all__ = [
     "wprime_exact",
     "wprime_mod",
     "divisor_product_check",
+    "divisor_product_checks",
     "wilson_residue",
     "wilson_restatement_check",
     "jones_check",
@@ -201,6 +204,57 @@ def divisor_product_check(n: int) -> bool:
     return num == w_exact(n) * den
 
 
+def _prod_tree(xs: list[int]) -> int:
+    """Product of xs by a balanced tree; math.prod multiplies a long run of
+    small factors into one growing value, which is quadratic."""
+    if len(xs) <= 64:
+        return math.prod(xs)
+    mid = len(xs) // 2
+    return _prod_tree(xs[:mid]) * _prod_tree(xs[mid:])
+
+
+def _wprime_parts(n_max: int):
+    """Yield (d, divisors of d, num, den) for d = 1..n_max, where
+    w'(d) = num/den in lowest terms, from its definition: before reduction
+    num is the product of the j in [d, 2d) and den of the k in [1, d] that
+    are coprime to d.
+
+    Those integers are read off a bytearray mask with every multiple of
+    each prime divisor of d cleared; the divisor lists come from one sieve.
+    """
+    divs: list[list[int]] = [[] for _ in range(n_max + 1)]
+    for d in range(1, n_max + 1):
+        for m in range(d, n_max + 1, d):
+            divs[m].append(d)
+    primes = set(primes_upto(n_max))
+    for d in range(1, n_max + 1):
+        mask = bytearray(b"\x01") * (d + 1)  # mask[k] for k = 0..d
+        mask[0] = 0
+        for q in divs[d]:
+            if q in primes:
+                mask[::q] = bytes(d // q + 1)
+        den = _prod_tree(list(compress(range(d + 1), mask)))
+        num = _prod_tree(list(compress(range(2 * d, d - 1, -1), mask)))  # 2d - k
+        g = math.gcd(num, den)
+        yield d, divs[d], num // g, den // g
+
+
+def divisor_product_checks(n_max: int):
+    """Yield (n, divisor_product_check(n)) for n = 1..n_max in one pass.
+
+    Each w'(d) is built once and kept for the n it divides; w(n) comes
+    from w_iter.  The comparison cross-multiplies as divisor_product_check
+    does.
+    """
+    nums, dens = [0], [0]  # w'(d) = nums[d] / dens[d]
+    for (n, w), (_, divisors, num, den) in zip(w_iter(n_max), _wprime_parts(n_max)):
+        nums.append(num)
+        dens.append(den)
+        yield n, math.prod(nums[d] for d in divisors) == w * math.prod(
+            dens[d] for d in divisors
+        )
+
+
 def wilson_residue(n: int, e: int) -> CongruenceVerdict:
     """Verdict on (n-1)! = -1 (mod n^e), by modular product.
 
@@ -278,6 +332,12 @@ def pair_criterion(p: int, q: int, e: int) -> PairCriterionResult:
     exercised against pair_direct_check in the test suite.
     """
     _validate_pair(p, q, e)
+    return _pair_halves(p, q, e)
+
+
+def _pair_halves(p: int, q: int, e: int) -> PairCriterionResult:
+    """pair_criterion without validation, for callers whose p and q are
+    already known to be distinct primes (the pairs scan reads a sieve)."""
     left = w_mod(p, q**e).value == 1
     right = w_mod(q, p**e).value == 1
     return PairCriterionResult(p, q, e, left, right, left and right)

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import tempfile
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -36,7 +37,7 @@ from .arith import (
 from .congruence import (
     PAIR_DIRECT_BUDGET,
     CongruenceVerdict,
-    pair_criterion,
+    _pair_halves,
     pair_direct_check,
     w_iter,
     w_mod,
@@ -311,7 +312,10 @@ def _gen_new_conjecture(params: dict, h: str, lo: int, hi: int):
         for i in range(0, len(qs), _Q_GROUP)
     ]
     for p, w in _w_at_primes(lo, hi):
-        m = w - 1  # w(p) - 1, to be scanned for square prime divisors
+        # w(p) - 1, to be scanned for square prime divisors q != p; p^3
+        # divides it, so p's own group would pass its gcd at every p
+        m = w - 1
+        m //= p ** valuation(m, p)
         recs = []
         for group, squares in groups:
             if math.gcd(m % squares, squares) == 1:
@@ -340,7 +344,7 @@ def _gen_new_conjecture(params: dict, h: str, lo: int, hi: int):
 
 
 def _pair_record(p: int, q: int, h: str, always: bool) -> list[ScanRecord]:
-    res = pair_criterion(p, q, 1)
+    res = _pair_halves(p, q, 1)
     if not res.combined and not always:
         return []
     witness: dict = {"left": res.left, "right": res.right}
@@ -365,9 +369,10 @@ def _gen_pairs(params: dict, h: str, lo: tuple[int, int], hi: int):
                 yield (p, q), _pair_record(p, q, h, always=True)
         return
     p_lo, q_lo = lo
+    qs = primes_upto(params["q_max"])
     for p in primes_in(p_lo, hi):
         q_from = max(p + 1, q_lo) if p == p_lo else p + 1
-        for q in primes_in(q_from, params["q_max"]):
+        for q in qs[bisect_left(qs, q_from):]:
             yield (p, q), _pair_record(p, q, h, always=False)
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "elem_sym_table",
     "elem_sym_rows",
     "elem_sym",
+    "perm_sym_rows",
     "perm_sym_table",
     "perm_sym",
     "stirling_tables",
@@ -121,14 +122,24 @@ def elem_sym(n: int, k: int) -> Fraction:
     return elem_sym_table(n)[k]
 
 
-def perm_sym_table(n: int) -> IntSymTable:
-    """The full row P(n, 0..n), via P(n, k) = P(n-1, k) + n*P(n-1, k-1)."""
+def perm_sym_rows(n_max: int):
+    """Yield IntSymTable for n = 0..n_max, built by the row recurrence
+    P(n, k) = P(n-1, k) + n*P(n-1, k-1)."""
     row = [1]
-    for i in range(1, n + 1):
-        row.append(row[-1] * i)
+    yield IntSymTable(0, tuple(row))
+    for n in range(1, n_max + 1):
+        row.append(row[-1] * n)
         for k in range(len(row) - 2, 0, -1):
-            row[k] += row[k - 1] * i
-    return IntSymTable(n, tuple(row))
+            row[k] += row[k - 1] * n
+        yield IntSymTable(n, tuple(row))
+
+
+def perm_sym_table(n: int) -> IntSymTable:
+    """The full row P(n, 0..n)."""
+    for table in perm_sym_rows(n):
+        if table.n == n:
+            return table
+    raise ValueError(n)
 
 
 def perm_sym(n: int, k: int) -> int:

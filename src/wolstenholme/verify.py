@@ -14,7 +14,7 @@ from typing import Callable, Iterator
 
 from .arith import factor_completely, primes_upto
 from .congruence import (
-    divisor_product_check,
+    divisor_product_checks,
     factor_band_classify,
     w_exact,
     wilson_restatement_check,
@@ -29,6 +29,7 @@ from .symmetric import (
     elem_sym_rows,
     form4_eval,
     ident_doublefact,
+    perm_sym_rows,
     s_pm_mod_p,
     stirling1_via_form3,
     stirling_tables,
@@ -52,8 +53,8 @@ def _suite_equ(bound: int) -> Iterator[SuiteResult]:
 
 
 def _suite_rel(bound: int) -> Iterator[SuiteResult]:
-    for n in range(1, bound + 1):
-        yield SuiteResult("rel", n, divisor_product_check(n))
+    for n, ok in divisor_product_checks(bound):
+        yield SuiteResult("rel", n, ok)
 
 
 def _suite_form(bound: int) -> Iterator[SuiteResult]:
@@ -87,10 +88,12 @@ def _suite_fra(bound: int) -> Iterator[SuiteResult]:
 
 def _suite_form2(bound: int) -> Iterator[SuiteResult]:
     st = stirling_tables(bound + 1)
-    for tab in elem_sym_rows(bound):
+    for tab, perm in zip(elem_sym_rows(bound), perm_sym_rows(bound)):
         n = tab.n
         if n >= 1:
-            ok = check_form2(n, sym=tab) and check_sP_relation(n, st=st)
+            ok = check_form2(n, sym=tab, perm=perm) and check_sP_relation(
+                n, perm=perm, st=st
+            )
             yield SuiteResult("form2", n, ok)
 
 

@@ -359,7 +359,8 @@ def trend_scan(p: int, w_poly: IntPoly, n_lo: int, n_hi: int) -> list[TrendRecor
     """Scan n in [n_lo, n_hi] (all negative, so r = p - n > p is prime-sized).
 
     Given w_poly = W(p), emits a record for each prime r = p - n dividing
-    W(n), in ascending n.  The observed trend is that r never also divides
+    W(n), in ascending n.  W(p) and W'(p) are evaluated once, exactly, and
+    each r is one remainder of each.  The observed trend is that r never also divides
     W'(n); that holds in the r > 2p regime, while r < 2p records hit the
     coefficient content of W (primes up to 2p-5 divide every coefficient)
     and divide both polynomials trivially.  Callers flag divides_w1 records
@@ -370,18 +371,19 @@ def trend_scan(p: int, w_poly: IntPoly, n_lo: int, n_hi: int) -> list[TrendRecor
         raise ValueError("requires n_hi < 0 so that r = p - n > p")
     if n_lo > n_hi:
         raise ValueError("empty range")
-    w1 = poly_derivative(w_poly)
+    # n = p - r is congruent to p mod r, so W(n) = W(p) and W'(n) = W'(p) mod r
+    w_p = poly_eval(w_poly, p)
+    w1_p = poly_eval(poly_derivative(w_poly), p)
     records = []
     for r in primes_in(p - n_hi, p - n_lo):
-        n = p - r
-        if poly_eval_mod(w_poly, n, r) == 0:
+        if w_p % r == 0:
             records.append(
                 TrendRecord(
                     p=p,
-                    n=n,
+                    n=p - r,
                     r=r,
                     divides_w=True,
-                    divides_w1=poly_eval_mod(w1, n, r) == 0,
+                    divides_w1=w1_p % r == 0,
                     r_exceeds_2p=r > 2 * p,
                 )
             )

@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from wolstenholme import congruence
 from wolstenholme.arith import is_prime, primes_upto
 from wolstenholme.congruence import (
+    _divisors,
+    _prod_tree,
+    _wprime_parts,
     divisor_product_check,
+    divisor_product_checks,
     factor_band_classify,
     is_wolstenholme_prime,
     jones_check,
@@ -133,6 +138,52 @@ class TestDivisorProduct:
     def test_range(self):
         for n in range(1, 400):
             assert divisor_product_check(n), n
+
+
+class TestDivisorProductChecks:
+    """The one-pass relation check against the per-n divisor_product_check."""
+
+    def test_pass_matches_per_n_to_600(self):
+        assert list(divisor_product_checks(600)) == [
+            (n, divisor_product_check(n)) for n in range(1, 601)
+        ]
+
+    def test_single_n_to_2000(self):
+        got = dict(divisor_product_checks(2000))
+        assert sorted(got) == list(range(1, 2001))
+        for n in (720, 1024, 1680, 1999, 2000):
+            assert got[n] == divisor_product_check(n), n
+
+    def test_wprime_parts_match_definition_to_600(self):
+        for d, divisors, num, den in _wprime_parts(600):
+            wd = wprime_exact(d)
+            assert (num, den) == (wd.numerator, wd.denominator), d
+            assert divisors == _divisors(d), d
+
+    def test_reads_w_from_the_recurrence(self, monkeypatch):
+        # a w(n) off by one at a single n must fail there and nowhere else
+        real = congruence.w_iter
+
+        def skewed(limit, start=1):
+            for n, w in real(limit, start):
+                yield n, w + (n == 360)
+
+        monkeypatch.setattr(congruence, "w_iter", skewed)
+        assert [n for n, ok in divisor_product_checks(400) if not ok] == [360]
+
+    def test_small_bounds(self):
+        from wolstenholme.verify import SuiteResult, run_suite
+
+        for n_max in (-2, 0):
+            assert list(divisor_product_checks(n_max)) == []
+            assert list(run_suite("rel", n_max)) == []
+        assert list(divisor_product_checks(1)) == [(1, True)]
+        assert list(run_suite("rel", 1)) == [SuiteResult("rel", 1, True)]
+
+    def test_prod_tree(self):
+        xs = list(range(1, 300))
+        for n in range(len(xs) + 1):
+            assert _prod_tree(xs[:n]) == math.prod(xs[:n]), n
 
 
 class TestWilson:

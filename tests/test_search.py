@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from wolstenholme import search
-from wolstenholme.arith import is_prime, primes_upto, valuation
-from wolstenholme.congruence import w_exact, w_mod, wilson_residue
+from wolstenholme.arith import is_prime, primes_in, primes_upto, valuation
+from wolstenholme.congruence import pair_criterion, w_exact, w_mod, wilson_residue
 from wolstenholme.errors import (
     CheckpointError,
     CorruptFile,
@@ -333,7 +333,7 @@ class TestSeekResume:
         real = getattr(search, name)
 
         def spy(*args):
-            seen.append(args[:2] if name == "pair_criterion" else args[0])
+            seen.append(args[:2] if name == "_pair_halves" else args[0])
             return real(*args)
 
         monkeypatch.setattr(search, name, spy)
@@ -356,7 +356,7 @@ class TestSeekResume:
         out, cpath = self._leg1(tmp_path, "pairs", params, cut=200)
         last = checkpoint_load(cpath).last_subject
         assert last[0] == 7  # 151 subjects at p = 5, so the cut falls inside p = 7
-        seen = self._spy(monkeypatch, "pair_criterion")
+        seen = self._spy(monkeypatch, "_pair_halves")
         self._leg2(out, cpath, "pairs", params)
         assert seen[0][0] == last[0]  # entered inside p = 7, not at the next p
         assert all(pq > last for pq in seen)
@@ -367,7 +367,7 @@ class TestSeekResume:
         full = io.StringIO()
         run_scan("pairs", params, full)
         out, cpath = self._leg1(tmp_path, "pairs", params, cut=1)
-        seen = self._spy(monkeypatch, "pair_criterion")
+        seen = self._spy(monkeypatch, "_pair_halves")
         self._leg2(out, cpath, "pairs", params)
         assert seen == [(787, 2543)]
         assert out.read_text() == full.getvalue()
@@ -441,6 +441,23 @@ class TestCarriedPaths:
             assert search._w_mod_cube(
                 p, search._CarriedFactorial(), search._CarriedFactorial()
             ) == residue
+
+    @pytest.mark.parametrize("after", [None, (7, 101), (7, 397), (37, 41)])
+    def test_pairs_sieve_and_halves(self, monkeypatch, after):
+        # the scan's q list and unvalidated halves against primes_in per p
+        # and the validated pair_criterion
+        params = {"p_max": 40, "q_max": 400}
+        seen = _spy_calls(monkeypatch, "_pair_halves")
+        _drain("pairs", params, after)
+        expected = [
+            (p, q)
+            for p in primes_in(5, 40)
+            for q in primes_in(p + 1, 400)
+            if after is None or (p, q) > after
+        ]
+        assert [args[:2] for args, _ in seen] == expected
+        for args, res in seen:
+            assert res == pair_criterion(*args)
 
     @staticmethod
     def _plain_new_conjecture(params, after):

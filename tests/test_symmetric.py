@@ -8,6 +8,7 @@ from wolstenholme.arith import primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme.errors import AssertionFailure
 from wolstenholme.symmetric import (
+    IntSymTable,
     bayat_valuations,
     check_form,
     check_form2,
@@ -19,6 +20,7 @@ from wolstenholme.symmetric import (
     form4_eval,
     ident_doublefact,
     perm_sym,
+    perm_sym_rows,
     perm_sym_table,
     s_pm_mod_p,
     stirling1,
@@ -57,6 +59,16 @@ def brute_partitions(n, k):
     return table.get((n, k), 0)
 
 
+def _perm_row_by_loop(n):
+    """Row P(n, 0..n) rebuilt from scratch, as perm_sym_table once did per n."""
+    row = [1]
+    for i in range(1, n + 1):
+        row.append(row[-1] * i)
+        for k in range(len(row) - 2, 0, -1):
+            row[k] += row[k - 1] * i
+    return IntSymTable(n, tuple(row))
+
+
 class TestElementarySymmetric:
     def test_examples(self):
         assert elem_sym(4, 1) == Fraction(25, 12)
@@ -88,6 +100,27 @@ class TestElementarySymmetric:
         assert perm_sym(4, 2) == 35
         assert perm_sym(3, 3) == 6
         assert perm_sym(4, 1) == 10
+
+    def test_perm_rows_match_per_n_loop_to_120(self):
+        rows = list(perm_sym_rows(120))
+        assert [tab.n for tab in rows] == list(range(121))
+        for tab in rows:
+            assert tab == _perm_row_by_loop(tab.n), tab.n
+        assert perm_sym_table(120) == rows[-1]
+
+    def test_negative_rows_rejected(self):
+        for n in (-1, -5):
+            with pytest.raises(ValueError):
+                perm_sym_table(n)
+            with pytest.raises(ValueError):
+                elem_sym_table(n)
+
+    def test_form2_suite_small_bounds(self):
+        from wolstenholme.verify import SuiteResult, run_suite
+
+        for bound in (-1, 0):
+            assert list(run_suite("form2", bound)) == []
+        assert list(run_suite("form2", 1)) == [SuiteResult("form2", 1, True)]
 
 
 class TestStirling:

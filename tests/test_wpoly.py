@@ -70,6 +70,14 @@ def _trend_by_is_prime(p, w_poly, n_lo, n_hi):
     return records
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 class TestPolyOps:
     def test_canonicalization(self):
         assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
@@ -197,7 +205,7 @@ class TestWPolys:
     def test_suite_empty_below_5(self):
         from wolstenholme.verify import run_suite
 
-        for bound in range(0, 5):
+        for bound in range(-1, 5):
             assert list(run_suite("wpoly", bound)) == []
 
 
@@ -305,6 +313,9 @@ class TestTrendScan:
             (13, -250, -250),  # the single prime r = 263
             (13, -251, -251),  # the single composite r = 264
             (17, -10 * 17 * 17, -1),
+            (61, 61 - 37217, 61 - 67),  # r = 67 .. 37217, both ends prime
+            (61, 61 - 113, 61 - 67),  # records at both ends, r = 67 and 113
+            (31, 31 - 53, 31 - 37),  # records at both ends, r = 37 and 53
         ],
     )
     def test_sieve_matches_is_prime_loop(self, p, n_lo, n_hi):
@@ -312,6 +323,27 @@ class TestTrendScan:
         assert trend_scan(p, w_poly, n_lo, n_hi) == _trend_by_is_prime(
             p, w_poly, n_lo, n_hi
         )
+
+    def test_matches_is_prime_loop_at_suite_window_to_61(self):
+        for p, w_poly in w_polys(61):
+            window = (-10 * p * p, -1)
+            assert trend_scan(p, w_poly, *window) == _trend_by_is_prime(
+                p, w_poly, *window
+            ), p
+
+    def test_matches_is_prime_loop_on_double_roots(self):
+        # W(p)'s own r > 2p records never divide W', so a polynomial with
+        # double roots at n = p - r exercises the divides_w1 branch
+        for p in (5, 7, 11):
+            coeffs = [1]
+            for n in (p - 101, p - 101, p - 103, p - 211):
+                coeffs = _poly_mul(coeffs, (-n, 1))
+            f = IntPoly(tuple(coeffs))
+            recs = trend_scan(p, f, -10 * p * p, -1)
+            assert recs == _trend_by_is_prime(p, f, -10 * p * p, -1)
+            assert [(rec.r, rec.divides_w1) for rec in recs if rec.r in (101, 103, 211)] == [
+                (211, False), (103, False), (101, True)
+            ]
 
     def test_small_r_records_are_content_artifacts(self):
         # primes p < r < 2p divide every coefficient of W, hence W and W'
