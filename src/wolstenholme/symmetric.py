@@ -6,7 +6,9 @@ denotes the k-th elementary symmetric function of {1, 1/2, ..., 1/n}, and
 P(n, k) the same over {1, ..., n}.  All arithmetic is exact; there is no
 floating point anywhere in this module.  Table builders return immutable
 values and keep no hidden caches - callers that need many rows should hold
-on to the tables themselves.
+on to the tables themselves.  Every identity check takes the table it reads
+as a required argument and never builds one: a row of the wrong n raises
+ValueError, a Stirling table too small for the subject raises IndexError.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ class StirlingTables:
 
 def elem_sym_rows(n_max: int):
     """Yield SymRationalTable for n = 0..n_max, built by the row recurrence
-    S(n, k) = S(n-1, k) + S(n-1, k-1)/n."""
+    S(n, k) = S(n-1, k) + S(n-1, k-1)/n; nothing for n_max < 0."""
+    if n_max < 0:
+        return
     row = [Fraction(1)]
     yield SymRationalTable(0, tuple(row))
     for n in range(1, n_max + 1):
@@ -116,15 +120,17 @@ def elem_sym_table(n: int) -> SymRationalTable:
 
 
 def elem_sym(n: int, k: int) -> Fraction:
-    """S(n, k); 0 for k > n, 1 for k = 0, 1/n! for k = n."""
-    if k > n:
+    """S(n, k); 0 for k > n >= 0, 1 for k = 0, 1/n! for k = n."""
+    if 0 <= n < k:
         return Fraction(0)
     return elem_sym_table(n)[k]
 
 
 def perm_sym_rows(n_max: int):
     """Yield IntSymTable for n = 0..n_max, built by the row recurrence
-    P(n, k) = P(n-1, k) + n*P(n-1, k-1)."""
+    P(n, k) = P(n-1, k) + n*P(n-1, k-1); nothing for n_max < 0."""
+    if n_max < 0:
+        return
     row = [1]
     yield IntSymTable(0, tuple(row))
     for n in range(1, n_max + 1):
@@ -182,32 +188,29 @@ def stirling2(n: int, k: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def check_form2(
-    n: int,
-    sym: SymRationalTable | None = None,
-    perm: IntSymTable | None = None,
-) -> bool:
+def _row(table, n: int):
+    """table, after checking that it is row n."""
+    if table.n != n:
+        raise ValueError(f"need row {n}, got row {table.n}")
+    return table
+
+
+def check_form2(n: int, sym: SymRationalTable, perm: IntSymTable) -> bool:
     """S(n, n-k) = P(n, k)/n! for all 0 <= k <= n."""
-    sym = sym if sym is not None and sym.n == n else elem_sym_table(n)
-    perm = perm if perm is not None and perm.n == n else perm_sym_table(n)
+    sym, perm = _row(sym, n), _row(perm, n)
     nfact = factorial_exact(n)
     return all(sym[n - k] * nfact == perm[k] for k in range(n + 1))
 
 
-def check_sP_relation(
-    n: int,
-    perm: IntSymTable | None = None,
-    st: StirlingTables | None = None,
-) -> bool:
+def check_sP_relation(n: int, perm: IntSymTable, st: StirlingTables) -> bool:
     """P(n, k) = (-1)^k s(n+1, n+1-k) for all 0 <= k <= n."""
-    perm = perm if perm is not None and perm.n == n else perm_sym_table(n)
-    st = st if st is not None and st.n_max >= n + 1 else stirling_tables(n + 1)
+    perm = _row(perm, n)
     return all(
         perm[k] == (-1) ** k * st.s1(n + 1, n + 1 - k) for k in range(n + 1)
     )
 
 
-def stirling1_via_form3(n: int, k: int, st: StirlingTables | None = None) -> int:
+def stirling1_via_form3(n: int, k: int, st: StirlingTables) -> int:
     """s(n, n-k) through the explicit double-binomial sum over the second kind.
 
     The j = 0 term vanishes for k >= 1 since S(k, 0) = 0; it is kept and
@@ -215,7 +218,6 @@ def stirling1_via_form3(n: int, k: int, st: StirlingTables | None = None) -> int
     """
     if not (n >= 1 and 0 <= k <= n - 1):
         raise ValueError(f"need n >= 1 and 0 <= k <= n-1, got ({n}, {k})")
-    st = st if st is not None and st.n_max >= 2 * k else stirling_tables(max(2 * k, 1))
     total = 0
     for j in range(0, k + 1):
         term = (
@@ -230,31 +232,30 @@ def stirling1_via_form3(n: int, k: int, st: StirlingTables | None = None) -> int
     return total
 
 
-def ident_doublefact(k: int, st: StirlingTables | None = None) -> bool:
+def ident_doublefact(k: int, st: StirlingTables) -> bool:
     """(2k-1)!! equals the alternating binomial sum of S(j+k, j) over j <= k."""
     if k < 1:
         raise ValueError("requires k >= 1")
-    st = st if st is not None and st.n_max >= 2 * k else stirling_tables(2 * k)
     total = 0
     for j in range(0, k + 1):
         total += (-1) ** (j + k) * math.comb(2 * k, k + j) * st.s2(j + k, j)
     return total == double_factorial(2 * k - 1)
 
 
-def check_form(p: int, sym: SymRationalTable | None = None) -> bool:
+def check_form(p: int, sym: SymRationalTable) -> bool:
     """w(p) = sum of p^k * S(p-1, k) over 0 <= k <= p-1, exactly."""
-    sym = sym if sym is not None and sym.n == p - 1 else elem_sym_table(p - 1)
+    sym = _row(sym, p - 1)
     total = sum((Fraction(p) ** k) * sym[k] for k in range(p))
     return total == w_exact(p)
 
 
-def check_int_expansion(p: int, sym: SymRationalTable | None = None) -> bool:
+def check_int_expansion(p: int, sym: SymRationalTable) -> bool:
     """(w(p)-1)/p^3 = S(p,2)/p + p*S(p,4) + p^3*S(p,6) + ... + p^(p-4)*S(p,p-1).
 
     The left side is integral (Wolstenholme); the right side is an exact
     rational sum over even indices with p-powers stepping by two.
     """
-    sym = sym if sym is not None and sym.n == p else elem_sym_table(p)
+    sym = _row(sym, p)
     total = Fraction(0)
     for m in range(2, p, 2):
         total += Fraction(p) ** (m - 3) * sym[m]
@@ -274,14 +275,14 @@ class BayatReport:
         return self.valuations[k - 1]
 
 
-def bayat_valuations(p: int, sym: SymRationalTable | None = None) -> BayatReport:
+def bayat_valuations(p: int, sym: SymRationalTable) -> BayatReport:
     """Verify the valuation pattern of the row S(p-1, *) at the prime p.
 
     Asserts: v >= 1 for even k <= p-3, v >= 2 for odd k <= p-4, the ladder
     v(k) = 1 + v(k+1) for odd k <= p-2, and S(p-1, p-2) = 0 (mod p).
     Raises AssertionFailure carrying (p, k, observed) on any violation.
     """
-    sym = sym if sym is not None and sym.n == p - 1 else elem_sym_table(p - 1)
+    sym = _row(sym, p - 1)
     vals = tuple(num_valuation(sym[k], p) for k in range(1, p))
     report = BayatReport(p, vals)
     for k in range(1, p):
@@ -301,13 +302,13 @@ def bayat_valuations(p: int, sym: SymRationalTable | None = None) -> BayatReport
     return report
 
 
-def s_pm_mod_p(p: int, sym: SymRationalTable | None = None) -> bool:
+def s_pm_mod_p(p: int, sym: SymRationalTable) -> bool:
     """S(p, m) = 0 (mod p) in numerator for all even m = 2, 4, ..., p-3."""
-    sym = sym if sym is not None and sym.n == p else elem_sym_table(p)
+    sym = _row(sym, p)
     return all(num_valuation(sym[m], p) >= 1 for m in range(2, p - 2, 2))
 
 
-def form4_eval(p: int, k: int, st: StirlingTables | None = None) -> Fraction:
+def form4_eval(p: int, k: int, st: StirlingTables) -> Fraction:
     """S(p, p-k) for odd k via the explicit formula.
 
     S(p, p-k) = (p+1)/((2k)!(p-k)!) * sum over j of
@@ -319,7 +320,6 @@ def form4_eval(p: int, k: int, st: StirlingTables | None = None) -> Fraction:
     """
     if k % 2 == 0 or not 1 <= k <= p - 2:
         raise ValueError(f"need odd 1 <= k <= p-2, got ({p}, {k})")
-    st = st if st is not None and st.n_max >= 2 * k else stirling_tables(2 * k)
     assert st.s2(k, 0) == 0
     cpk = math.prod(range(p + 2, p + k + 2))
     total = 0

@@ -21,6 +21,7 @@ from .congruence import (
 )
 from .errors import AssertionFailure, FactoringBudgetExceeded
 from .symmetric import (
+    SymRationalTable,
     bayat_valuations,
     check_form,
     check_form2,
@@ -57,33 +58,33 @@ def _suite_rel(bound: int) -> Iterator[SuiteResult]:
         yield SuiteResult("rel", n, ok)
 
 
-def _suite_form(bound: int) -> Iterator[SuiteResult]:
+def _prime_rows(bound: int, lag: int) -> Iterator[tuple[int, SymRationalTable]]:
+    """(p, S(p - lag, .)) for each prime 5 <= p <= bound, ascending."""
     primes = set(primes_upto(bound))
-    for tab in elem_sym_rows(max(bound - 1, 0)):
-        p = tab.n + 1
+    for tab in elem_sym_rows(bound - lag):
+        p = tab.n + lag
         if p >= 5 and p in primes:
-            yield SuiteResult("form", p, check_form(p, sym=tab))
+            yield p, tab
+
+
+def _suite_form(bound: int) -> Iterator[SuiteResult]:
+    for p, tab in _prime_rows(bound, 1):
+        yield SuiteResult("form", p, check_form(p, sym=tab))
 
 
 def _suite_int(bound: int) -> Iterator[SuiteResult]:
-    primes = set(primes_upto(bound))
-    for tab in elem_sym_rows(bound):
-        p = tab.n
-        if p >= 5 and p in primes:
-            ok = check_int_expansion(p, sym=tab) and s_pm_mod_p(p, sym=tab)
-            yield SuiteResult("int", p, ok)
+    for p, tab in _prime_rows(bound, 0):
+        ok = check_int_expansion(p, sym=tab) and s_pm_mod_p(p, sym=tab)
+        yield SuiteResult("int", p, ok)
 
 
 def _suite_fra(bound: int) -> Iterator[SuiteResult]:
-    primes = set(primes_upto(bound))
-    for tab in elem_sym_rows(max(bound - 1, 0)):
-        p = tab.n + 1
-        if p >= 5 and p in primes:
-            try:
-                bayat_valuations(p, sym=tab)
-                yield SuiteResult("fra", p, True)
-            except AssertionFailure as exc:
-                yield SuiteResult("fra", p, False, str(exc))
+    for p, tab in _prime_rows(bound, 1):
+        try:
+            bayat_valuations(p, sym=tab)
+            yield SuiteResult("fra", p, True)
+        except AssertionFailure as exc:
+            yield SuiteResult("fra", p, False, str(exc))
 
 
 def _suite_form2(bound: int) -> Iterator[SuiteResult]:
@@ -108,14 +109,9 @@ def _suite_form3(bound: int) -> Iterator[SuiteResult]:
 
 def _suite_form4(bound: int) -> Iterator[SuiteResult]:
     st = stirling_tables(max(2 * (bound - 2), 1))
-    primes = set(primes_upto(bound))
-    for tab in elem_sym_rows(bound):
-        p = tab.n
-        if p >= 5 and p in primes:
-            ok = all(
-                form4_eval(p, k, st=st) == tab[p - k] for k in range(1, p - 1, 2)
-            )
-            yield SuiteResult("form4", p, ok)
+    for p, tab in _prime_rows(bound, 0):
+        ok = all(form4_eval(p, k, st=st) == tab[p - k] for k in range(1, p - 1, 2))
+        yield SuiteResult("form4", p, ok)
 
 
 def _suite_ident(bound: int) -> Iterator[SuiteResult]:

@@ -208,15 +208,13 @@ class WReport:
     w_at_p: int
 
 
-def verify_W(p: int, w_poly: IntPoly | None = None) -> WReport:
-    """Check all structural claims about W: degree 2p-7, leading coefficient
-    (2p-5)!!, (p-3)! divides a0, and the evaluation identity.
+def verify_W(p: int, w_poly: IntPoly) -> WReport:
+    """Check all structural claims about w_poly = W(p): degree 2p-7, leading
+    coefficient (2p-5)!!, (p-3)! divides a0, and the evaluation identity.
 
     Raises AssertionFailure naming the failing clause.
     """
     _check_prime_ge5(p)
-    if w_poly is None:
-        w_poly = construct_W(p)
     if w_poly.degree != 2 * p - 7:
         raise AssertionFailure("degree != 2p-7", p=p, degree=w_poly.degree)
     leading = w_poly.coeffs[-1]
@@ -245,15 +243,13 @@ class CoeffProfile:
     signs_alternate: bool
 
 
-def coeff_profile(p: int, w_poly: IntPoly | None = None) -> CoeffProfile:
-    """Report which |a_i| is largest and the sign pattern of the top half.
+def coeff_profile(p: int, w_poly: IntPoly) -> CoeffProfile:
+    """Report which |a_i| of W(p) is largest and the sign pattern of the top half.
 
     These are empirical observations, not theorems, so deviations are
     flagged in the returned profile rather than raised.
     """
     _check_prime_ge5(p)
-    if w_poly is None:
-        w_poly = construct_W(p)
     argmax = max(range(len(w_poly.coeffs)), key=lambda i: abs(w_poly.coeffs[i]))
     signs = tuple(
         1 if w_poly.coeff(i) > 0 else (-1 if w_poly.coeff(i) < 0 else 0)
@@ -271,14 +267,12 @@ def coeff_profile(p: int, w_poly: IntPoly | None = None) -> CoeffProfile:
     )
 
 
-def large_prime_divisor_check(
-    p: int, q: int, w_poly: IntPoly | None = None
-) -> bool:
+def large_prime_divisor_check(p: int, q: int, w_poly: IntPoly) -> bool:
     """Does the prime q > p divide (w(p)-1)/p^3?
 
     Asserts the two structural facts: a prime q > p dividing w(p)-1 must
     exceed 2p (every prime in (p, 2p-1] divides w(p) itself), and for
-    q > 2p divisibility of (w(p)-1)/p^3 is equivalent to q | W(p).
+    q > 2p divisibility of (w(p)-1)/p^3 is equivalent to q | W(p) = w_poly(p).
     """
     _check_prime_ge5(p)
     if q <= p or not is_prime(q):
@@ -290,8 +284,6 @@ def large_prime_divisor_check(
     result = (wp1 // p**3) % q == 0
     assert result == divides  # q != p, so q | w(p)-1 iff q | (w(p)-1)/p^3
     if q > 2 * p:
-        if w_poly is None:
-            w_poly = construct_W(p)
         via_poly = poly_eval_mod(w_poly, p, q) == 0
         if via_poly != result:
             raise AssertionFailure(

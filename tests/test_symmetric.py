@@ -114,6 +114,15 @@ class TestElementarySymmetric:
                 perm_sym_table(n)
             with pytest.raises(ValueError):
                 elem_sym_table(n)
+            with pytest.raises(ValueError):
+                elem_sym(n, 0)
+        with pytest.raises(ValueError):
+            elem_sym(-3, 2)
+
+    def test_row_passes_empty_below_zero(self):
+        for n_max in (-1, -5):
+            assert list(elem_sym_rows(n_max)) == []
+            assert list(perm_sym_rows(n_max)) == []
 
     def test_form2_suite_small_bounds(self):
         from wolstenholme.verify import SuiteResult, run_suite
@@ -162,24 +171,25 @@ class TestStirling:
 
 class TestIdentities:
     def test_form2_examples(self):
-        assert check_form2(4)
-        assert check_form2(1)
-        assert check_form2(10)
+        for n in (4, 1, 10):
+            assert check_form2(n, elem_sym_table(n), perm_sym_table(n))
 
     def test_form2_and_sP_sweep(self):
         st = stirling_tables(61)
         for n in range(1, 61):
-            assert check_form2(n)
-            assert check_sP_relation(n, st=st)
+            perm = perm_sym_table(n)
+            assert check_form2(n, elem_sym_table(n), perm)
+            assert check_sP_relation(n, perm=perm, st=st)
 
     def test_sP_examples(self):
         assert perm_sym(3, 2) == 11 == stirling1(4, 2)
         assert perm_sym(3, 3) == 6 == -stirling1(4, 1)
 
     def test_form3_examples(self):
-        assert stirling1_via_form3(4, 2) == 11
-        assert stirling1_via_form3(9, 0) == 1
-        assert stirling1_via_form3(6, 3) == -225
+        st = stirling_tables(6)
+        assert stirling1_via_form3(4, 2, st) == 11
+        assert stirling1_via_form3(9, 0, st) == 1
+        assert stirling1_via_form3(6, 3, st) == -225
 
     def test_form3_cross_check(self):
         st = stirling_tables(80)
@@ -190,9 +200,10 @@ class TestIdentities:
     def test_ident_examples(self):
         # k=2: -4*S(3,1) + S(4,2) = -4 + 7 = 3 = 3!!
         # k=3: 15*S(4,1) - 6*S(5,2) + S(6,3) = 15 - 90 + 90 = 15 = 5!!
-        assert ident_doublefact(1)
-        assert ident_doublefact(2)
-        assert ident_doublefact(3)
+        st = stirling_tables(6)
+        assert ident_doublefact(1, st)
+        assert ident_doublefact(2, st)
+        assert ident_doublefact(3, st)
 
     def test_ident_sweep(self):
         st = stirling_tables(120)
@@ -201,22 +212,20 @@ class TestIdentities:
 
     def test_form_examples(self):
         # p=3: 1 + 3*(3/2) + 9*(1/2) = 10 = w(3)
-        assert check_form(3)
-        assert check_form(5)
-        assert check_form(7)
+        for p in (3, 5, 7):
+            assert check_form(p, elem_sym_table(p - 1))
         assert w_exact(7) == 1716
 
     def test_int_expansion_examples(self):
         # p=5: (15/8)/5 + 5*(1/8) = 1 = (126-1)/125
-        assert check_int_expansion(5)
-        assert check_int_expansion(7)
-        assert check_int_expansion(11)
+        for p in (5, 7, 11):
+            assert check_int_expansion(p, elem_sym_table(p))
         assert (w_exact(11) - 1) % 11**3 == 0
 
 
 class TestValuationPatterns:
     def test_bayat_p5(self):
-        rep = bayat_valuations(5)
+        rep = bayat_valuations(5, elem_sym_table(4))
         assert rep.valuations == (2, 1, 1, 0)
 
     def test_bayat_sweep(self):
@@ -234,14 +243,14 @@ class TestValuationPatterns:
             bayat_valuations(7, sym=_shifted_row())
 
     def test_s_pm_examples(self):
-        assert s_pm_mod_p(5)
-        assert s_pm_mod_p(7)
-        assert s_pm_mod_p(11)
+        for p in (5, 7, 11):
+            assert s_pm_mod_p(p, elem_sym_table(p))
 
     def test_form4_examples(self):
-        assert form4_eval(5, 3) == Fraction(15, 8)
-        assert form4_eval(5, 1) == elem_sym(5, 4) == Fraction(1, 8)
-        assert form4_eval(7, 5) == elem_sym(7, 2)
+        st = stirling_tables(10)
+        assert form4_eval(5, 3, st) == Fraction(15, 8)
+        assert form4_eval(5, 1, st) == elem_sym(5, 4) == Fraction(1, 8)
+        assert form4_eval(7, 5, st) == elem_sym(7, 2)
 
     def test_form4_cross_check(self):
         st = stirling_tables(60)
@@ -252,13 +261,44 @@ class TestValuationPatterns:
 
     def test_form4_rejects_even_k(self):
         with pytest.raises(ValueError):
-            form4_eval(7, 2)
+            form4_eval(7, 2, stirling_tables(4))
+
+
+class TestTablesAreRequired:
+    """A check handed a table that does not fit its subject raises; it
+    never builds the table it should have been given."""
+
+    def test_row_checks_reject_wrong_n(self):
+        sym6, sym7 = elem_sym_table(6), elem_sym_table(7)
+        perm6, perm7 = perm_sym_table(6), perm_sym_table(7)
+        st = stirling_tables(20)
+        calls = [
+            lambda: check_form2(6, sym7, perm6),
+            lambda: check_form2(6, sym6, perm7),
+            lambda: check_sP_relation(6, perm7, st),
+            lambda: check_form(7, sym7),
+            lambda: check_int_expansion(7, sym6),
+            lambda: bayat_valuations(7, sym7),
+            lambda: s_pm_mod_p(7, sym6),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
+    def test_stirling_checks_reject_small_tables(self):
+        with pytest.raises(IndexError):
+            check_sP_relation(6, perm_sym_table(6), stirling_tables(6))
+        with pytest.raises(IndexError):
+            stirling1_via_form3(9, 4, stirling_tables(7))
+        with pytest.raises(IndexError):
+            ident_doublefact(4, stirling_tables(7))
+        with pytest.raises(IndexError):
+            form4_eval(11, 5, stirling_tables(9))
 
 
 def _shifted_row():
-    # row for n = 7 handed to a p = 7 check (which expects n = 6): the
-    # helper rebuilds only when the size mismatches, so craft a wrong row
-    # of the right size by perturbing one entry
+    # a wrong row of the right size (n = 6 for p = 7), made by perturbing
+    # one entry, so only the valuation checks can reject it
     tab = elem_sym_table(6)
     entries = list(tab.entries)
     entries[1] += 1

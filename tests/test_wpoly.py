@@ -151,9 +151,9 @@ class TestConstructW:
         assert w7.coeffs[-1] == 945  # 9!!
 
     def test_verify_examples(self):
-        rep = verify_W(5)
+        rep = verify_W(5, construct_W(5))
         assert rep.leading == 15 and rep.a0 == 30 and rep.w_at_p == 2880
-        rep = verify_W(7)
+        rep = verify_W(7, construct_W(7))
         assert rep.leading == 945
 
     def test_verify_sweep_to_31(self):
@@ -211,7 +211,7 @@ class TestWPolys:
 
 class TestCoeffProfile:
     def test_p5(self):
-        prof = coeff_profile(5)
+        prof = coeff_profile(5, construct_W(5))
         assert prof.argmax_index == 1 == 5 - 4
         assert prof.argmax_is_p_minus_4
         assert prof.high_signs == (1, -1, 1)
@@ -224,20 +224,21 @@ class TestCoeffProfile:
         for p in primes_upto(31):
             if p < 5:
                 continue
-            prof = coeff_profile(p)
+            prof = coeff_profile(p, construct_W(p))
             assert prof.signs_alternate
             assert prof.argmax_is_p_minus_4 == (p <= 13)
 
 
 class TestLargePrimeDivisors:
     def test_examples(self):
-        assert large_prime_divisor_check(13, 263) is True  # 2367 = 9 * 263
-        assert large_prime_divisor_check(13, 17) is False
-        assert large_prime_divisor_check(7, 11) is False  # (1716-1)/343 = 5
+        w13 = construct_W(13)
+        assert large_prime_divisor_check(13, 263, w13) is True  # 2367 = 9 * 263
+        assert large_prime_divisor_check(13, 17, w13) is False
+        assert large_prime_divisor_check(7, 11, construct_W(7)) is False  # 1715/343 = 5
 
     def test_rejects_q_not_above_p(self):
         with pytest.raises(ValueError):
-            large_prime_divisor_check(13, 11)
+            large_prime_divisor_check(13, 11, construct_W(13))
 
 
 class TestHensel:
