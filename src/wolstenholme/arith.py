@@ -237,32 +237,6 @@ def valuation(n: int, q: int) -> int:
     return v
 
 
-# Prefix tables of unit products make repeated factorial_unit calls for the
-# same (q, e) O(log n); above this modulus size a direct partial-block loop
-# is used instead (bounded by n per call, no table memory).
-_UNIT_TABLE_MAX = 1 << 17
-
-
-@lru_cache(maxsize=64)
-def _unit_prefix(q: int, e: int) -> tuple[int, ...]:
-    Q = q**e
-    table = [1] * Q
-    acc = 1
-    for r in range(1, Q):
-        if r % q:
-            acc = acc * r % Q
-        table[r] = acc
-    return tuple(table)
-
-
-def _partial_block(limit: int, q: int, Q: int) -> int:
-    acc = 1
-    for a in range(1, limit + 1):
-        if a % q:
-            acc = acc * a % Q
-    return acc
-
-
 def factorial_unit(n: int, q: int, e: int = 1) -> tuple[int, ResidueClass]:
     """Split n! as q^val * unit with q not dividing unit.
 
@@ -270,26 +244,23 @@ def factorial_unit(n: int, q: int, e: int = 1) -> tuple[int, ResidueClass]:
     unit = n!/q^val, i.e. q^val * unit reconstructs n! mod q^(val+e).
     Uses the Wilson-block recursion n! = (n!)_q * q^(n//q) * (n//q)!, where
     (m!)_q, the product of 1..m with multiples of q skipped, is a full-block
-    unit product raised to m // q^e times a partial block.
+    unit product raised to m // q^e times a partial block.  By Gauss's
+    generalisation of Wilson's theorem the full block, the product of the
+    units below q^e, is -1 mod q^e, except +1 for q = 2 and e >= 3; so each
+    level costs a sign and a loop over its partial block of m % q^e.
     """
     Q = q**e
     val = legendre_valuation(n, q)
-    table = _unit_prefix(q, e) if Q <= _UNIT_TABLE_MAX else None
+    full = 1 if q == 2 and e >= 3 else Q - 1
     unit = 1
-    full = None
     m = n
     while m > 0:
         blocks, rem = divmod(m, Q)
-        if table is not None:
-            part = table[rem]
-            full = table[Q - 1]
-        else:
-            part = _partial_block(rem, q, Q)
-            if blocks and full is None:
-                full = _partial_block(Q - 1, q, Q)
-        if blocks:
-            unit = unit * pow(full, blocks, Q) % Q
-        unit = unit * part % Q
+        if blocks % 2:
+            unit = unit * full % Q
+        for a in range(1, rem + 1):
+            if a % q:
+                unit = unit * a % Q
         m //= q
     return val, ResidueClass(unit, Q)
 

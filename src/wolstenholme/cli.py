@@ -338,19 +338,25 @@ def _cmd_report(args) -> int:
     return 1 if fails or any(damaged.values()) else 0
 
 
+_COMMANDS = {
+    "verify": _cmd_verify,
+    "scan": _cmd_scan,
+    "wpoly": _cmd_wpoly,
+    "classify": _cmd_classify,
+    "report": _cmd_report,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "scan":
-        return _cmd_scan(args)
-    if args.command == "wpoly":
-        return _cmd_wpoly(args)
-    if args.command == "classify":
-        return _cmd_classify(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    return 2
+    try:
+        return _COMMANDS[args.command](args)
+    except OSError as exc:
+        # the files a command writes: --out, and --checkpoint at each save
+        if exc.filename is None:
+            raise
+        print(f"usage error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -126,8 +126,8 @@ def w_mod(n: int, m: int) -> ResidueClass:
     the residue is the O(n) modular product of (n+k) times the inverse of
     (n-1)!.  That route is tried only for m > 2n-1.  The smaller moduli
     include every m < n, which always shares a prime with (n-1)!, and for
-    all of them binomial_mod is cheap: its per-prime-power unit tables are
-    small and cached (gating at m >= n instead made the bands suite slower).
+    all of them binomial_mod is cheap: each prime power q^e of m costs it
+    a sign and at most q^e multiplications per base-q digit of 2n-1.
     Every other modulus goes through binomial_mod.
     """
     if n < 1:
@@ -332,12 +332,6 @@ def pair_criterion(p: int, q: int, e: int) -> PairCriterionResult:
     exercised against pair_direct_check in the test suite.
     """
     _validate_pair(p, q, e)
-    return _pair_halves(p, q, e)
-
-
-def _pair_halves(p: int, q: int, e: int) -> PairCriterionResult:
-    """pair_criterion without validation, for callers whose p and q are
-    already known to be distinct primes (the pairs scan reads a sieve)."""
     left = w_mod(p, q**e).value == 1
     right = w_mod(q, p**e).value == 1
     return PairCriterionResult(p, q, e, left, right, left and right)

@@ -24,6 +24,7 @@ import tempfile
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator
 
 from .arith import (
@@ -37,7 +38,7 @@ from .arith import (
 from .congruence import (
     PAIR_DIRECT_BUDGET,
     CongruenceVerdict,
-    _pair_halves,
+    pair_criterion,
     pair_direct_check,
     w_iter,
     w_mod,
@@ -118,17 +119,23 @@ def params_digest(params: dict) -> str:
 
 
 def checkpoint_save(cp: Checkpoint, path: str) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
+    """Atomic write: temp file in the same directory, then rename.
+
+    An OSError from any step names path, not the temp file.
+    """
     payload = asdict(cp)  # a tuple last_subject is written as a JSON list
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -343,18 +350,22 @@ def _gen_new_conjecture(params: dict, h: str, lo: int, hi: int):
         yield p, recs
 
 
-def _pair_record(p: int, q: int, h: str, always: bool) -> list[ScanRecord]:
-    res = _pair_halves(p, q, 1)
-    if not res.combined and not always:
+def _pair_record(
+    p: int, q: int, left: bool, right: bool, h: str, always: bool
+) -> list[ScanRecord]:
+    """The pairs record for p < q from the criterion's two halves at level 1:
+    left is w(p) = 1 (mod q), right is w(q) = 1 (mod p)."""
+    combined = left and right
+    if not combined and not always:
         return []
-    witness: dict = {"left": res.left, "right": res.right}
-    verdict = "hit" if res.combined else "fail"
-    if res.combined and p * q <= PAIR_DIRECT_BUDGET:
-        agrees = pair_direct_check(p, q, 1) == res.combined
+    witness: dict = {"left": left, "right": right}
+    verdict = "hit" if combined else "fail"
+    if combined and p * q <= PAIR_DIRECT_BUDGET:
+        agrees = pair_direct_check(p, q, 1) == combined
         witness["direct_agrees"] = agrees
         if not agrees:
             verdict = "fail"
-    elif res.combined:
+    elif combined:
         witness["direct_agrees"] = "skipped"
     return [ScanRecord("pairs", (p, q), witness, verdict, h)]
 
@@ -366,14 +377,18 @@ def _gen_pairs(params: dict, h: str, lo: tuple[int, int], hi: int):
         pairs = KNOWN_PAIRS if params.get("stretch") else KNOWN_PAIRS[:2]
         for p, q in pairs:
             if (p, q) >= lo:
-                yield (p, q), _pair_record(p, q, h, always=True)
+                res = pair_criterion(p, q, 1)
+                yield (p, q), _pair_record(p, q, res.left, res.right, h, always=True)
         return
     p_lo, q_lo = lo
     qs = primes_upto(params["q_max"])
-    for p in primes_in(p_lo, hi):
+    # a p at or above q_max has no q > p to pair with
+    for p, w in _w_at_primes(p_lo, min(hi, params["q_max"])):
         q_from = max(p + 1, q_lo) if p == p_lo else p + 1
         for q in qs[bisect_left(qs, q_from):]:
-            yield (p, q), _pair_record(p, q, h, always=False)
+            left = w % q == 1
+            right = w_mod(q, p).value == 1
+            yield (p, q), _pair_record(p, q, left, right, h, always=False)
 
 
 @dataclass(frozen=True)
@@ -524,10 +539,13 @@ def run_scan(
     starts after last_subject, so no earlier subject is computed again.
     Checkpoints are written only after the records they cover, so a
     checkpoint never claims unflushed work.  limit_subjects stops early
-    after that many subjects (used to exercise interruption in tests).
+    after that many subjects, computing none past them (used to exercise
+    interruption in tests); a negative value raises ValueError.
     """
     h = params_digest(params)
     sd = _scan_def(name, params)
+    if limit_subjects is not None and limit_subjects < 0:
+        raise ValueError(f"limit_subjects must be >= 0, got {limit_subjects}")
 
     after: Subject | None = None
     already_emitted = 0
@@ -556,7 +574,7 @@ def run_scan(
             checkpoint_path,
         )
 
-    for subject, recs in sd.stream(params, h, after):
+    for subject, recs in islice(sd.stream(params, h, after), limit_subjects):
         for rec in recs:
             emit(rec)
             if observer is not None:
@@ -571,8 +589,6 @@ def run_scan(
             _flush(sink)
             save()
             since_checkpoint = 0
-        if limit_subjects is not None and subjects >= limit_subjects:
-            break
 
     _flush(sink)
     if checkpoint_path and last is not None:

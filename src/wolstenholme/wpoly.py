@@ -154,6 +154,15 @@ def _check_prime_ge5(p: int) -> None:
         raise ValueError(f"requires a prime p >= 5, got {p}")
 
 
+def _check_W(p: int, w_poly: IntPoly) -> None:
+    """A caller handing W for another prime is an error, not a finding."""
+    _check_prime_ge5(p)
+    if w_poly.degree != 2 * p - 7:
+        raise ValueError(
+            f"W(p) for p={p} has degree {2 * p - 7}, got degree {w_poly.degree}"
+        )
+
+
 def w_polys(p_max: int) -> Iterator[tuple[int, IntPoly]]:
     """Yield (p, W(p)) for each prime 5 <= p <= p_max, ascending, in one pass.
 
@@ -247,9 +256,10 @@ def coeff_profile(p: int, w_poly: IntPoly) -> CoeffProfile:
     """Report which |a_i| of W(p) is largest and the sign pattern of the top half.
 
     These are empirical observations, not theorems, so deviations are
-    flagged in the returned profile rather than raised.
+    flagged in the returned profile rather than raised.  A w_poly whose
+    degree is not 2p-7 raises ValueError.
     """
-    _check_prime_ge5(p)
+    _check_W(p, w_poly)
     argmax = max(range(len(w_poly.coeffs)), key=lambda i: abs(w_poly.coeffs[i]))
     signs = tuple(
         1 if w_poly.coeff(i) > 0 else (-1 if w_poly.coeff(i) < 0 else 0)
@@ -273,8 +283,9 @@ def large_prime_divisor_check(p: int, q: int, w_poly: IntPoly) -> bool:
     Asserts the two structural facts: a prime q > p dividing w(p)-1 must
     exceed 2p (every prime in (p, 2p-1] divides w(p) itself), and for
     q > 2p divisibility of (w(p)-1)/p^3 is equivalent to q | W(p) = w_poly(p).
+    A w_poly whose degree is not 2p-7 raises ValueError.
     """
-    _check_prime_ge5(p)
+    _check_W(p, w_poly)
     if q <= p or not is_prime(q):
         raise ValueError(f"requires a prime q > p, got q={q}")
     wp1 = w_exact(p) - 1

@@ -156,7 +156,7 @@ class TestFactorialUnit:
     def test_reconstruction_small_grid(self):
         # q^val * unit = n! (mod q^(val+e)), i.e. unit = (n!/q^val) mod q^e
         for q in (2, 3, 5, 7):
-            for e in (1, 2, 3):
+            for e in (1, 2, 3, 4, 5):
                 f = 1
                 for n in range(0, 300):
                     if n:
@@ -168,7 +168,8 @@ class TestFactorialUnit:
                     assert unit.value == exact_unit % q**e, (n, q, e)
 
     def test_large_modulus_no_table(self):
-        # q^e above the table threshold exercises the loop route
+        # q^e far above n: no level has a full block to sign, and each
+        # partial block loops over up to n units
         q = 1009
         val, unit = factorial_unit(2500, q, 3)
         f = math.factorial(2500)

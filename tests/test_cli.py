@@ -240,6 +240,29 @@ class TestClassifyCommand:
         assert cli("classify", "10").returncode == 2
 
 
+class TestUnwritableOutput:
+    """A file the CLI cannot write is a usage error (exit 2), not a
+    violated expectation (exit 1) with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "wilson", "--limit", "50", "--out", "{bad}"],
+            ["classify", "11", "--out", "{bad}"],
+            ["wpoly", "7", "--out", "{bad}"],
+            ["scan", "wilson", "--limit", "50", "--out", "{ok}", "--checkpoint", "{bad}"],
+        ],
+        ids=["scan-out", "classify-out", "wpoly-out", "scan-checkpoint"],
+    )
+    def test_exits_two_naming_the_path(self, tmp_path, argv):
+        bad = str(tmp_path / "missing" / "file")
+        ok = str(tmp_path / "records.jsonl")
+        r = cli(*(a.format(bad=bad, ok=ok) for a in argv))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert f"usage error: cannot write {bad}: No such file or directory" in r.stderr
+
+
 class TestReportCommand:
     def test_summarize_stream(self):
         scan = cli("scan", "new-conjecture", "--p-max", "100", "--q-max", "1000")

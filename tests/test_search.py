@@ -145,6 +145,18 @@ class TestCheckpointFile:
         with pytest.raises(CorruptFile):
             checkpoint_load(path)
 
+    def test_unwritable_path_is_named(self, tmp_path):
+        # the error names the checkpoint, not the temp file beside it
+        path = str(tmp_path / "missing" / "cp.json")
+        cp = Checkpoint("jones", {"limit": 50}, params_digest({"limit": 50}), 37, 4)
+        with pytest.raises(FileNotFoundError) as info:
+            checkpoint_save(cp, path)
+        assert info.value.filename == path
+        with pytest.raises(IsADirectoryError) as info:
+            checkpoint_save(cp, str(tmp_path))
+        assert info.value.filename == str(tmp_path)
+        assert os.listdir(tmp_path) == []  # no temp file left behind
+
     def test_tampered_params_hash(self, tmp_path):
         path = str(tmp_path / "cp.json")
         cp = Checkpoint("jones", {"limit": 50}, params_digest({"limit": 50}), 37, 4)
@@ -187,6 +199,25 @@ class TestRunner:
                  checkpoint_interval=3, limit_subjects=5)
         run_scan("pairs", params, buf, checkpoint_path=cpath, checkpoint_interval=3)
         assert buf.getvalue() == full
+
+    def test_limit_zero_computes_nothing(self, tmp_path, monkeypatch):
+        seen = _spy_calls(monkeypatch, "_wilson_verdict")
+        buf = io.StringIO()
+        cpath = str(tmp_path / "cp.json")
+        summary = run_scan("wilson", {"limit": 100}, buf, checkpoint_path=cpath,
+                           checkpoint_interval=1, limit_subjects=0)
+        assert (summary.subjects, summary.records) == (0, 0)
+        assert seen == [] and buf.getvalue() == ""
+        assert not os.path.exists(cpath)
+
+    def test_negative_limit_rejected(self, tmp_path):
+        buf = io.StringIO()
+        cpath = str(tmp_path / "cp.json")
+        with pytest.raises(ValueError):
+            run_scan("wilson", {"limit": 100}, buf, checkpoint_path=cpath,
+                     limit_subjects=-1)
+        assert buf.getvalue() == ""
+        assert not os.path.exists(cpath)
 
     def test_rejects_resume_of_other_scan(self, tmp_path):
         cpath = str(tmp_path / "cp.json")
@@ -332,9 +363,9 @@ class TestSeekResume:
         seen = []
         real = getattr(search, name)
 
-        def spy(*args):
-            seen.append(args[:2] if name == "_pair_halves" else args[0])
-            return real(*args)
+        def spy(*args, **kwargs):
+            seen.append(args[:2] if name == "_pair_record" else args[0])
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(search, name, spy)
         return seen
@@ -356,7 +387,7 @@ class TestSeekResume:
         out, cpath = self._leg1(tmp_path, "pairs", params, cut=200)
         last = checkpoint_load(cpath).last_subject
         assert last[0] == 7  # 151 subjects at p = 5, so the cut falls inside p = 7
-        seen = self._spy(monkeypatch, "_pair_halves")
+        seen = self._spy(monkeypatch, "_pair_record")
         self._leg2(out, cpath, "pairs", params)
         assert seen[0][0] == last[0]  # entered inside p = 7, not at the next p
         assert all(pq > last for pq in seen)
@@ -367,7 +398,7 @@ class TestSeekResume:
         full = io.StringIO()
         run_scan("pairs", params, full)
         out, cpath = self._leg1(tmp_path, "pairs", params, cut=1)
-        seen = self._spy(monkeypatch, "_pair_halves")
+        seen = self._spy(monkeypatch, "_pair_record")
         self._leg2(out, cpath, "pairs", params)
         assert seen == [(787, 2543)]
         assert out.read_text() == full.getvalue()
@@ -378,8 +409,8 @@ def _spy_calls(monkeypatch, name):
     seen = []
     real = getattr(search, name)
 
-    def spy(*args):
-        out = real(*args)
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
         seen.append((args, out))
         return out
 
@@ -444,10 +475,10 @@ class TestCarriedPaths:
 
     @pytest.mark.parametrize("after", [None, (7, 101), (7, 397), (37, 41)])
     def test_pairs_sieve_and_halves(self, monkeypatch, after):
-        # the scan's q list and unvalidated halves against primes_in per p
-        # and the validated pair_criterion
+        # the scan's q list and its halves, w(p) read off the recurrence,
+        # against primes_in per p and the validated pair_criterion
         params = {"p_max": 40, "q_max": 400}
-        seen = _spy_calls(monkeypatch, "_pair_halves")
+        seen = _spy_calls(monkeypatch, "_pair_record")
         _drain("pairs", params, after)
         expected = [
             (p, q)
@@ -456,8 +487,10 @@ class TestCarriedPaths:
             if after is None or (p, q) > after
         ]
         assert [args[:2] for args, _ in seen] == expected
-        for args, res in seen:
-            assert res == pair_criterion(*args)
+        for args, _ in seen:
+            p, q, left, right = args[:4]
+            res = pair_criterion(p, q, 1)
+            assert (left, right) == (res.left, res.right)
 
     @staticmethod
     def _plain_new_conjecture(params, after):

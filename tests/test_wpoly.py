@@ -229,6 +229,14 @@ class TestCoeffProfile:
             assert prof.argmax_is_p_minus_4 == (p <= 13)
 
 
+    def test_rejects_W_of_another_prime(self):
+        # W(5) has degree 3, W(7) degree 7: a caller error, not a finding
+        with pytest.raises(ValueError):
+            coeff_profile(7, construct_W(5))
+        with pytest.raises(ValueError):
+            coeff_profile(5, construct_W(7))
+
+
 class TestLargePrimeDivisors:
     def test_examples(self):
         w13 = construct_W(13)
@@ -239,6 +247,14 @@ class TestLargePrimeDivisors:
     def test_rejects_q_not_above_p(self):
         with pytest.raises(ValueError):
             large_prime_divisor_check(13, 11, construct_W(13))
+
+    def test_rejects_W_of_another_prime(self):
+        # with W(11) the q | W(p) clause disagrees at 263, which would
+        # otherwise be reported as a mathematical AssertionFailure
+        with pytest.raises(ValueError):
+            large_prime_divisor_check(13, 263, construct_W(11))
+        with pytest.raises(ValueError):
+            large_prime_divisor_check(13, 17, construct_W(17))
 
 
 class TestHensel:
