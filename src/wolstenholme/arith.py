@@ -202,8 +202,15 @@ def binomial_exact(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _check_base(q: int) -> None:
+    # no base below 2 has digits; at q = 1 or -1 the loops below never end
+    if q < 2:
+        raise ValueError(f"base must be >= 2, got {q}")
+
+
 def legendre_valuation(n: int, q: int) -> int:
     """Exponent of the prime q in n!, via the floor-sum formula."""
+    _check_base(q)
     total = 0
     while n:
         n //= q
@@ -216,6 +223,7 @@ def carry_count(a: int, b: int, q: int) -> int:
 
     By Kummer's theorem this is the exponent of q in C(a+b, a).
     """
+    _check_base(q)
     carries = carry = 0
     while a or b or carry:
         carry = 1 if a % q + b % q + carry >= q else 0
@@ -229,6 +237,7 @@ def valuation(n: int, q: int) -> int:
     """Exponent of q in the nonzero integer n."""
     if n == 0:
         raise ValueError("valuation of zero is undefined")
+    _check_base(q)
     n = abs(n)
     v = 0
     while n % q == 0:
@@ -373,6 +382,7 @@ def num_valuation(r: Fraction, q: int) -> int:
     This is the fractional-congruence valuation: it requires gcd(den, q) = 1
     and a nonzero numerator.
     """
+    _check_base(q)
     if r.denominator % q == 0:
         raise DenominatorNotCoprime(f"{q} divides denominator of {r}")
     if r.numerator == 0:

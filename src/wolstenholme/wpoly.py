@@ -4,8 +4,12 @@ W(p) is the degree 2p-7 integer polynomial with
 (w(p) - 1)/p^3 = (p+1) * W(p) / ((2p-4)! (p-1)!).  It is assembled from
 basis polynomials D(x+1, k)/((x+1+j) * x * (x+1)) where D(n, k) is the
 product (n-k)(n-k+1)...(n+k); one term per odd k <= p-2, weighted by
-alternating binomial sums of second-kind Stirling numbers.  The module also
-carries the Taylor-shift/Hensel divisibility toolkit built on top of W.
+alternating binomial sums of second-kind Stirling numbers.  The weighted
+sum over j is built in Newton form: it factors as R_k M_k with
+R_k = (x-1)...(x-(k-1)), and M_k, of degree k-1, is interpolated from its
+values at the consecutive nodes -2, ..., -(k+1), so every product is a big
+integer times a machine-size one.  The module also carries the
+Taylor-shift/Hensel divisibility toolkit built on top of W.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (
     InexactDivision,
     NotApplicable,
 )
-from .symmetric import stirling_tables
+from .symmetric import StirlingTables, stirling_tables
 
 __all__ = [
     "IntPoly",
@@ -163,22 +167,56 @@ def _check_W(p: int, w_poly: IntPoly) -> None:
         )
 
 
+def _inner(k: int, st: StirlingTables) -> list[int]:
+    """I_k = sum_j c_j basis(k, j), c_j = (-1)^(j+k) C(2k, k+j) S(j+k, j).
+
+    basis(k, j) = R_k prod_(i != j) (x + 1 + i) with R_k = prod_(u<k) (x - u),
+    so I_k = R_k M_k, where M_k = sum_j c_j prod_(i != j) (x + 1 + i) has
+    degree k-1 and y_j = M_k(-1-j) = c_j (-1)^(j-1) (j-1)! (k-j)!.  At the
+    consecutive nodes -2, -3, ..., -(k+1) the Newton coefficients of M_k are
+    d_m = (-1)^m (Delta^m y)_1 / m!, exact because M_k has integer
+    coefficients.  Horner on the basis prod_(i<=m) (x + 1 + i), then the k-1
+    factors of R_k, multiply big integers by machine-size ones only.
+    """
+    y = [
+        (-1) ** (k - 1)  # (-1)^(j+k) (-1)^(j-1)
+        * math.comb(2 * k, k + j)
+        * st.s2(j + k, j)
+        * math.factorial(j - 1)
+        * math.factorial(k - j)
+        for j in range(1, k + 1)
+    ]
+    d = []
+    m_fact = 1
+    for m in range(k):
+        if m:
+            m_fact *= m
+            y = [b - a for a, b in zip(y, y[1:])]
+        q, r = divmod(y[0], m_fact)
+        if r:
+            raise InexactDivision(f"Newton coefficient {m} of M_{k} is not integral")
+        d.append(-q if m % 2 else q)
+    acc = [d[-1]]
+    for m in range(k - 2, -1, -1):  # acc * (x + m + 2) + d_m
+        acc = [(m + 2) * a + b for a, b in zip(acc + [0], [0] + acc)]
+        acc[0] += d[m]
+    for u in range(1, k):  # acc * (x - u)
+        acc = [b - u * a for a, b in zip(acc + [0], [0] + acc)]
+    return acc
+
+
 def w_polys(p_max: int) -> Iterator[tuple[int, IntPoly]]:
     """Yield (p, W(p)) for each prime 5 <= p <= p_max, ascending, in one pass.
 
     V_1 = I_1 and V_k = x^2 (2k-3)(2k-2)(2k-1)(2k) V_(k-2) + I_k for odd k,
-    where I_k = sum_j (-1)^(j+k) C(2k, k+j) S(j+k, j) basis(k, j) does not
-    depend on p; W(p) = V_(p-2)/x, checked against the exact w(p).
+    where I_k = sum_j (-1)^(j+k) C(2k, k+j) S(j+k, j) basis(k, j), built in
+    Newton form by _inner, does not depend on p; W(p) = V_(p-2)/x, checked
+    against the exact w(p).
     """
     st = stirling_tables(2 * p_max - 4)
     v: list[int] = []
     for k in range(1, p_max - 1, 2):
-        base = _base(k)
-        inner = [0] * (2 * k - 1)
-        for j in range(1, k + 1):
-            c = (-1) ** (j + k) * math.comb(2 * k, k + j) * st.s2(j + k, j)
-            for i, b in enumerate(_div_linear(base, 1 + j)):
-                inner[i] += c * b
+        inner = _inner(k, st)
         ratio = (2 * k - 3) * (2 * k - 2) * (2 * k - 1) * (2 * k)
         for i, a in enumerate(v):
             inner[i + 2] += ratio * a

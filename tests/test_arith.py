@@ -227,6 +227,45 @@ class TestBinomials:
         assert binomial_mod(50, 20, m).value == math.comb(50, 20) % m
 
 
+class TestBaseBelowTwo:
+    # at q = 1 or -1 the digit loops would never end, and q = 0 divides by
+    # zero; num_valuation would blame the denominator
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: valuation(5, 1),
+            lambda: valuation(5, -1),
+            lambda: valuation(5, 0),
+            lambda: legendre_valuation(5, 1),
+            lambda: legendre_valuation(5, -1),
+            lambda: legendre_valuation(5, 0),
+            lambda: carry_count(3, 4, 1),
+            lambda: carry_count(3, 4, -1),
+            lambda: factorial_unit(5, 1),
+            lambda: binomial_mod_prime_power(9, 4, 1, 2),
+            lambda: num_valuation(Fraction(5), 1),
+            lambda: num_valuation(Fraction(5), 0),
+        ],
+        ids=[
+            "valuation-1",
+            "valuation-minus-1",
+            "valuation-0",
+            "legendre-1",
+            "legendre-minus-1",
+            "legendre-0",
+            "carry-1",
+            "carry-minus-1",
+            "factorial_unit-1",
+            "binomial_prime_power-1",
+            "num_valuation-1",
+            "num_valuation-0",
+        ],
+    )
+    def test_raises_value_error(self, call):
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            call()
+
+
 class TestFactorization:
     def test_complete(self):
         assert factor_completely(1) == {}

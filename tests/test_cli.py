@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +190,9 @@ class TestScanCommand:
         assert r.stdout.splitlines()[0] == "scan,subject,witness,verdict,params_hash"
 
 
+W151_EXPORT_SHA256 = "7a337b6232129fcabd961991819cd502340cc14883f58322ebd9e4e463d6a2b7"
+
+
 class TestWpolyCommand:
     def test_export_document(self):
         r = cli("wpoly", "5")
@@ -226,6 +231,26 @@ class TestWpolyCommand:
         finally:
             sys.set_int_max_str_digits(old_limit)
         assert capped_out.read_bytes() == default_out.read_bytes()
+        assert hashlib.sha256(default_out.read_bytes()).hexdigest() == W151_EXPORT_SHA256
+
+
+class TestRunAsPackage:
+    def test_python_m_wolstenholme_from_checkout(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "wolstenholme", *args],
+                capture_output=True,
+                text=True,
+                cwd=tmp_path,
+                env=env,
+            )
+
+        r = run("wpoly", "5")
+        assert r.returncode == 0
+        assert r.stdout == cli("wpoly", "5").stdout
+        assert run("wpoly", "4").returncode == 2
 
 
 class TestClassifyCommand:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -13,6 +14,7 @@ from wolstenholme.errors import (
 from wolstenholme.symmetric import stirling_tables
 from wolstenholme.wpoly import (
     IntPoly,
+    _inner,
     TrendRecord,
     coeff_profile,
     construct_W,
@@ -33,7 +35,22 @@ from wolstenholme.wpoly import (
 W5_COEFFS = (30, 345, -30, 15)  # 15x^3 - 30x^2 + 345x + 30, W(5) = 2880
 
 
-def _w_by_scaled_sum(p, st):
+@functools.cache
+def _inner_by_terms(k):
+    """I_k as the per-j sum of (-1)^(j+k) C(2k, k+j) S(j+k, j) basis(k, j).
+
+    The reference that the Newton-form I_k of w_polys is checked against.
+    """
+    st = stirling_tables(2 * k)
+    inner = [0] * (2 * k - 1)
+    for j in range(1, k + 1):
+        c = (-1) ** (j + k) * math.comb(2 * k, k + j) * st.s2(j + k, j)
+        for i, b in enumerate(term_basis(k, j).basis.coeffs):
+            inner[i] += c * b
+    return tuple(inner)
+
+
+def _w_by_scaled_sum(p):
     """W(p) as the per-p sum over odd k <= p-2 of
     x^(p-k-3) * (2p-4)!/(2k)! * I_k, the k = p-2 term divided by x.
 
@@ -42,11 +59,7 @@ def _w_by_scaled_sum(p, st):
     f_top = factorial_exact(2 * p - 4)
     acc = [0] * (2 * p - 6)
     for k in range(1, p - 1, 2):
-        inner = [0] * (2 * k - 1)
-        for j in range(1, k + 1):
-            c = (-1) ** (j + k) * math.comb(2 * k, k + j) * st.s2(j + k, j)
-            for i, b in enumerate(term_basis(k, j).basis.coeffs):
-                inner[i] += c * b
+        inner = _inner_by_terms(k)
         scale = f_top // factorial_exact(2 * k)
         if k == p - 2:
             assert inner[0] == 0
@@ -185,12 +198,16 @@ class TestConstructW:
 
 
 class TestWPolys:
+    def test_newton_inner_matches_per_term_sum_to_99(self):
+        st = stirling_tables(2 * 99)
+        for k in range(1, 100, 2):
+            assert tuple(_inner(k, st)) == _inner_by_terms(k), k
+
     def test_pass_matches_scaled_sum_to_61(self):
-        st = stirling_tables(2 * 61 - 4)
         got = list(w_polys(61))
         assert [p for p, _ in got] == [p for p in primes_upto(61) if p >= 5]
         for p, w_poly in got:
-            assert w_poly == _w_by_scaled_sum(p, st), p
+            assert w_poly == _w_by_scaled_sum(p), p
         assert got[0][1].coeffs == W5_COEFFS
 
     def test_construct_W_is_the_pass_element(self):
