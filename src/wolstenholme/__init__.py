@@ -7,92 +7,24 @@ the two-prime pair criterion, elementary-symmetric/Stirling identities,
 the Wolstenholme polynomial W(p), and checkpointable conjecture scans.
 All arithmetic is exact (big integers and rationals); nothing here uses
 floating point.
+
+Each module's ``__all__`` is its public API; the package re-exports those of
+the library modules below, and ``__all__`` here is their concatenation.
 """
 
-from .arith import (
-    PrimalityCheck,
-    ResidueClass,
-    binomial_exact,
-    binomial_mod,
-    binomial_mod_prime_power,
-    carry_count,
-    double_factorial,
-    factorial_exact,
-    factorial_unit,
-    is_prime,
-    legendre_valuation,
-    mod_inv,
-    num_valuation,
-    prime_check,
-    primes_in,
-    primes_upto,
-    valuation,
-)
-from .congruence import (
-    CongruenceVerdict,
-    FactorBand,
-    PairCriterionResult,
-    divisor_product_check,
-    factor_band_classify,
-    is_wolstenholme_prime,
-    jones_check,
-    mcintosh_check,
-    pair_criterion,
-    pair_direct_check,
-    w_exact,
-    w_iter,
-    w_mod,
-    wilson_residue,
-    wilson_restatement_check,
-    wprime_exact,
-    wprime_mod,
-)
-from .symmetric import (
-    bayat_valuations,
-    check_form,
-    check_form2,
-    check_int_expansion,
-    check_sP_relation,
-    elem_sym,
-    elem_sym_table,
-    form4_eval,
-    ident_doublefact,
-    perm_sym,
-    s_pm_mod_p,
-    stirling1,
-    stirling1_via_form3,
-    stirling2,
-    stirling_tables,
-)
-from .wpoly import (
-    IntPoly,
-    TrendRecord,
-    coeff_profile,
-    construct_W,
-    hensel_lift,
-    large_prime_divisor_check,
-    poly_derivative,
-    poly_divexact_x,
-    poly_eval,
-    poly_shift,
-    shift_divisibility_check,
-    term_basis,
-    trend_scan,
-    verify_W,
-)
-from .search import (
-    Checkpoint,
-    ScanRecord,
-    checkpoint_load,
-    checkpoint_save,
-    run_scan,
-    scan_jones,
-    scan_mod5,
-    scan_new_conjecture,
-    scan_pair_units,
-    scan_wilson,
-    scan_wilson_cube,
-    scan_wolstenholme_primes,
-)
+from . import arith, congruence, search, symmetric, wpoly
+from .arith import *
+from .congruence import *
+from .symmetric import *
+from .wpoly import *
+from .search import *
+
+__all__ = [
+    *arith.__all__,
+    *congruence.__all__,
+    *symmetric.__all__,
+    *wpoly.__all__,
+    *search.__all__,
+]
 
 __version__ = "0.1.0"

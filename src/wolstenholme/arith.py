@@ -1,7 +1,7 @@
 """Exact integer and rational primitives.
 
-Primality testing, prime streams, modular inverses, and factorial/binomial
-arithmetic modulo prime powers.  Everything here is pure and deterministic;
+Primality testing, prime streams, and factorial/binomial arithmetic modulo
+prime powers.  Everything here is pure and deterministic;
 big integers are plain ``int``, exact rationals are ``fractions.Fraction``
 (already normalized: positive denominator, sign in the numerator, gcd 1).
 """
@@ -15,12 +15,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice
 from math import isqrt
 
-from .errors import (
-    DenominatorNotCoprime,
-    FactoringBudgetExceeded,
-    NotInvertible,
-    ZeroNumerator,
-)
+from .errors import DenominatorNotCoprime, FactoringBudgetExceeded, ZeroNumerator
 
 __all__ = [
     "ResidueClass",
@@ -29,8 +24,6 @@ __all__ = [
     "is_prime",
     "primes_in",
     "primes_upto",
-    "mod_inv",
-    "factorial_exact",
     "double_factorial",
     "legendre_valuation",
     "carry_count",
@@ -56,13 +49,6 @@ class ResidueClass:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if not 0 <= self.value < self.modulus:
             raise ValueError(f"value {self.value} not reduced mod {self.modulus}")
-
-    @classmethod
-    def of(cls, value: int, modulus: int) -> "ResidueClass":
-        return cls(value % modulus, modulus)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 # --------------------------------------------------------------------------
@@ -169,23 +155,6 @@ def primes_upto(n: int) -> list[int]:
 # --------------------------------------------------------------------------
 # Modular and factorial arithmetic
 # --------------------------------------------------------------------------
-
-
-def mod_inv(a: int, m: int) -> ResidueClass:
-    """x with a*x = 1 (mod m); raises NotInvertible when gcd(a, m) != 1."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    try:
-        return ResidueClass(pow(a % m, -1, m), m)
-    except ValueError:
-        raise NotInvertible(
-            f"{a} is not invertible mod {m} (gcd={math.gcd(a, m)})"
-        ) from None
-
-
-def factorial_exact(n: int) -> int:
-    """n! as an exact integer."""
-    return math.factorial(n)
 
 
 def double_factorial(n: int) -> int:
@@ -364,7 +333,7 @@ def binomial_mod(n: int, k: int, m: int) -> ResidueClass:
         factors = factor_completely(m)
     except FactoringBudgetExceeded:
         if n <= _EXACT_FALLBACK_LIMIT:
-            exact = factorial_exact(n) // (factorial_exact(k) * factorial_exact(n - k))
+            exact = math.factorial(n) // (math.factorial(k) * math.factorial(n - k))
             return ResidueClass(exact % m, m)
         raise
     parts = [

@@ -19,9 +19,18 @@ from contextlib import nullcontext
 from .arith import is_prime
 from .congruence import factor_band_classify
 from .errors import CheckpointError
-from .search import _SCANS, max_ratio_report, run_scan, scan_names
+from .search import _FORMATS, _SCANS, max_ratio_report, run_scan, scan_names
 from .verify import _ALIASES, default_bound, run_suite, suite_names
 from .wpoly import construct_W, verify_W
+
+__all__ = ["main"]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,9 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--known", action="store_true", help="pairs: check the published pairs")
     p_scan.add_argument("--stretch", action="store_true", help="include long-running stretch subjects")
     p_scan.add_argument("--out", help="write records to this file instead of stdout")
-    p_scan.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p_scan.add_argument("--format", choices=_FORMATS, default="jsonl")
     p_scan.add_argument("--checkpoint", help="checkpoint file for resumable runs")
-    p_scan.add_argument("--checkpoint-interval", type=int, default=1000)
+    p_scan.add_argument("--checkpoint-interval", type=_positive_int, default=1000)
 
     p_wpoly = sub.add_parser("wpoly", help="construct and export W for a prime")
     p_wpoly.add_argument("p", type=int)
@@ -57,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="summarize a record stream")
     p_report.add_argument("file", nargs="?", help="records file (stdin when omitted)")
-    p_report.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p_report.add_argument("--format", choices=_FORMATS, default="jsonl")
     return parser
 
 

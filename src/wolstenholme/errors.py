@@ -1,8 +1,21 @@
 """Exception types shared across the package."""
 
-
-class NotInvertible(ValueError):
-    """Modular inverse requested for a residue not coprime to the modulus."""
+__all__ = [
+    "FactoringBudgetExceeded",
+    "DenominatorNotCoprime",
+    "ZeroNumerator",
+    "PreconditionViolated",
+    "BudgetExceeded",
+    "InexactDivision",
+    "ConstructionAssertFailure",
+    "AssertionFailure",
+    "NotApplicable",
+    "CheckpointError",
+    "VersionMismatch",
+    "ParamsMismatch",
+    "CorruptFile",
+    "PrefixMismatch",
+]
 
 
 class FactoringBudgetExceeded(RuntimeError):

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
@@ -55,24 +56,17 @@ __all__ = [
     "ScanRecord",
     "Checkpoint",
     "ScanSummary",
-    "FORMAT_VERSION",
-    "KNOWN_PAIRS",
     "params_digest",
     "checkpoint_save",
     "checkpoint_load",
     "run_scan",
     "scan_names",
-    "scan_wilson",
-    "scan_wilson_cube",
-    "scan_jones",
-    "scan_wolstenholme_primes",
-    "scan_mod5",
-    "scan_new_conjecture",
-    "scan_pair_units",
+    "scan_records",
     "max_ratio_report",
 ]
 
 FORMAT_VERSION = 3
+_FORMATS = ("jsonl", "csv")  # of the record stream
 
 # published pairs (p, q) with w(pq) = 1 (mod pq); the third is stretch-sized
 KNOWN_PAIRS = ((29, 937), (787, 2543), (69239, 231433))
@@ -139,9 +133,30 @@ def checkpoint_save(cp: Checkpoint, path: str) -> None:
         raise
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0  # a bool is not a count
+
+
+def _is_subject(v) -> bool:
+    # an int, or a pair of ints, which JSON gives back as a list
+    return type(v) is int or (
+        type(v) is list and len(v) == 2 and all(type(x) is int for x in v)
+    )
+
+
+# what each field that a resume reads must hold
+_FIELD_CHECKS = {
+    "last_subject": _is_subject,
+    "records_emitted": _is_count,
+    "offset": _is_count,
+    "sha256": lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v) is not None,
+    "fmt": lambda v: v in _FORMATS,
+}
+
+
 def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoint:
     """Load and validate a checkpoint; raises VersionMismatch / ParamsMismatch /
-    CorruptFile as appropriate."""
+    CorruptFile as appropriate, a field of the wrong type or range included."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -156,6 +171,9 @@ def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoin
     names = [f.name for f in fields(Checkpoint)]
     if not set(names).issubset(payload):
         raise CorruptFile(f"checkpoint {path} is missing fields")
+    malformed = [k for k, ok in _FIELD_CHECKS.items() if not ok(payload[k])]
+    if malformed:
+        raise CorruptFile(f"checkpoint {path} has malformed fields {malformed}")
     if params_digest(payload["params"]) != payload["params_hash"]:
         raise CorruptFile(f"checkpoint {path} params digest does not match")
     if expected_params is not None and params_digest(expected_params) != payload["params_hash"]:
@@ -540,12 +558,15 @@ def run_scan(
     Checkpoints are written only after the records they cover, so a
     checkpoint never claims unflushed work.  limit_subjects stops early
     after that many subjects, computing none past them (used to exercise
-    interruption in tests); a negative value raises ValueError.
+    interruption in tests); a negative value raises ValueError, as does a
+    checkpoint_interval (subjects between checkpoints) below 1.
     """
     h = params_digest(params)
     sd = _scan_def(name, params)
     if limit_subjects is not None and limit_subjects < 0:
         raise ValueError(f"limit_subjects must be >= 0, got {limit_subjects}")
+    if checkpoint_interval < 1:
+        raise ValueError(f"checkpoint_interval must be >= 1, got {checkpoint_interval}")
 
     after: Subject | None = None
     already_emitted = 0
@@ -555,6 +576,10 @@ def run_scan(
         if (cp.scan, cp.fmt) != (name, fmt):
             raise ParamsMismatch(
                 f"checkpoint is for scan {cp.scan!r} in {cp.fmt}, not {name!r} in {fmt}"
+            )
+        if isinstance(cp.last_subject, tuple) != isinstance(sd.bounds(params)[0], tuple):
+            raise CorruptFile(
+                f"checkpoint last_subject {cp.last_subject!r} is not a {name} subject"
             )
         tally = _cut_back(sink, cp)
         after = cp.last_subject
@@ -633,66 +658,13 @@ def _make_writer(sink: _Tally, fmt: str, header: bool):
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _collect(name: str, params: dict) -> list[ScanRecord]:
+def scan_records(name: str, params: dict) -> list[ScanRecord]:
+    """Every record of scan `name` under `params`, in stream order: the
+    records run_scan would write, as a list and without a checkpoint."""
     out: list[ScanRecord] = []
     for _, recs in _scan_def(name, params).stream(params, params_digest(params)):
         out.extend(recs)
     return out
-
-
-# --------------------------------------------------------------------------
-# Library-level scan entry points
-# --------------------------------------------------------------------------
-
-
-def scan_wilson(limit: int) -> list[ScanRecord]:
-    """Wilson primes up to limit: (p-1)! = -1 (mod p^2)."""
-    return _collect("wilson", {"limit": limit})
-
-
-def scan_wilson_cube(limit: int) -> list[ScanRecord]:
-    """Integers n <= limit with (n-1)! = -1 (mod n^3); expected none."""
-    return _collect("wilson-cube", {"limit": limit})
-
-
-def scan_jones(limit: int) -> list[ScanRecord]:
-    """All n <= limit with w(n) = 1 (mod n^3); hits must be primes >= 5."""
-    return _collect("jones", {"limit": limit})
-
-
-def scan_wolstenholme_primes(limit: int) -> list[ScanRecord]:
-    """Primes p <= limit with w(p) = 1 (mod p^4)."""
-    return _collect("wolstenholme-primes", {"limit": limit})
-
-
-def scan_mod5(limit: int) -> list[ScanRecord]:
-    """Integers n <= limit with w(n) = 1 (mod n^5); expected none."""
-    return _collect("mod5", {"limit": limit})
-
-
-def scan_new_conjecture(p_max: int, q_max: int) -> list[ScanRecord]:
-    """For each prime p <= p_max, primes q != p, q <= q_max with q^2 | w(p)-1.
-
-    Each hit is certified by exact trial division and re-verified through
-    the modular route; all hits are expected to satisfy q < p.
-    """
-    return _collect("new-conjecture", {"p_max": p_max, "q_max": q_max})
-
-
-def scan_pair_units(
-    p_max: int | None = None,
-    q_max: int | None = None,
-    known: bool = False,
-    stretch: bool = False,
-) -> list[ScanRecord]:
-    """Pairs p < q with w(pq) = 1 (mod pq), via the pair criterion.
-
-    known=True checks the published pairs instead of a range; the third
-    published pair only runs under stretch (it takes a while).
-    """
-    if known:
-        return _collect("pairs", {"known": True, "stretch": stretch})
-    return _collect("pairs", {"p_max": p_max, "q_max": q_max})
 
 
 def max_ratio_report(records: list[ScanRecord]) -> dict:

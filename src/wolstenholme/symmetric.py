@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorial_exact, double_factorial, num_valuation
+from .arith import double_factorial, num_valuation
 from .congruence import w_exact
 from .errors import AssertionFailure
 
@@ -27,13 +27,9 @@ __all__ = [
     "StirlingTables",
     "elem_sym_table",
     "elem_sym_rows",
-    "elem_sym",
     "perm_sym_rows",
     "perm_sym_table",
-    "perm_sym",
     "stirling_tables",
-    "stirling1",
-    "stirling2",
     "check_form2",
     "check_sP_relation",
     "stirling1_via_form3",
@@ -119,13 +115,6 @@ def elem_sym_table(n: int) -> SymRationalTable:
     raise ValueError(n)
 
 
-def elem_sym(n: int, k: int) -> Fraction:
-    """S(n, k); 0 for k > n >= 0, 1 for k = 0, 1/n! for k = n."""
-    if 0 <= n < k:
-        return Fraction(0)
-    return elem_sym_table(n)[k]
-
-
 def perm_sym_rows(n_max: int):
     """Yield IntSymTable for n = 0..n_max, built by the row recurrence
     P(n, k) = P(n-1, k) + n*P(n-1, k-1); nothing for n_max < 0."""
@@ -148,12 +137,6 @@ def perm_sym_table(n: int) -> IntSymTable:
     raise ValueError(n)
 
 
-def perm_sym(n: int, k: int) -> int:
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    return perm_sym_table(n)[k]
-
-
 def stirling_tables(n_max: int) -> StirlingTables:
     """Both Stirling triangles through row n_max, by the standard recurrences."""
     s1_rows = [(1,)]
@@ -173,16 +156,6 @@ def stirling_tables(n_max: int) -> StirlingTables:
     return StirlingTables(n_max, tuple(s1_rows), tuple(s2_rows))
 
 
-def stirling1(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind s(n, k)."""
-    return stirling_tables(n).s1(n, k)
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k)."""
-    return stirling_tables(n).s2(n, k)
-
-
 # --------------------------------------------------------------------------
 # Identity checks
 # --------------------------------------------------------------------------
@@ -198,7 +171,7 @@ def _row(table, n: int):
 def check_form2(n: int, sym: SymRationalTable, perm: IntSymTable) -> bool:
     """S(n, n-k) = P(n, k)/n! for all 0 <= k <= n."""
     sym, perm = _row(sym, n), _row(perm, n)
-    nfact = factorial_exact(n)
+    nfact = math.factorial(n)
     return all(sym[n - k] * nfact == perm[k] for k in range(n + 1))
 
 
@@ -331,5 +304,5 @@ def form4_eval(p: int, k: int, st: StirlingTables) -> Fraction:
             * st.s2(j + k, j)
         )
     return Fraction(
-        (p + 1) * total, factorial_exact(2 * k) * factorial_exact(p - k)
+        (p + 1) * total, math.factorial(2 * k) * math.factorial(p - k)
     )

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .arith import double_factorial, factorial_exact, is_prime, primes_in
+from .arith import double_factorial, is_prime, primes_in
 from .congruence import w_exact
 from .errors import (
     AssertionFailure,
@@ -30,7 +30,6 @@ from .symmetric import StirlingTables, stirling_tables
 
 __all__ = [
     "IntPoly",
-    "TermBasis",
     "TrendRecord",
     "WReport",
     "CoeffProfile",
@@ -38,8 +37,6 @@ __all__ = [
     "poly_eval_mod",
     "poly_derivative",
     "poly_shift",
-    "poly_divexact_x",
-    "term_basis",
     "w_polys",
     "construct_W",
     "verify_W",
@@ -101,56 +98,6 @@ def poly_shift(f: IntPoly, n: int) -> IntPoly:
         for j in range(d - 2, i - 1, -1):
             a[j] += n * a[j + 1]
     return IntPoly(tuple(a))
-
-
-def poly_divexact_x(f: IntPoly) -> IntPoly:
-    """f / x; requires a zero constant term."""
-    if f.coeffs and f.coeffs[0] != 0:
-        raise InexactDivision(f"constant term {f.coeffs[0]} is not zero")
-    return IntPoly(f.coeffs[1:])
-
-
-def _div_linear(coeffs: list[int], c: int) -> list[int]:
-    # exact division by (x + c), i.e. synthetic division at root -c
-    out = [0] * (len(coeffs) - 1)
-    carry = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry
-        out[i - 1] = carry
-        carry = -c * carry
-    if coeffs[0] + carry != 0:
-        raise InexactDivision(f"(x + {c}) does not divide polynomial")
-    return out
-
-
-@dataclass(frozen=True)
-class TermBasis:
-    """One basis polynomial D(x+1, k)/((x+1+j) * x * (x+1)) of degree 2k-2."""
-
-    k: int
-    j: int
-    basis: IntPoly
-
-
-def _base(k: int) -> list[int]:
-    """D(x+1, k)/(x(x+1)): the product of x+v over v = 1-k .. 1+k but 0, 1."""
-    coeffs = [1]
-    for v in range(1 - k, k + 2):
-        if v not in (0, 1):  # multiply by (x + v)
-            coeffs = [v * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
-
-
-def term_basis(k: int, j: int) -> TermBasis:
-    """The (k, j) basis: D(x+1, k)/(x(x+1)) divided exactly by x+1+j.
-
-    x+1+j is a factor of D(x+1, k) other than x and x+1 for 1 <= j <= k.
-    """
-    if not 1 <= j <= k:
-        raise ValueError(f"need 1 <= j <= k, got (k={k}, j={j})")
-    poly = IntPoly(tuple(_div_linear(_base(k), 1 + j)))
-    assert poly.degree == 2 * k - 2
-    return TermBasis(k, j, poly)
 
 
 def _check_prime_ge5(p: int) -> None:
@@ -232,7 +179,7 @@ def w_polys(p_max: int) -> Iterator[tuple[int, IntPoly]]:
                 f"degree {w_poly.degree} != 2p-7 = {2 * p - 7} at p={p}"
             )
         lhs = poly_eval(w_poly, p) * (p + 1) * p**3
-        rhs = (w_exact(p) - 1) * factorial_exact(2 * p - 4) * factorial_exact(p - 1)
+        rhs = (w_exact(p) - 1) * math.factorial(2 * p - 4) * math.factorial(p - 1)
         if lhs != rhs:
             raise ConstructionAssertFailure(f"evaluation identity failed at p={p}")
         yield p, w_poly
@@ -268,12 +215,11 @@ def verify_W(p: int, w_poly: IntPoly) -> WReport:
     if leading != double_factorial(2 * p - 5):
         raise AssertionFailure("leading coefficient != (2p-5)!!", p=p, leading=leading)
     a0 = w_poly.coeff(0)
-    if a0 % factorial_exact(p - 3) != 0:
+    if a0 % math.factorial(p - 3) != 0:
         raise AssertionFailure("(p-3)! does not divide a0", p=p, a0=a0)
     value = poly_eval(w_poly, p)
-    if value * (p + 1) * p**3 != (w_exact(p) - 1) * factorial_exact(
-        2 * p - 4
-    ) * factorial_exact(p - 1):
+    rhs = (w_exact(p) - 1) * math.factorial(2 * p - 4) * math.factorial(p - 1)
+    if value * (p + 1) * p**3 != rhs:
         raise AssertionFailure("evaluation identity failed", p=p)
     return WReport(p=p, degree=w_poly.degree, leading=leading, a0=a0, w_at_p=value)
 

@@ -30,12 +30,7 @@ from wolstenholme.congruence import (
 from wolstenholme.search import (
     max_ratio_report,
     run_scan,
-    scan_jones,
-    scan_new_conjecture,
-    scan_pair_units,
-    scan_wilson,
-    scan_wilson_cube,
-    scan_wolstenholme_primes,
+    scan_records,
 )
 from wolstenholme.verify import run_suite
 from wolstenholme.wpoly import construct_W, trend_scan, verify_W
@@ -60,12 +55,12 @@ def test_criterion_01_wolstenholme_babbage():
 
 
 def test_criterion_02_wilson():
-    wilson = [r.subject for r in scan_wilson(1000)]
+    wilson = [r.subject for r in scan_records("wilson", {"limit": 1000})]
     ok_scan = wilson == [5, 13, 563]
     mismatch = [
         n for n in range(2, 2001) if wilson_residue(n, 1).holds != is_prime(n)
     ]
-    cube = scan_wilson_cube(5000)
+    cube = scan_records("wilson-cube", {"limit": 5000})
     ok = ok_scan and not mismatch and cube == []
     report(
         2,
@@ -77,7 +72,7 @@ def test_criterion_02_wilson():
 
 
 def test_criterion_03_jones_desk_scale():
-    recs = scan_jones(5000)
+    recs = scan_records("jones", {"limit": 5000})
     expected = [p for p in primes_upto(5000) if p >= 5]
     ok = [r.subject for r in recs] == expected and all(
         r.verdict == "hit" for r in recs
@@ -98,7 +93,7 @@ def test_criterion_04_known_pairs():
 @pytest.mark.stretch
 def test_criterion_04_stretch_third_pair():
     res = pair_criterion(69239, 231433, 1)
-    recs = scan_pair_units(known=True, stretch=True)
+    recs = scan_records("pairs", {"known": True, "stretch": True})
     ok = res.combined and [r.subject for r in recs] == [
         (29, 937),
         (787, 2543),
@@ -109,13 +104,13 @@ def test_criterion_04_stretch_third_pair():
 
 
 def test_criterion_05_wolstenholme_primes_scan():
-    recs = scan_wolstenholme_primes(1000)
+    recs = scan_records("wolstenholme-primes", {"limit": 1000})
     report(5, "no Wolstenholme primes below 1000", recs == [])
     assert recs == []
 
 
 def test_criterion_05_scan_to_16843():
-    recs = scan_wolstenholme_primes(16843)
+    recs = scan_records("wolstenholme-primes", {"limit": 16843})
     ok = [(r.subject, r.verdict, r.witness["reverified"]) for r in recs] == [
         (16843, "hit", True)
     ]
@@ -206,7 +201,7 @@ def test_criterion_08_trend_scan():
 
 
 def test_criterion_09_new_conjecture_scan():
-    recs = scan_new_conjecture(2000, 10**5)
+    recs = scan_records("new-conjecture", {"p_max": 2000, "q_max": 10**5})
     hits = [(r.subject, int(r.witness["q"])) for r in recs]
     all_hits_small_q = all(q < p for p, q in hits)
     has_13_3 = (13, 3) in hits

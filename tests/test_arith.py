@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from wolstenholme.arith import (
     ResidueClass,
@@ -13,11 +12,9 @@ from wolstenholme.arith import (
     carry_count,
     double_factorial,
     factor_completely,
-    factorial_exact,
     factorial_unit,
     is_prime,
     legendre_valuation,
-    mod_inv,
     num_valuation,
     prime_check,
     primes_in,
@@ -27,7 +24,6 @@ from wolstenholme.arith import (
 from wolstenholme.errors import (
     DenominatorNotCoprime,
     FactoringBudgetExceeded,
-    NotInvertible,
     ZeroNumerator,
 )
 
@@ -94,30 +90,10 @@ class TestPrimeStream:
         assert list(primes_in(10, 1)) == []
 
 
-class TestModInv:
-    def test_examples(self):
-        assert mod_inv(3, 10).value == 7
-        assert mod_inv(1, 97).value == 1
-
-    def test_not_invertible(self):
-        with pytest.raises(NotInvertible):
-            mod_inv(6, 9)
-
-    @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=2, max_value=10**9))
-    def test_inverse_property(self, a, m):
-        if math.gcd(a, m) == 1:
-            x = mod_inv(a, m)
-            assert a * x.value % m == 1
-            assert x.modulus == m
-        else:
-            with pytest.raises(NotInvertible):
-                mod_inv(a, m)
-
-
 class TestFactorials:
     def test_factorial_examples(self):
-        assert factorial_exact(0) == 1
-        assert factorial_exact(6) == 720
+        assert math.factorial(0) == 1
+        assert math.factorial(6) == 720
 
     def test_double_factorial_examples(self):
         assert double_factorial(5) == 15
@@ -338,7 +314,3 @@ class TestResidueClass:
             ResidueClass(0, 1)
         with pytest.raises(ValueError):
             ResidueClass(9, 9)
-
-    def test_of_reduces(self):
-        assert ResidueClass.of(-1, 7) == ResidueClass(6, 7)
-        assert int(ResidueClass.of(10, 7)) == 3

@@ -158,6 +158,51 @@ class TestScanCommand:
         assert "checkpoint error" in r.stderr
         assert out.read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("offset", "abc"),
+            ("offset", -5),
+            ("offset", True),
+            ("offset", 1.5),
+            ("records_emitted", None),
+            ("records_emitted", -1),
+            ("last_subject", "x"),
+            ("last_subject", None),
+            ("last_subject", [5, 7, 11]),
+            ("last_subject", [5, "7"]),
+            ("last_subject", [593, 599]),  # a pair, but wilson's subjects are ints
+            ("sha256", "00" * 31),
+            ("sha256", "zz" * 32),
+            ("sha256", 0),
+            ("fmt", "xml"),
+            ("fmt", None),
+        ],
+    )
+    def test_malformed_checkpoint_field_exits_two(self, tmp_path, capsys, field, value):
+        out, cp = tmp_path / "records.jsonl", tmp_path / "cp.json"
+        args = ["scan", "wilson", "--limit", "600", "--out", str(out), "--checkpoint", str(cp)]
+        assert cli_module.main(args) == 0
+        raw = json.loads(cp.read_text())
+        raw[field] = value
+        cp.write_text(json.dumps(raw))
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert cli_module.main(args) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err and field in err
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("interval", ["0", "-3"])
+    def test_checkpoint_interval_below_one_is_usage_error(self, tmp_path, capsys, interval):
+        out = tmp_path / "records.jsonl"
+        with pytest.raises(SystemExit) as info:
+            cli_module.main(["scan", "wilson", "--limit", "600", "--out", str(out),
+                             "--checkpoint-interval", interval])
+        assert info.value.code == 2
+        assert "--checkpoint-interval: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sigkill_then_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "records.jsonl"
         cp = tmp_path / "cp.json"

@@ -24,43 +24,38 @@ from wolstenholme.search import (
     max_ratio_report,
     params_digest,
     run_scan,
-    scan_jones,
-    scan_mod5,
-    scan_new_conjecture,
-    scan_pair_units,
-    scan_wilson,
-    scan_wilson_cube,
-    scan_wolstenholme_primes,
+    scan_records,
 )
 
 
 class TestScans:
     def test_wilson_known_primes(self):
-        assert [r.subject for r in scan_wilson(1000)] == [5, 13, 563]
+        recs = scan_records("wilson", {"limit": 1000})
+        assert [r.subject for r in recs] == [5, 13, 563]
 
     def test_wilson_below_first(self):
-        assert scan_wilson(4) == []
+        assert scan_records("wilson", {"limit": 4}) == []
 
     def test_wilson_cube_empty(self):
-        assert scan_wilson_cube(2000) == []
+        assert scan_records("wilson-cube", {"limit": 2000}) == []
 
     def test_jones_hits_are_primes(self):
-        recs = scan_jones(300)
+        recs = scan_records("jones", {"limit": 300})
         assert [r.subject for r in recs] == [p for p in primes_upto(300) if p >= 5]
         assert all(r.verdict == "hit" for r in recs)
         assert all(r.witness["reverified"] is True for r in recs)
 
     def test_jones_small_limit(self):
-        assert scan_jones(4) == []
+        assert scan_records("jones", {"limit": 4}) == []
 
     def test_wolstenholme_none_below_1000(self):
-        assert scan_wolstenholme_primes(1000) == []
+        assert scan_records("wolstenholme-primes", {"limit": 1000}) == []
 
     def test_mod5_empty(self):
-        assert scan_mod5(500) == []
+        assert scan_records("mod5", {"limit": 500}) == []
 
     def test_new_conjecture_13_3(self):
-        recs = scan_new_conjecture(13, 100)
+        recs = scan_records("new-conjecture", {"p_max": 13, "q_max": 100})
         assert len(recs) == 1
         rec = recs[0]
         assert rec.subject == 13 and rec.witness["q"] == "3"
@@ -68,17 +63,18 @@ class TestScans:
         assert rec.verdict == "hit"
 
     def test_new_conjecture_no_hits_small(self):
-        assert scan_new_conjecture(5, 100) == []  # w(5)-1 = 5^3 exactly
-        assert scan_new_conjecture(7, 100) == []  # 1715 = 5 * 7^3
+        # w(5)-1 = 5^3 exactly; w(7)-1 = 1715 = 5 * 7^3
+        assert scan_records("new-conjecture", {"p_max": 5, "q_max": 100}) == []
+        assert scan_records("new-conjecture", {"p_max": 7, "q_max": 100}) == []
 
     def test_new_conjecture_ratio_report(self):
-        recs = scan_new_conjecture(100, 1000)
+        recs = scan_records("new-conjecture", {"p_max": 100, "q_max": 1000})
         rep = max_ratio_report(recs)
         assert rep["hits"] == len(recs) >= 1
         assert rep["max_q_over_p"] == "3/13"
 
     def test_known_pairs(self):
-        recs = scan_pair_units(known=True)
+        recs = scan_records("pairs", {"known": True, "stretch": False})
         assert [r.subject for r in recs] == [(29, 937), (787, 2543)]
         assert all(r.verdict == "hit" for r in recs)
         # first pair is inside the direct budget and cross-checked
@@ -86,11 +82,11 @@ class TestScans:
         assert recs[1].witness["direct_agrees"] == "skipped"
 
     def test_range_pairs_no_hits(self):
-        assert scan_pair_units(p_max=30, q_max=60) == []
+        assert scan_records("pairs", {"p_max": 30, "q_max": 60}) == []
 
     def test_range_mode_needs_bounds(self):
         with pytest.raises(ValueError):
-            scan_pair_units()
+            scan_records("pairs", {"p_max": None, "q_max": None})
 
 
 class TestCheckpointFile:
@@ -173,6 +169,14 @@ class TestRunner:
         buf = io.StringIO()
         run_scan(name, params, buf)
         return buf.getvalue()
+
+    @pytest.mark.parametrize("interval", [0, -3])
+    def test_checkpoint_interval_below_one_rejected(self, tmp_path, interval):
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            run_scan("wilson", {"limit": 600}, buf, checkpoint_interval=interval,
+                     checkpoint_path=str(tmp_path / "cp.json"))
+        assert buf.getvalue() == "" and os.listdir(tmp_path) == []
 
     def test_identical_runs_identical_bytes(self):
         a = self._full("jones", {"limit": 200})

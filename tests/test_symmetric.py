@@ -14,18 +14,14 @@ from wolstenholme.symmetric import (
     check_form2,
     check_int_expansion,
     check_sP_relation,
-    elem_sym,
     elem_sym_rows,
     elem_sym_table,
     form4_eval,
     ident_doublefact,
-    perm_sym,
     perm_sym_rows,
     perm_sym_table,
     s_pm_mod_p,
-    stirling1,
     stirling1_via_form3,
-    stirling2,
     stirling_tables,
 )
 
@@ -71,10 +67,10 @@ def _perm_row_by_loop(n):
 
 class TestElementarySymmetric:
     def test_examples(self):
-        assert elem_sym(4, 1) == Fraction(25, 12)
-        assert elem_sym(5, 4) == Fraction(1, 8)
-        assert elem_sym(9, 0) == 1
-        assert elem_sym(3, 7) == 0
+        assert elem_sym_table(4)[1] == Fraction(25, 12)
+        assert elem_sym_table(5)[4] == Fraction(1, 8)
+        assert elem_sym_table(9)[0] == 1
+        assert elem_sym_table(3)[7] == 0
 
     def test_row_invariants(self):
         for n in (1, 5, 12):
@@ -97,9 +93,9 @@ class TestElementarySymmetric:
                 assert tab[k] == brute_elem_sym(values, k), (n, k)
 
     def test_perm_examples(self):
-        assert perm_sym(4, 2) == 35
-        assert perm_sym(3, 3) == 6
-        assert perm_sym(4, 1) == 10
+        assert perm_sym_table(4)[2] == 35
+        assert perm_sym_table(3)[3] == 6
+        assert perm_sym_table(4)[1] == 10
 
     def test_perm_rows_match_per_n_loop_to_120(self):
         rows = list(perm_sym_rows(120))
@@ -115,9 +111,9 @@ class TestElementarySymmetric:
             with pytest.raises(ValueError):
                 elem_sym_table(n)
             with pytest.raises(ValueError):
-                elem_sym(n, 0)
+                elem_sym_table(n)[0]
         with pytest.raises(ValueError):
-            elem_sym(-3, 2)
+            elem_sym_table(-3)[2]
 
     def test_row_passes_empty_below_zero(self):
         for n_max in (-1, -5):
@@ -134,10 +130,10 @@ class TestElementarySymmetric:
 
 class TestStirling:
     def test_examples(self):
-        assert stirling1(4, 2) == 11
-        assert stirling2(6, 3) == 90
-        assert stirling1(7, 7) == 1
-        assert stirling1(6, 3) == -225
+        assert stirling_tables(4).s1(4, 2) == 11
+        assert stirling_tables(6).s2(6, 3) == 90
+        assert stirling_tables(7).s1(7, 7) == 1
+        assert stirling_tables(6).s1(6, 3) == -225
 
     def test_first_kind_vs_falling_factorial(self):
         # sum_k s(n,k) x^k = x(x-1)...(x-n+1)
@@ -154,7 +150,7 @@ class TestStirling:
     def test_second_kind_vs_partition_count(self):
         for n in range(0, 10):
             for k in range(0, n + 1):
-                assert stirling2(n, k) == brute_partitions(n, k), (n, k)
+                assert stirling_tables(n).s2(n, k) == brute_partitions(n, k), (n, k)
 
     def test_characterizations_at_integer_points(self):
         # n! C(x, n) = sum s(n,k) x^k and x^n = sum k! C(x,k) S(n,k)
@@ -182,8 +178,8 @@ class TestIdentities:
             assert check_sP_relation(n, perm=perm, st=st)
 
     def test_sP_examples(self):
-        assert perm_sym(3, 2) == 11 == stirling1(4, 2)
-        assert perm_sym(3, 3) == 6 == -stirling1(4, 1)
+        assert perm_sym_table(3)[2] == 11 == stirling_tables(4).s1(4, 2)
+        assert perm_sym_table(3)[3] == 6 == -stirling_tables(4).s1(4, 1)
 
     def test_form3_examples(self):
         st = stirling_tables(6)
@@ -249,8 +245,8 @@ class TestValuationPatterns:
     def test_form4_examples(self):
         st = stirling_tables(10)
         assert form4_eval(5, 3, st) == Fraction(15, 8)
-        assert form4_eval(5, 1, st) == elem_sym(5, 4) == Fraction(1, 8)
-        assert form4_eval(7, 5, st) == elem_sym(7, 2)
+        assert form4_eval(5, 1, st) == elem_sym_table(5)[4] == Fraction(1, 8)
+        assert form4_eval(7, 5, st) == elem_sym_table(7)[2]
 
     def test_form4_cross_check(self):
         st = stirling_tables(60)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wolstenholme.arith import double_factorial, factorial_exact, is_prime, primes_upto
+from wolstenholme.arith import double_factorial, is_prime, primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme.errors import (
     AssertionFailure,
@@ -21,18 +21,48 @@ from wolstenholme.wpoly import (
     hensel_lift,
     large_prime_divisor_check,
     poly_derivative,
-    poly_divexact_x,
     poly_eval,
     poly_eval_mod,
     poly_shift,
     shift_divisibility_check,
-    term_basis,
     trend_scan,
     verify_W,
     w_polys,
 )
 
 W5_COEFFS = (30, 345, -30, 15)  # 15x^3 - 30x^2 + 345x + 30, W(5) = 2880
+
+
+def _div_linear(coeffs, c):
+    """coeffs / (x + c), exact: synthetic division at the root -c."""
+    out = [0] * (len(coeffs) - 1)
+    carry = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry = coeffs[i] + carry
+        out[i - 1] = carry
+        carry = -c * carry
+    if coeffs[0] + carry != 0:
+        raise InexactDivision(f"(x + {c}) does not divide polynomial")
+    return out
+
+
+@functools.cache
+def _base(k):
+    """D(x+1, k)/(x(x+1)): the product of x+v over v = 1-k .. 1+k but 0, 1,
+    where D(n, k) = (n-k)(n-k+1)...(n+k)."""
+    coeffs = [1]
+    for v in range(1 - k, k + 2):
+        if v not in (0, 1):  # multiply by (x + v)
+            coeffs = [v * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
+
+
+def term_basis(k, j):
+    """The (k, j) basis polynomial D(x+1, k)/((x+1+j) x (x+1)), of degree
+    2k-2: x+1+j is a factor of D(x+1, k) other than x and x+1 for 1 <= j <= k."""
+    if not 1 <= j <= k:
+        raise ValueError(f"need 1 <= j <= k, got (k={k}, j={j})")
+    return IntPoly(tuple(_div_linear(_base(k), 1 + j)))
 
 
 @functools.cache
@@ -45,7 +75,7 @@ def _inner_by_terms(k):
     inner = [0] * (2 * k - 1)
     for j in range(1, k + 1):
         c = (-1) ** (j + k) * math.comb(2 * k, k + j) * st.s2(j + k, j)
-        for i, b in enumerate(term_basis(k, j).basis.coeffs):
+        for i, b in enumerate(term_basis(k, j).coeffs):
             inner[i] += c * b
     return tuple(inner)
 
@@ -56,11 +86,11 @@ def _w_by_scaled_sum(p):
 
     The reference that the one-pass recurrence of w_polys is checked against.
     """
-    f_top = factorial_exact(2 * p - 4)
+    f_top = math.factorial(2 * p - 4)
     acc = [0] * (2 * p - 6)
     for k in range(1, p - 1, 2):
         inner = _inner_by_terms(k)
-        scale = f_top // factorial_exact(2 * k)
+        scale = f_top // math.factorial(2 * k)
         if k == p - 2:
             assert inner[0] == 0
             inner, offset = inner[1:], 0
@@ -126,26 +156,20 @@ class TestPolyOps:
             t = rng.randrange(-bound, bound)
             assert poly_eval(poly_shift(f, n), t) == poly_eval(f, t + n)
 
-    def test_divexact_x(self):
-        assert poly_divexact_x(IntPoly((0, 4, 7))).coeffs == (4, 7)
-        with pytest.raises(InexactDivision):
-            poly_divexact_x(IntPoly((3, 1)))
-
 
 class TestTermBasis:
     def test_degree_invariant(self):
         for k in range(1, 12, 2):
             for j in range(1, k + 1):
-                tb = term_basis(k, j)
-                assert tb.basis.degree == 2 * k - 2
+                assert term_basis(k, j).degree == 2 * k - 2
 
     def test_divides_full_product(self):
         # basis * (x+1+j) * x * (x+1) = D(x+1, k) pointwise
         for k, j in ((3, 1), (3, 2), (5, 4)):
-            tb = term_basis(k, j)
+            basis = term_basis(k, j)
             for x in range(2, 10):
                 d = math.prod(range(x + 1 - k, x + 2 + k))
-                assert poly_eval(tb.basis, x) * (x + 1 + j) * x * (x + 1) == d
+                assert poly_eval(basis, x) * (x + 1 + j) * x * (x + 1) == d
 
     def test_rejects_bad_j(self):
         with pytest.raises(ValueError):
@@ -177,13 +201,13 @@ class TestConstructW:
             rep = verify_W(p, w_poly)
             assert rep.degree == 2 * p - 7
             assert rep.leading == double_factorial(2 * p - 5)
-            assert rep.a0 % factorial_exact(p - 3) == 0
+            assert rep.a0 % math.factorial(p - 3) == 0
 
     def test_evaluation_identity_exact(self):
         for p in (5, 7, 11, 13):
             w_poly = construct_W(p)
             lhs = poly_eval(w_poly, p) * (p + 1) * p**3
-            rhs = (w_exact(p) - 1) * factorial_exact(2 * p - 4) * factorial_exact(p - 1)
+            rhs = (w_exact(p) - 1) * math.factorial(2 * p - 4) * math.factorial(p - 1)
             assert lhs == rhs
 
     def test_verify_rejects_tampered_poly(self):
