@@ -325,7 +325,7 @@ def _cmd_report(args) -> int:
                 by_scan.setdefault(scan, {}).get(verdict, 0) + 1
             )
             fails += verdict == "fail"
-            if scan == "new-conjecture" and "q" in row["witness"]:
+            if scan == "new-conjecture" and verdict == "hit" and "q" in row["witness"]:
                 nc_hits.append((row["subject_key"][0], int(row["witness"]["q"])))
     finally:
         if args.file:

@@ -39,6 +39,7 @@ from .arith import (
 from .congruence import (
     PAIR_DIRECT_BUDGET,
     CongruenceVerdict,
+    _prod_tree,
     pair_criterion,
     pair_direct_check,
     w_iter,
@@ -258,7 +259,8 @@ def _gen_jones(params: dict, h: str, lo: int, hi: int):
     low, high = _CarriedFactorial(), _CarriedFactorial()
     for n, w in w_iter(hi, lo):
         recs = []
-        if w % n**3 == 1:
+        # w = 1 (mod n) is necessary and costs a one-digit division
+        if w % n == 1 and w % n**3 == 1:
             prime_ok = n >= 5 and is_prime(n)
             if prime_ok:
                 reverified = _w_mod_cube(n, low, high) == 1
@@ -312,7 +314,7 @@ def _gen_wolstenholme(params: dict, h: str, lo: int, hi: int):
 def _gen_mod5(params: dict, h: str, lo: int, hi: int):
     for n, w in w_iter(hi, lo):
         recs = []
-        if w % n**5 == 1:
+        if w % n == 1 and w % n**5 == 1:  # the first test as in jones
             recs.append(
                 ScanRecord(
                     "mod5",
@@ -325,46 +327,39 @@ def _gen_mod5(params: dict, h: str, lo: int, hi: int):
         yield n, recs
 
 
-# q^2 per group in new-conjecture: one gcd against the group's product of
-# squares rules out all of its q at once
-_Q_GROUP = 256
+def _square_divisors(m: int, primorial: int) -> int:
+    """The product of the primes q | primorial with q^2 | m, for a squarefree
+    primorial: g1 = gcd(m, primorial) takes each q | m once, so m // g1
+    keeps q exactly when q^2 | m."""
+    g1 = math.gcd(m, primorial)
+    return math.gcd(m // g1, g1)
+
+
+def _new_conjecture_record(p: int, q: int, m: int, h: str) -> ScanRecord:
+    """The record of q^2 | m = (w(p) - 1) / p^v, reverified mod q^2."""
+    reverified = w_mod(p, q * q).value == 1
+    witness = {
+        "q": str(q),
+        "valuation": str(valuation(m, q)),
+        "ratio_p_over_q": str(Fraction(p, q)),
+        "reverified": reverified,
+    }
+    verdict = "hit" if q < p and reverified else "fail"
+    return ScanRecord("new-conjecture", p, witness, verdict, h)
 
 
 def _gen_new_conjecture(params: dict, h: str, lo: int, hi: int):
     qs = primes_upto(params["q_max"])
-    groups = [
-        (qs[i : i + _Q_GROUP], math.prod(q * q for q in qs[i : i + _Q_GROUP]))
-        for i in range(0, len(qs), _Q_GROUP)
-    ]
+    primorial = _prod_tree(qs)
     for p, w in _w_at_primes(lo, hi):
-        # w(p) - 1, to be scanned for square prime divisors q != p; p^3
-        # divides it, so p's own group would pass its gcd at every p
+        # w(p) - 1, to be scanned for square prime divisors q != p; with p's
+        # power divided out, q = p never divides it
         m = w - 1
         m //= p ** valuation(m, p)
+        squares = _square_divisors(m, primorial)
         recs = []
-        for group, squares in groups:
-            if math.gcd(m % squares, squares) == 1:
-                continue  # no q of the group divides m
-            for q in group:
-                if q == p or m % (q * q):
-                    continue
-                v = valuation(m, q)
-                reverified = w_mod(p, q * q).value == 1
-                verdict = "hit" if q < p and reverified else "fail"
-                recs.append(
-                    ScanRecord(
-                        "new-conjecture",
-                        p,
-                        {
-                            "q": str(q),
-                            "valuation": str(v),
-                            "ratio_p_over_q": str(Fraction(p, q)),
-                            "reverified": reverified,
-                        },
-                        verdict,
-                        h,
-                    )
-                )
+        if squares > 1:  # at few p: 6 of the 301 primes up to 2000
+            recs = [_new_conjecture_record(p, q, m, h) for q in qs if squares % q == 0]
         yield p, recs
 
 
@@ -388,6 +383,33 @@ def _pair_record(
     return [ScanRecord("pairs", (p, q), witness, verdict, h)]
 
 
+def _w_mod_prime(p: int) -> Callable[[int], int]:
+    """n -> w(n) mod the prime p, by Lucas' theorem: C(2n-1, n-1) is the
+    product of C(a, b) mod p over the base-p digits a of 2n-1 and b of n-1.
+    One table of k! mod p for k < p serves every n; the inverse factorials
+    run down from (p-1)! = -1 (mod p), Wilson's theorem."""
+    fact = [1] * p
+    for k in range(1, p):
+        fact[k] = fact[k - 1] * k % p
+    inv = [1] * p
+    inv[p - 1] = p - 1  # -1 is its own inverse
+    for k in range(p - 1, 1, -1):
+        inv[k - 1] = inv[k] * k % p
+
+    def w_mod_p(n: int) -> int:
+        top, bottom, r = 2 * n - 1, n - 1, 1
+        while bottom:  # a digit of 2n-1 past the last of n-1 gives C(a, 0) = 1
+            a, b = top % p, bottom % p
+            if b > a:
+                return 0
+            r = r * fact[a] * inv[b] * inv[a - b] % p
+            top //= p
+            bottom //= p
+        return r
+
+    return w_mod_p
+
+
 def _gen_pairs(params: dict, h: str, lo: tuple[int, int], hi: int):
     # pairs run in lexicographic order; lo is the first (p, q) to check
     if params.get("known"):
@@ -403,9 +425,10 @@ def _gen_pairs(params: dict, h: str, lo: tuple[int, int], hi: int):
     # a p at or above q_max has no q > p to pair with
     for p, w in _w_at_primes(p_lo, min(hi, params["q_max"])):
         q_from = max(p + 1, q_lo) if p == p_lo else p + 1
+        w_mod_p = _w_mod_prime(p)
         for q in qs[bisect_left(qs, q_from):]:
             left = w % q == 1
-            right = w_mod(q, p).value == 1
+            right = w_mod_p(q) == 1
             yield (p, q), _pair_record(p, q, left, right, h, always=False)
 
 
@@ -678,7 +701,7 @@ def max_ratio_report(records: list[ScanRecord]) -> dict:
     best_subject = None
     count = 0
     for rec in records:
-        if rec.scan != "new-conjecture" or "q" not in rec.witness:
+        if rec.scan != "new-conjecture" or rec.verdict != "hit" or "q" not in rec.witness:
             continue
         count += 1
         ratio = Fraction(int(rec.witness["q"]), rec.subject)

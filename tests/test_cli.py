@@ -347,6 +347,20 @@ class TestReportCommand:
             "unparseable_lines": 0,
         }
 
+    def test_ratio_counts_hits_only(self):
+        # a fail record with q > p must not push max_q_over_p above 1
+        lines = [
+            json.dumps({"scan": "new-conjecture", "subject": p, "witness": {"q": q},
+                        "verdict": verdict, "params_hash": "x"})
+            for p, q, verdict in ((13, "3", "hit"), (13, "29", "fail"))
+        ]
+        rep = cli("report", stdin="\n".join(lines) + "\n")
+        assert rep.returncode == 1  # the fail record
+        assert json.loads(rep.stdout)["new_conjecture"] == {
+            "hits": 1,
+            "max_q_over_p": "3/13",
+        }
+
     def test_fail_records_exit_one(self):
         line = json.dumps(
             {

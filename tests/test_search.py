@@ -1,12 +1,13 @@
 import hashlib
 import io
 import json
+import math
 import os
 from fractions import Fraction
 
 import pytest
 
-from wolstenholme import search
+from wolstenholme import congruence, search
 from wolstenholme.arith import is_prime, primes_in, primes_upto, valuation
 from wolstenholme.congruence import pair_criterion, w_exact, w_mod, wilson_residue
 from wolstenholme.errors import (
@@ -72,6 +73,14 @@ class TestScans:
         rep = max_ratio_report(recs)
         assert rep["hits"] == len(recs) >= 1
         assert rep["max_q_over_p"] == "3/13"
+
+    def test_ratio_report_counts_hits_only(self):
+        # a fail record (here q > p) is not a hit and must not set the ratio
+        hit = search.ScanRecord("new-conjecture", 13, {"q": "3"}, "hit", "h")
+        fail = search.ScanRecord("new-conjecture", 13, {"q": "29"}, "fail", "h")
+        rep = max_ratio_report([hit, fail])
+        assert rep == {"hits": 1, "max_q_over_p": "3/13", "max_pair": [13, 3]}
+        assert max_ratio_report([fail])["hits"] == 0
 
     def test_known_pairs(self):
         recs = scan_records("pairs", {"known": True, "stretch": False})
@@ -428,7 +437,7 @@ def _drain(name, params, after=None):
 
 
 class TestCarriedPaths:
-    """Each carried or grouped path against the per-subject kernel it
+    """Each carried or filtered path against the per-subject kernel it
     replaced, run from the first subject and entered mid-range."""
 
     @pytest.mark.parametrize("scan, e", [("wilson", 2), ("wilson-cube", 3)])
@@ -523,14 +532,79 @@ class TestCarriedPaths:
             out.append((p, recs))
         return out
 
-    @pytest.mark.parametrize("group", [1, 7, 256])
     @pytest.mark.parametrize("after", [None, 100])
-    def test_grouped_new_conjecture(self, monkeypatch, group, after):
-        params = {"p_max": 300, "q_max": 20000}
+    @pytest.mark.parametrize(
+        "p_max, q_max", [(300, 20000), (200, 5000), (600, 1000), (200, 4)]
+    )
+    def test_new_conjecture_against_plain(self, p_max, q_max, after):
+        params = {"p_max": p_max, "q_max": q_max}
         plain = self._plain_new_conjecture(params, after)
-        assert any(recs for _, recs in plain)  # hits at 13, 107, 113 and 137
-        monkeypatch.setattr(search, "_Q_GROUP", group)
+        if after is None:
+            assert any(recs for _, recs in plain)  # (13, 3) among them
         assert _drain("new-conjecture", params, after) == plain
+
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (7 * 11, 1),  # g1 = 77 > 1, but no square
+            (7**2 * 11, 7),
+            (7**3, 7),
+            (7**2 * 11**2 * 13, 7 * 11),
+            (97**2 * 101**2, 97),  # 101 is past the primorial's primes
+            (1, 1),
+        ],
+    )
+    def test_square_divisors(self, m, expected):
+        assert search._square_divisors(m, math.prod(primes_upto(100))) == expected
+
+    @pytest.mark.parametrize("scan, e", [("jones", 3), ("mod5", 5)])
+    def test_candidate_filter(self, monkeypatch, scan, e):
+        # w = 1 (mod n) is only the first test: each made-up w passes it,
+        # and a record is due only where w = 1 (mod n^e) as well
+        made_up = {0: lambda n: 1 + 2 * n**e, 1: lambda n: 1 + n, 2: lambda n: 1 + n ** (e - 1)}
+        ws = [(n, made_up[n % 3](n)) for n in range(6, 15)]
+        monkeypatch.setattr(search, "w_iter", lambda limit, start=1: iter(ws))
+        stream = _drain(scan, {"limit": 14})
+        assert [n for n, recs in stream] == list(range(6, 15))
+        assert [rec.subject for _, recs in stream for rec in recs] == [6, 9, 12]
+
+    def test_candidate_filter_is_only_necessary(self):
+        # w(p^2) = w(p) (mod p^4) and w(p) = 1 (mod p^3) give w(p^2) = 1 (mod p^2)
+        # at every prime p >= 5; 283 is not a Wolstenholme prime, so mod n^2 fails
+        n = 283**2
+        w = math.comb(2 * n - 1, n - 1)
+        assert w % n == 1
+        assert w % n**2 != 1
+
+    @pytest.mark.parametrize("p", [p for p in primes_upto(60) if p >= 5])
+    def test_w_mod_prime(self, p):
+        w_mod_p = search._w_mod_prime(p)
+        near_powers = []
+        for power in (p**2, p**3):
+            below = next(q for q in range(power - 1, 0, -1) if is_prime(q))
+            above = next(q for q in range(power + 1, 2 * power) if is_prime(q))
+            near_powers += [below, above]  # 2 to 4 base-p digits in n - 1
+        for q in [*primes_in(p + 1, 3000), *near_powers]:
+            assert w_mod_p(q) == w_mod(q, p).value, q
+
+    def test_range_scans_kernel_calls(self, monkeypatch):
+        # the pairs right half never reaches w_mod or binomial_mod, and
+        # new-conjecture calls w_mod once per record, to reverify it
+        calls = {"w_mod": 0, "binomial_mod": 0}
+        for module in (search, congruence):
+            for name in calls:
+                real = getattr(module, name)
+
+                def spy(*args, _real=real, _name=name):
+                    calls[_name] += 1
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, spy)
+        pairs = scan_records("pairs", {"p_max": 100, "q_max": 3000})
+        assert [r.subject for r in pairs] == [(29, 937)]
+        assert calls == {"w_mod": 0, "binomial_mod": 0}
+        recs = scan_records("new-conjecture", {"p_max": 300, "q_max": 20000})
+        assert calls["w_mod"] == len(recs) > 0
 
 
 # sha256 of each scan's jsonl stream at a size that runs in well under a
