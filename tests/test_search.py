@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -542,6 +543,22 @@ class TestCarriedPaths:
         if after is None:
             assert any(recs for _, recs in plain)  # (13, 3) among them
         assert _drain("new-conjecture", params, after) == plain
+
+    @pytest.mark.parametrize("group", [1, 7, 256])
+    @pytest.mark.parametrize("after", [None, 100])
+    def test_grouped_new_conjecture(self, group, after):
+        # the run read in groups of `group` subjects, each group entered
+        # after the last subject of the one before, as a chain of resumes is
+        params = {"p_max": 300, "q_max": 20000}
+        plain = self._plain_new_conjecture(params, after)
+        assert any(recs for _, recs in plain)  # hits at 107, 113, 137 (and 13)
+        scan, h = search._SCANS["new-conjecture"], params_digest(params)
+        got, last = [], after
+        while part := list(itertools.islice(scan.stream(params, h, last), group)):
+            assert last is None or part[0][0] > last  # each group moves on
+            got += part
+            last = part[-1][0]
+        assert got == plain
 
     @pytest.mark.parametrize(
         "m, expected",
