@@ -15,7 +15,12 @@ from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice
 from math import isqrt
 
-from .errors import DenominatorNotCoprime, FactoringBudgetExceeded, ZeroNumerator
+from .errors import (
+    AssertionFailure,
+    DenominatorNotCoprime,
+    FactoringBudgetExceeded,
+    ZeroNumerator,
+)
 
 __all__ = [
     "ResidueClass",
@@ -341,7 +346,8 @@ def binomial_mod(n: int, k: int, m: int) -> ResidueClass:
         for q, a in sorted(factors.items())
     ]
     value, modulus = _crt(parts)
-    assert modulus == m
+    if modulus != m:
+        raise AssertionFailure("CRT modulus differs from m", m=m, observed=modulus)
     return ResidueClass(value, m)
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "divisor_product_checks",
     "wilson_residue",
     "wilson_restatement_check",
+    "wilson_restatement_checks",
     "jones_check",
     "is_wolstenholme_prime",
     "mcintosh_check",
@@ -279,6 +280,20 @@ def wilson_restatement_check(n: int) -> bool:
         lhs = lhs * (n + k) % n
         rhs = rhs * k % n
     return lhs == rhs
+
+
+def wilson_restatement_checks(n_max: int):
+    """Yield (n, wilson_restatement_check(n)) for n = 2..n_max in one pass.
+
+    (n-1)! and (2n-1)!/n! are carried exactly from one n to the next, the
+    latter by (2n+1)!/(n+1)! = (2n-1)!/n! * (2n)(2n+1)/(n+1), an exact
+    division; each n reduces both mod n.
+    """
+    fact, ratio = 1, 3  # (n-1)! and (2n-1)!/n! at n = 2
+    for n in range(2, n_max + 1):
+        yield n, ratio % n == fact % n
+        fact *= n
+        ratio = ratio * (2 * n) * (2 * n + 1) // (n + 1)
 
 
 def jones_check(n: int) -> CongruenceVerdict:

@@ -8,7 +8,14 @@ floating point anywhere in this module.  Table builders return immutable
 values and keep no hidden caches - callers that need many rows should hold
 on to the tables themselves.  Every identity check takes the table it reads
 as a required argument and never builds one: a row of the wrong n raises
-ValueError, a Stirling table too small for the subject raises IndexError.
+ValueError, a row of the wrong kind TypeError, and a Stirling table too
+small for the subject IndexError.
+
+The expansions of w(p) in S(n, k) (check_form, check_int_expansion,
+bayat_valuations, s_pm_mod_p) read integer rows: n!*S(n, k) = P(n, n-k),
+so each claim is checked, multiplied through by a factorial, on an
+IntSymTable.  Only check_form2, which checks that very relation, reads
+the Fraction rows of elem_sym_rows.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import double_factorial, num_valuation
+from .arith import double_factorial, valuation
 from .congruence import w_exact
-from .errors import AssertionFailure
+from .errors import AssertionFailure, DenominatorNotCoprime, ZeroNumerator
 
 __all__ = [
     "SymRationalTable",
@@ -161,8 +168,10 @@ def stirling_tables(n_max: int) -> StirlingTables:
 # --------------------------------------------------------------------------
 
 
-def _row(table, n: int):
-    """table, after checking that it is row n."""
+def _row(table, n: int, kind: type = IntSymTable):
+    """table, after checking that it is row n of the given kind."""
+    if not isinstance(table, kind):
+        raise TypeError(f"need a {kind.__name__}, got {type(table).__name__}")
     if table.n != n:
         raise ValueError(f"need row {n}, got row {table.n}")
     return table
@@ -170,7 +179,7 @@ def _row(table, n: int):
 
 def check_form2(n: int, sym: SymRationalTable, perm: IntSymTable) -> bool:
     """S(n, n-k) = P(n, k)/n! for all 0 <= k <= n."""
-    sym, perm = _row(sym, n), _row(perm, n)
+    sym, perm = _row(sym, n, SymRationalTable), _row(perm, n)
     nfact = math.factorial(n)
     return all(sym[n - k] * nfact == perm[k] for k in range(n + 1))
 
@@ -199,8 +208,8 @@ def stirling1_via_form3(n: int, k: int, st: StirlingTables) -> int:
             * math.comb(n + k, k - j)
             * st.s2(j + k, j)
         )
-        if j == 0 and k >= 1:
-            assert term == 0
+        if j == 0 and k >= 1 and term != 0:
+            raise AssertionFailure("j = 0 term is nonzero", n=n, k=k, observed=term)
         total += term
     return total
 
@@ -215,26 +224,37 @@ def ident_doublefact(k: int, st: StirlingTables) -> bool:
     return total == double_factorial(2 * k - 1)
 
 
-def check_form(p: int, sym: SymRationalTable) -> bool:
-    """w(p) = sum of p^k * S(p-1, k) over 0 <= k <= p-1, exactly."""
-    sym = _row(sym, p - 1)
-    total = sum((Fraction(p) ** k) * sym[k] for k in range(p))
-    return total == w_exact(p)
+def check_form(p: int, perm: IntSymTable) -> bool:
+    """w(p) = sum of p^k * S(p-1, k) over 0 <= k <= p-1, exactly.
+
+    Multiplied by (p-1)!, with (p-1)!*S(p-1, k) = P(p-1, p-1-k):
+    sum of p^k * P(p-1, p-1-k) = w(p)*(p-1)!.
+    """
+    perm = _row(perm, p - 1)
+    total = sum(p**k * perm[p - 1 - k] for k in range(p))
+    return total == w_exact(p) * math.factorial(p - 1)
 
 
-def check_int_expansion(p: int, sym: SymRationalTable) -> bool:
+def check_int_expansion(p: int, perm: IntSymTable) -> bool:
     """(w(p)-1)/p^3 = S(p,2)/p + p*S(p,4) + p^3*S(p,6) + ... + p^(p-4)*S(p,p-1).
 
-    The left side is integral (Wolstenholme); the right side is an exact
-    rational sum over even indices with p-powers stepping by two.
+    The left side is integral (Wolstenholme), which is checked first and
+    raises AssertionFailure if it fails.  The right side, multiplied by
+    p*p!, is the integer sum of p^(m-2) * P(p, p-m) over even m.
     """
-    sym = _row(sym, p)
-    total = Fraction(0)
-    for m in range(2, p, 2):
-        total += Fraction(p) ** (m - 3) * sym[m]
-    lhs = Fraction(w_exact(p) - 1, p**3)
-    assert lhs.denominator == 1
-    return total == lhs
+    perm = _row(perm, p)
+    w1 = w_exact(p) - 1
+    if w1 % p**3:
+        raise AssertionFailure("p^3 does not divide w(p)-1", p=p)
+    total = sum(p ** (m - 2) * perm[p - m] for m in range(2, p, 2))
+    return total == w1 // p**2 * math.factorial(p)
+
+
+def _valuation(x: int, p: int) -> int:
+    """v_p of the nonzero table entry x; ZeroNumerator for 0."""
+    if x == 0:
+        raise ZeroNumerator("numerator valuation of 0 is undefined")
+    return valuation(x, p)
 
 
 @dataclass(frozen=True)
@@ -248,15 +268,16 @@ class BayatReport:
         return self.valuations[k - 1]
 
 
-def bayat_valuations(p: int, sym: SymRationalTable) -> BayatReport:
+def bayat_valuations(p: int, perm: IntSymTable) -> BayatReport:
     """Verify the valuation pattern of the row S(p-1, *) at the prime p.
 
+    p does not divide (p-1)!, so v_p(num S(p-1, k)) = v_p(P(p-1, p-1-k)).
     Asserts: v >= 1 for even k <= p-3, v >= 2 for odd k <= p-4, the ladder
     v(k) = 1 + v(k+1) for odd k <= p-2, and S(p-1, p-2) = 0 (mod p).
     Raises AssertionFailure carrying (p, k, observed) on any violation.
     """
-    sym = _row(sym, p - 1)
-    vals = tuple(num_valuation(sym[k], p) for k in range(1, p))
+    perm = _row(perm, p - 1)
+    vals = tuple(_valuation(perm[p - 1 - k], p) for k in range(1, p))
     report = BayatReport(p, vals)
     for k in range(1, p):
         v = report.val(k)
@@ -275,10 +296,21 @@ def bayat_valuations(p: int, sym: SymRationalTable) -> BayatReport:
     return report
 
 
-def s_pm_mod_p(p: int, sym: SymRationalTable) -> bool:
-    """S(p, m) = 0 (mod p) in numerator for all even m = 2, 4, ..., p-3."""
-    sym = _row(sym, p)
-    return all(num_valuation(sym[m], p) >= 1 for m in range(2, p - 2, 2))
+def s_pm_mod_p(p: int, perm: IntSymTable) -> bool:
+    """S(p, m) = 0 (mod p) in numerator for all even m = 2, 4, ..., p-3.
+
+    p!*S(p, m) = P(p, p-m) and v_p(p!) = 1, so p divides the reduced
+    numerator iff v_p(P(p, p-m)) >= 2; v_p = 0 puts p in the reduced
+    denominator and raises DenominatorNotCoprime.
+    """
+    perm = _row(perm, p)
+    for m in range(2, p - 2, 2):
+        v = _valuation(perm[p - m], p)
+        if v == 0:
+            raise DenominatorNotCoprime(f"{p} divides the denominator of S({p}, {m})")
+        if v < 2:
+            return False
+    return True
 
 
 def form4_eval(p: int, k: int, st: StirlingTables) -> Fraction:
@@ -293,7 +325,8 @@ def form4_eval(p: int, k: int, st: StirlingTables) -> Fraction:
     """
     if k % 2 == 0 or not 1 <= k <= p - 2:
         raise ValueError(f"need odd 1 <= k <= p-2, got ({p}, {k})")
-    assert st.s2(k, 0) == 0
+    if st.s2(k, 0) != 0:
+        raise AssertionFailure("S2(k, 0) is nonzero", k=k, observed=st.s2(k, 0))
     cpk = math.prod(range(p + 2, p + k + 2))
     total = 0
     for j in range(1, k + 1):

@@ -17,11 +17,11 @@ from .congruence import (
     divisor_product_checks,
     factor_band_classify,
     w_exact,
-    wilson_restatement_check,
+    wilson_restatement_checks,
 )
 from .errors import AssertionFailure, FactoringBudgetExceeded
 from .symmetric import (
-    SymRationalTable,
+    IntSymTable,
     bayat_valuations,
     check_form,
     check_form2,
@@ -49,8 +49,8 @@ class SuiteResult:
 
 
 def _suite_equ(bound: int) -> Iterator[SuiteResult]:
-    for n in range(2, bound + 1):
-        yield SuiteResult("equ", n, wilson_restatement_check(n))
+    for n, ok in wilson_restatement_checks(bound):
+        yield SuiteResult("equ", n, ok)
 
 
 def _suite_rel(bound: int) -> Iterator[SuiteResult]:
@@ -58,10 +58,11 @@ def _suite_rel(bound: int) -> Iterator[SuiteResult]:
         yield SuiteResult("rel", n, ok)
 
 
-def _prime_rows(bound: int, lag: int) -> Iterator[tuple[int, SymRationalTable]]:
-    """(p, S(p - lag, .)) for each prime 5 <= p <= bound, ascending."""
+def _prime_rows(bound: int, lag: int) -> Iterator[tuple[int, IntSymTable]]:
+    """(p, P(p - lag, .)) for each prime 5 <= p <= bound, ascending; the
+    integer rows n!*S(n, k) = P(n, n-k) of the S expansions."""
     primes = set(primes_upto(bound))
-    for tab in elem_sym_rows(bound - lag):
+    for tab in perm_sym_rows(bound - lag):
         p = tab.n + lag
         if p >= 5 and p in primes:
             yield p, tab
@@ -69,19 +70,19 @@ def _prime_rows(bound: int, lag: int) -> Iterator[tuple[int, SymRationalTable]]:
 
 def _suite_form(bound: int) -> Iterator[SuiteResult]:
     for p, tab in _prime_rows(bound, 1):
-        yield SuiteResult("form", p, check_form(p, sym=tab))
+        yield SuiteResult("form", p, check_form(p, perm=tab))
 
 
 def _suite_int(bound: int) -> Iterator[SuiteResult]:
     for p, tab in _prime_rows(bound, 0):
-        ok = check_int_expansion(p, sym=tab) and s_pm_mod_p(p, sym=tab)
+        ok = check_int_expansion(p, perm=tab) and s_pm_mod_p(p, perm=tab)
         yield SuiteResult("int", p, ok)
 
 
 def _suite_fra(bound: int) -> Iterator[SuiteResult]:
     for p, tab in _prime_rows(bound, 1):
         try:
-            bayat_valuations(p, sym=tab)
+            bayat_valuations(p, perm=tab)
             yield SuiteResult("fra", p, True)
         except AssertionFailure as exc:
             yield SuiteResult("fra", p, False, str(exc))
@@ -110,7 +111,11 @@ def _suite_form3(bound: int) -> Iterator[SuiteResult]:
 def _suite_form4(bound: int) -> Iterator[SuiteResult]:
     st = stirling_tables(max(2 * (bound - 2), 1))
     for p, tab in _prime_rows(bound, 0):
-        ok = all(form4_eval(p, k, st=st) == tab[p - k] for k in range(1, p - 1, 2))
+        # form4_eval gives S(p, p-k), and p!*S(p, p-k) = P(p, k)
+        pfact = math.factorial(p)
+        ok = all(
+            form4_eval(p, k, st=st) * pfact == tab[k] for k in range(1, p - 1, 2)
+        )
         yield SuiteResult("form4", p, ok)
 
 

@@ -277,7 +277,8 @@ def large_prime_divisor_check(p: int, q: int, w_poly: IntPoly) -> bool:
     if divides and q <= 2 * p:
         raise AssertionFailure("prime q in (p, 2p] divides w(p)-1", p=p, q=q)
     result = (wp1 // p**3) % q == 0
-    assert result == divides  # q != p, so q | w(p)-1 iff q | (w(p)-1)/p^3
+    if result != divides:  # q != p, so q | w(p)-1 iff q | (w(p)-1)/p^3
+        raise AssertionFailure("q | w(p)-1 disagrees with q | (w(p)-1)/p^3", p=p, q=q)
     if q > 2 * p:
         via_poly = poly_eval_mod(w_poly, p, q) == 0
         if via_poly != result:
@@ -302,7 +303,10 @@ def hensel_lift(f: IntPoly, r: int, n: int) -> int:
         raise NotApplicable(f"r={r} divides f'({n})={d}: root is not simple")
     r2 = r * r
     s = (n - fn * pow(d, -1, r2)) % r2
-    assert poly_eval(f, s) % r2 == 0 and (s - n) % r == 0
+    if poly_eval(f, s) % r2 != 0 or (s - n) % r != 0:
+        raise AssertionFailure(
+            "Newton step missed a root mod r^2", r=r, n=n, observed=s
+        )
     return s
 
 

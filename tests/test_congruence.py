@@ -22,6 +22,7 @@ from wolstenholme.congruence import (
     w_mod,
     wilson_residue,
     wilson_restatement_check,
+    wilson_restatement_checks,
     wprime_exact,
     wprime_mod,
 )
@@ -208,6 +209,12 @@ class TestWilson:
     def test_restatement_is_identity(self):
         for n in range(2, 500):
             assert wilson_restatement_check(n)
+
+    def test_carried_restatement_matches_per_n_to_2000(self):
+        expected = [(n, wilson_restatement_check(n)) for n in range(2, 2001)]
+        assert list(wilson_restatement_checks(2000)) == expected
+        for n_max in (-1, 0, 1):
+            assert list(wilson_restatement_checks(n_max)) == []
 
 
 class TestJonesAndMcIntosh:

@@ -1,9 +1,14 @@
 """The public surface: each module's __all__ lists exactly the public
 functions and classes it defines, the package re-exports the library
-modules' lists, and no module imports a name it never uses."""
+modules' lists, no module imports a name it never uses, every check of a
+claim survives ``python -O``, and the README's library example runs."""
 
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +16,7 @@ import pytest
 import wolstenholme
 
 SRC = Path(wolstenholme.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 FILES = sorted(SRC.glob("*.py"))
 MODULES = [p.stem for p in FILES if p.stem not in ("__init__", "__main__")]
 
@@ -51,3 +57,46 @@ def test_no_unused_imports(path):
             imported |= {a.asname or a.name for a in node.names if a.name != "*"}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_no_bare_assert(path):
+    # python -O strips assert statements; a check of a claim must raise
+    asserts = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
+    assert asserts == []
+
+
+_FORGED_FORM4 = """
+import sys
+from wolstenholme.errors import AssertionFailure
+from wolstenholme.symmetric import StirlingTables, form4_eval, stirling_tables
+
+st = stirling_tables(6)
+s2 = list(st.s2_rows)
+s2[3] = (1,) + s2[3][1:]  # forged S2(3, 0) = 1
+try:
+    form4_eval(5, 3, StirlingTables(st.n_max, st.s1_rows, tuple(s2)))
+except AssertionFailure as exc:
+    print(sys.flags.optimize, exc.clause)
+"""
+
+
+def test_forged_table_raises_under_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
+    )
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", _FORGED_FORM4],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (r.returncode, r.stdout) == (0, "1 S2(k, 0) is nonzero\n"), r.stderr
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

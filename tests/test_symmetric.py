@@ -4,10 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from wolstenholme.arith import primes_upto
+from wolstenholme.arith import num_valuation, primes_upto
 from wolstenholme.congruence import w_exact
-from wolstenholme.errors import AssertionFailure
+from wolstenholme.errors import AssertionFailure, DenominatorNotCoprime, ZeroNumerator
 from wolstenholme.symmetric import (
+    BayatReport,
     IntSymTable,
     bayat_valuations,
     check_form,
@@ -63,6 +64,32 @@ def _perm_row_by_loop(n):
         for k in range(len(row) - 2, 0, -1):
             row[k] += row[k - 1] * i
     return IntSymTable(n, tuple(row))
+
+
+# The four S-expansion checks as they read the Fraction rows S(n, .) before
+# they read the integer rows P(n, .); the oracles of the integer forms.
+
+
+def _check_form_by_fractions(p, sym):
+    total = sum((Fraction(p) ** k) * sym[k] for k in range(p))
+    return total == w_exact(p)
+
+
+def _check_int_expansion_by_fractions(p, sym):
+    total = Fraction(0)
+    for m in range(2, p, 2):
+        total += Fraction(p) ** (m - 3) * sym[m]
+    lhs = Fraction(w_exact(p) - 1, p**3)
+    assert lhs.denominator == 1
+    return total == lhs
+
+
+def _bayat_valuations_by_fractions(p, sym):
+    return BayatReport(p, tuple(num_valuation(sym[k], p) for k in range(1, p)))
+
+
+def _s_pm_mod_p_by_fractions(p, sym):
+    return all(num_valuation(sym[m], p) >= 1 for m in range(2, p - 2, 2))
 
 
 class TestElementarySymmetric:
@@ -209,38 +236,71 @@ class TestIdentities:
     def test_form_examples(self):
         # p=3: 1 + 3*(3/2) + 9*(1/2) = 10 = w(3)
         for p in (3, 5, 7):
-            assert check_form(p, elem_sym_table(p - 1))
+            assert check_form(p, perm_sym_table(p - 1))
         assert w_exact(7) == 1716
 
     def test_int_expansion_examples(self):
         # p=5: (15/8)/5 + 5*(1/8) = 1 = (126-1)/125
         for p in (5, 7, 11):
-            assert check_int_expansion(p, elem_sym_table(p))
+            assert check_int_expansion(p, perm_sym_table(p))
         assert (w_exact(11) - 1) % 11**3 == 0
+
+    def test_int_expansion_needs_p_cubed(self):
+        # 3^3 does not divide w(3) - 1 = 9: a claim, not a bare assert
+        with pytest.raises(AssertionFailure, match="p\\^3 does not divide"):
+            check_int_expansion(3, perm_sym_table(3))
 
 
 class TestValuationPatterns:
     def test_bayat_p5(self):
-        rep = bayat_valuations(5, elem_sym_table(4))
+        rep = bayat_valuations(5, perm_sym_table(4))
         assert rep.valuations == (2, 1, 1, 0)
 
     def test_bayat_sweep(self):
         primes = set(primes_upto(60))
-        for tab in elem_sym_rows(59):
+        for tab in perm_sym_rows(59):
             p = tab.n + 1
             if p >= 5 and p in primes:
-                rep = bayat_valuations(p, sym=tab)
+                rep = bayat_valuations(p, perm=tab)
                 # Wolstenholme itself: v_p(S(p-1, 1)) >= 2
                 assert rep.val(1) >= 2
 
     def test_bayat_rejects_wrong_row(self):
         # feeding the wrong row must fail loudly, not silently pass
         with pytest.raises(AssertionFailure):
-            bayat_valuations(7, sym=_shifted_row())
+            bayat_valuations(7, perm=_shifted_row())
+
+    def test_shifted_row_is_a_fraction_shift(self):
+        # P(6, 5) + 1 is 6!*(S(6, 1) + 1/6!), and the Fraction oracle reads
+        # the valuation 0 at k = 1 that the integer check rejects
+        sym = elem_sym_table(6)
+        entries = list(sym.entries)
+        entries[1] += Fraction(1, math.factorial(6))
+        shifted = type(sym)(6, tuple(entries))
+        assert check_form2(6, shifted, _shifted_row())
+        assert _bayat_valuations_by_fractions(7, shifted).val(1) == 0
+
+    def test_zero_entry_has_no_valuation(self):
+        entries = list(perm_sym_table(6).entries)
+        entries[5] = 0
+        with pytest.raises(ZeroNumerator):
+            bayat_valuations(7, IntSymTable(6, tuple(entries)))
+        entries = list(perm_sym_table(7).entries)
+        entries[5] = 0  # P(7, 7-2) = 7!*S(7, 2)
+        with pytest.raises(ZeroNumerator):
+            s_pm_mod_p(7, IntSymTable(7, tuple(entries)))
+
+    def test_s_pm_denominator_divisible(self):
+        # v_7(P(7, 5)) = 0 would put 7 in the reduced denominator of S(7, 2)
+        entries = list(perm_sym_table(7).entries)
+        entries[5] += 1
+        assert entries[5] % 7
+        with pytest.raises(DenominatorNotCoprime):
+            s_pm_mod_p(7, IntSymTable(7, tuple(entries)))
 
     def test_s_pm_examples(self):
         for p in (5, 7, 11):
-            assert s_pm_mod_p(p, elem_sym_table(p))
+            assert s_pm_mod_p(p, perm_sym_table(p))
 
     def test_form4_examples(self):
         st = stirling_tables(10)
@@ -254,6 +314,14 @@ class TestValuationPatterns:
             tab = elem_sym_table(p)
             for k in range(1, p - 1, 2):
                 assert form4_eval(p, k, st=st) == tab[p - k], (p, k)
+
+    def test_form4_times_factorial_is_perm_row(self):
+        # the form4 suite's comparison: p!*S(p, p-k) = P(p, k)
+        st = stirling_tables(60)
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+            perm = perm_sym_table(p)
+            for k in range(1, p - 1, 2):
+                assert form4_eval(p, k, st=st) * math.factorial(p) == perm[k], (p, k)
 
     def test_form4_rejects_even_k(self):
         with pytest.raises(ValueError):
@@ -272,13 +340,27 @@ class TestTablesAreRequired:
             lambda: check_form2(6, sym7, perm6),
             lambda: check_form2(6, sym6, perm7),
             lambda: check_sP_relation(6, perm7, st),
-            lambda: check_form(7, sym7),
-            lambda: check_int_expansion(7, sym6),
-            lambda: bayat_valuations(7, sym7),
-            lambda: s_pm_mod_p(7, sym6),
+            lambda: check_form(7, perm7),
+            lambda: check_int_expansion(7, perm6),
+            lambda: bayat_valuations(7, perm7),
+            lambda: s_pm_mod_p(7, perm6),
         ]
         for call in calls:
             with pytest.raises(ValueError):
+                call()
+
+    def test_row_checks_reject_wrong_kind(self):
+        # a Fraction row where an integer row is read, or the reverse
+        sym6, sym7, perm6 = elem_sym_table(6), elem_sym_table(7), perm_sym_table(6)
+        calls = [
+            lambda: check_form2(6, perm6, perm6),
+            lambda: check_form(7, sym6),
+            lambda: check_int_expansion(7, sym7),
+            lambda: bayat_valuations(7, sym6),
+            lambda: s_pm_mod_p(7, sym7),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
                 call()
 
     def test_stirling_checks_reject_small_tables(self):
@@ -292,10 +374,51 @@ class TestTablesAreRequired:
             form4_eval(11, 5, stirling_tables(9))
 
 
+class TestIntegerRowsMatchFractionRows:
+    """The integer-row checks agree with their Fraction-row oracles at
+    every prime 5 <= p <= 200."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return list(zip(elem_sym_rows(200), perm_sym_rows(200)))
+
+    @staticmethod
+    def _primes():
+        return [p for p in primes_upto(200) if p >= 5]
+
+    def test_rows_are_scaled_fractions(self, rows):
+        # n!*S(n, k) = P(n, n-k): the relation every conversion rests on
+        for sym, perm in rows:
+            nfact = math.factorial(sym.n)
+            assert all(sym[k] * nfact == perm[sym.n - k] for k in range(sym.n + 1))
+
+    def test_form(self, rows):
+        for p in self._primes():
+            sym, perm = rows[p - 1]
+            assert check_form(p, perm) is _check_form_by_fractions(p, sym) is True
+
+    def test_int_expansion(self, rows):
+        for p in self._primes():
+            sym, perm = rows[p]
+            got = check_int_expansion(p, perm)
+            assert got is _check_int_expansion_by_fractions(p, sym) is True
+
+    def test_bayat_valuations(self, rows):
+        for p in self._primes():
+            sym, perm = rows[p - 1]
+            rep = bayat_valuations(p, perm)
+            assert rep == _bayat_valuations_by_fractions(p, sym), p
+
+    def test_s_pm_mod_p(self, rows):
+        for p in self._primes():
+            sym, perm = rows[p]
+            assert s_pm_mod_p(p, perm) is _s_pm_mod_p_by_fractions(p, sym) is True
+
+
 def _shifted_row():
     # a wrong row of the right size (n = 6 for p = 7), made by perturbing
     # one entry, so only the valuation checks can reject it
-    tab = elem_sym_table(6)
+    tab = perm_sym_table(6)
     entries = list(tab.entries)
-    entries[1] += 1
+    entries[5] += 1  # P(6, 5) = 6!*S(6, 1)
     return type(tab)(6, tuple(entries))
