@@ -19,7 +19,15 @@ from contextlib import nullcontext
 from .arith import is_prime
 from .congruence import factor_band_classify
 from .errors import CheckpointError
-from .search import _FORMATS, _SCANS, max_ratio_report, run_scan, scan_names
+from .search import (
+    _FORMATS,
+    _SCANS,
+    ScanRecord,
+    max_ratio_report,
+    read_records,
+    run_scan,
+    scan_names,
+)
 from .verify import _ALIASES, default_bound, run_suite, suite_names
 from .wpoly import construct_W, verify_W
 
@@ -207,59 +215,6 @@ def _cmd_classify(args) -> int:
     return 1 if mismatches else 0
 
 
-def _parse_row(row: dict) -> dict:
-    """Check one record's fields; raise ValueError when it is malformed."""
-    subject = row["subject"]
-    parts = subject if isinstance(subject, list) else [subject]
-    if not (
-        isinstance(row["scan"], str)
-        and isinstance(row["verdict"], str)
-        and isinstance(row["params_hash"], str)
-        and isinstance(row["witness"], dict)
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in parts)
-    ):
-        raise ValueError("malformed record")
-    row["subject_key"] = tuple(parts)
-    return row
-
-
-def _parse_line(line: str) -> dict | None:
-    if not line.isascii():
-        return None
-    try:
-        return _parse_row(json.loads(line))
-    except (ValueError, KeyError, TypeError):
-        return None
-
-
-def _parse_csv_row(row: dict) -> dict | None:
-    # extra fields (a list under key None), a missing one (None), non-ASCII
-    if not all(isinstance(v, str) and v.isascii() for v in row.values()):
-        return None
-    try:
-        row["witness"] = json.loads(row["witness"])
-        row["subject"] = json.loads(row["subject"])
-        return _parse_row(row)
-    except (ValueError, KeyError, TypeError):
-        return None
-
-
-def _iter_report_rows(fh, fmt: str):
-    """Yield each record as a dict, or None for a line that does not parse."""
-    if fmt == "jsonl":
-        for line in fh:
-            if line.strip():
-                yield _parse_line(line)
-    else:
-        import csv
-
-        try:
-            for row in csv.DictReader(fh):
-                yield _parse_csv_row(row)
-        except csv.Error:  # a torn quote makes the rest of the file one huge field
-            yield None
-
-
 class _Damage:
     """Counts what an intact stream never holds: unparseable lines, a record
     at or before one already seen in its scan, and mixed params hashes."""
@@ -269,19 +224,19 @@ class _Damage:
         self.hashes: dict[str, set[str]] = {}
         self.front: dict[str, tuple] = {}  # scan -> (max subject, records seen there)
 
-    def add(self, row: dict | None) -> None:
-        if row is None:
+    def add(self, rec: ScanRecord | None) -> None:
+        if rec is None:
             self.unparseable += 1
             return
-        scan, subject = row["scan"], row["subject_key"]
-        self.hashes.setdefault(scan, set()).add(row["params_hash"])
+        self.hashes.setdefault(rec.scan, set()).add(rec.params_hash)
         # several records may share a subject (one per q in new-conjecture),
         # so a repeat is the same subject with the same witness
-        key = json.dumps(row["witness"], sort_keys=True)
-        top, keys = self.front.get(scan, (None, set()))
-        if top is None or subject > top:
-            self.front[scan] = (subject, {key})
-        elif subject < top or key in keys:
+        key = rec.witness_json()
+        top, keys = self.front.get(rec.scan, (None, set()))
+        # read_records gives each scan's subjects one shape, so they compare
+        if top is None or rec.subject > top:
+            self.front[rec.scan] = (rec.subject, {key})
+        elif rec.subject < top or key in keys:
             self.out_of_order += 1
         else:
             keys.add(key)
@@ -310,36 +265,28 @@ def _cmd_report(args) -> int:
         print(f"usage error: cannot read {args.file}: {exc.strerror}", file=sys.stderr)
         return 2
     damage = _Damage()
+    by_scan: dict[str, dict[str, int]] = {}
+    new_conjecture = []
+    total = fails = 0
     try:
-        by_scan: dict[str, dict[str, int]] = {}
-        nc_hits = []
-        total = fails = 0
-        for row in _iter_report_rows(fh, args.format):
-            damage.add(row)
-            if row is None:
+        for rec in read_records(fh, args.format):
+            damage.add(rec)
+            if rec is None:
                 continue
             total += 1
-            scan = row["scan"]
-            verdict = row["verdict"]
-            by_scan.setdefault(scan, {})[verdict] = (
-                by_scan.setdefault(scan, {}).get(verdict, 0) + 1
-            )
-            fails += verdict == "fail"
-            if scan == "new-conjecture" and verdict == "hit" and "q" in row["witness"]:
-                nc_hits.append((row["subject_key"][0], int(row["witness"]["q"])))
+            counts = by_scan.setdefault(rec.scan, {})
+            counts[rec.verdict] = counts.get(rec.verdict, 0) + 1
+            fails += rec.verdict == "fail"
+            if rec.scan == "new-conjecture":
+                new_conjecture.append(rec)
     finally:
         if args.file:
             fh.close()
     damaged = damage.summary()
     summary: dict = {"records": total, "by_scan": by_scan, "damage": damaged}
-    if nc_hits:
-        from fractions import Fraction
-
-        best = max(Fraction(q, p) for p, q in nc_hits)
-        summary["new_conjecture"] = {
-            "hits": len(nc_hits),
-            "max_q_over_p": str(best),
-        }
+    ratio = max_ratio_report(new_conjecture)
+    if ratio["hits"]:
+        summary["new_conjecture"] = {k: ratio[k] for k in ("hits", "max_q_over_p")}
     print(json.dumps(summary, sort_keys=True))
     for kind, found in damaged.items():
         if found:

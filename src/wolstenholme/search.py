@@ -1,8 +1,10 @@
 """Checkpointable, resumable desk-scale scans with deterministic output.
 
 Each scan walks a totally ordered subject space (integers, primes, or prime
-pairs) and emits ScanRecords as JSON lines.  Running a scan twice with the
-same parameters produces byte-identical streams; interrupting (even by
+pairs) and emits ScanRecords as JSON lines or CSV rows, and read_records
+decodes either format back into ScanRecords: this module is the one place
+that knows the record format.  Running a scan twice with the same
+parameters produces byte-identical streams; interrupting (even by
 SIGKILL) and resuming reproduces the uninterrupted stream exactly.  A
 checkpoint records the last completed subject plus the byte length and
 sha256 of the stream through it; resuming checks that prefix, truncates
@@ -16,6 +18,7 @@ records.  A scan with any "fail" record exits nonzero in CLI context.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -63,6 +66,7 @@ __all__ = [
     "run_scan",
     "scan_names",
     "scan_records",
+    "read_records",
     "max_ratio_report",
 ]
 
@@ -74,6 +78,9 @@ KNOWN_PAIRS = ((29, 937), (787, 2543), (69239, 231433))
 
 Subject = int | tuple[int, int]
 
+_COLUMNS = ("scan", "subject", "witness", "verdict", "params_hash")  # in both formats
+_COMPACT = (",", ":")
+
 
 @dataclass(frozen=True)
 class ScanRecord:
@@ -83,16 +90,39 @@ class ScanRecord:
     verdict: str  # hit | fail | pass
     params_hash: str
 
-    def to_json(self) -> str:
+    def subject_json(self, separators=_COMPACT) -> str:
+        """The subject as JSON: an int, or a pair as a list."""
         subject = list(self.subject) if isinstance(self.subject, tuple) else self.subject
-        payload = {
-            "scan": self.scan,
-            "subject": subject,
-            "witness": {k: self.witness[k] for k in sorted(self.witness)},
-            "verdict": self.verdict,
-            "params_hash": self.params_hash,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        return json.dumps(subject, separators=separators)
+
+    def witness_json(self) -> str:
+        """The canonical witness: sorted keys, compact."""
+        return json.dumps(self.witness, sort_keys=True, separators=_COMPACT)
+
+    def to_json(self) -> str:
+        """The jsonl line, without its newline: the columns in order, compact."""
+        scan, verdict, h = map(json.dumps, (self.scan, self.verdict, self.params_hash))
+        return (
+            f'{{"scan":{scan},"subject":{self.subject_json()},'
+            f'"witness":{self.witness_json()},"verdict":{verdict},"params_hash":{h}}}'
+        )
+
+    @classmethod
+    def from_fields(cls, row) -> ScanRecord | None:
+        """The record of one decoded line, or None unless its columns have
+        the types the writer writes; a pair subject is made a tuple again."""
+        try:
+            scan, subject, witness, verdict, h = (row[k] for k in _COLUMNS)
+        except (KeyError, TypeError):
+            return None
+        if not (
+            _is_subject(subject)
+            and isinstance(witness, dict)
+            and all(isinstance(v, str) for v in (scan, verdict, h))
+        ):
+            return None
+        subject = tuple(subject) if isinstance(subject, list) else subject
+        return cls(scan, subject, witness, verdict, h)
 
 
 @dataclass(frozen=True)
@@ -188,8 +218,9 @@ def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoin
 
 
 # --------------------------------------------------------------------------
-# Scan generators: yield (subject, [records]) in strictly ascending subject
-# order, one yield per subject, never skipping a subject of the scan's space.
+# Scan generators: yield (subject, [(witness, verdict)]) in strictly
+# ascending subject order, one yield per subject, never skipping a subject of
+# the scan's space; _ScanDef.stream makes each pair a ScanRecord.
 # Each walks the subjects lo..hi it is given; the scan table supplies them,
 # and a resumed run passes the subject after its checkpoint as lo.
 # --------------------------------------------------------------------------
@@ -220,30 +251,29 @@ def _wilson_verdict(n: int, fact: int, e: int) -> CongruenceVerdict:
     return CongruenceVerdict.check(n, ResidueClass(fact % m, m), m - 1)
 
 
-def _wilson_record(scan: str, v: CongruenceVerdict, verdict: str, h: str) -> ScanRecord:
-    witness = {"residue": str(v.residue.value), "modulus": str(v.modulus)}
-    return ScanRecord(scan, v.subject, witness, verdict, h)
+def _wilson_record(v: CongruenceVerdict, verdict: str) -> tuple[dict, str]:
+    return {"residue": str(v.residue.value), "modulus": str(v.modulus)}, verdict
 
 
-def _gen_wilson(params: dict, h: str, lo: int, hi: int):
+def _gen_wilson(params: dict, lo: int, hi: int):
     fact = _CarriedFactorial()
     for p in primes_in(lo, hi):
         v = _wilson_verdict(p, fact.at(p - 1), 2)
-        yield p, [_wilson_record("wilson", v, "hit", h)] if v.holds else []
+        yield p, [_wilson_record(v, "hit")] if v.holds else []
 
 
-def _gen_wilson_cube(params: dict, h: str, lo: int, hi: int):
+def _gen_wilson_cube(params: dict, lo: int, hi: int):
     fact = _CarriedFactorial()
     for n in range(lo, hi + 1):
-        recs = []
+        found = []
         # composite n > 4 has n | (n-1)!, so (n-1)! = 0 != -1 (mod n^3);
         # only primes and n = 4 need the residue
         if n == 4 or is_prime(n):
             v = _wilson_verdict(n, fact.at(n - 1), 3)
             if v.holds:
                 # the scan asserts no such n exists
-                recs.append(_wilson_record("wilson-cube", v, "fail", h))
-        yield n, recs
+                found.append(_wilson_record(v, "fail"))
+        yield n, found
 
 
 def _w_mod_cube(p: int, low: _CarriedFactorial, high: _CarriedFactorial) -> int:
@@ -255,10 +285,10 @@ def _w_mod_cube(p: int, low: _CarriedFactorial, high: _CarriedFactorial) -> int:
     return top * pow(bottom * bottom, -1, m) % m
 
 
-def _gen_jones(params: dict, h: str, lo: int, hi: int):
+def _gen_jones(params: dict, lo: int, hi: int):
     low, high = _CarriedFactorial(), _CarriedFactorial()
     for n, w in w_iter(hi, lo):
-        recs = []
+        found = []
         # w = 1 (mod n) is necessary and costs a one-digit division
         if w % n == 1 and w % n**3 == 1:
             prime_ok = n >= 5 and is_prime(n)
@@ -266,21 +296,9 @@ def _gen_jones(params: dict, h: str, lo: int, hi: int):
                 reverified = _w_mod_cube(n, low, high) == 1
             else:
                 reverified = w_mod(n, n**3).value == 1
-            verdict = "hit" if prime_ok and reverified else "fail"
-            recs.append(
-                ScanRecord(
-                    "jones",
-                    n,
-                    {
-                        "modulus": str(n**3),
-                        "prime": prime_ok,
-                        "reverified": reverified,
-                    },
-                    verdict,
-                    h,
-                )
-            )
-        yield n, recs
+            witness = {"modulus": str(n**3), "prime": prime_ok, "reverified": reverified}
+            found.append((witness, "hit" if prime_ok and reverified else "fail"))
+        yield n, found
 
 
 def _w_at_primes(lo: int, hi: int):
@@ -293,38 +311,24 @@ def _w_at_primes(lo: int, hi: int):
         yield p, w
 
 
-def _gen_wolstenholme(params: dict, h: str, lo: int, hi: int):
+def _gen_wolstenholme(params: dict, lo: int, hi: int):
     for p, w in _w_at_primes(lo, hi):
-        recs = []
+        found = []
         if w % p**4 == 1:
             # independent route: prime-power binomial instead of the recurrence
             reverified = binomial_mod(2 * p - 1, p - 1, p**4).value == 1
-            recs.append(
-                ScanRecord(
-                    "wolstenholme-primes",
-                    p,
-                    {"modulus": str(p**4), "reverified": reverified},
-                    "hit" if reverified else "fail",
-                    h,
-                )
-            )
-        yield p, recs
+            witness = {"modulus": str(p**4), "reverified": reverified}
+            found.append((witness, "hit" if reverified else "fail"))
+        yield p, found
 
 
-def _gen_mod5(params: dict, h: str, lo: int, hi: int):
+def _gen_mod5(params: dict, lo: int, hi: int):
     for n, w in w_iter(hi, lo):
-        recs = []
+        found = []
         if w % n == 1 and w % n**5 == 1:  # the first test as in jones
-            recs.append(
-                ScanRecord(
-                    "mod5",
-                    n,
-                    {"modulus": str(n**5), "reverified": w_mod(n, n**5).value == 1},
-                    "fail",  # the scan asserts no such n exists
-                    h,
-                )
-            )
-        yield n, recs
+            witness = {"modulus": str(n**5), "reverified": w_mod(n, n**5).value == 1}
+            found.append((witness, "fail"))  # the scan asserts no such n exists
+        yield n, found
 
 
 def _square_divisors(m: int, primorial: int) -> int:
@@ -335,7 +339,7 @@ def _square_divisors(m: int, primorial: int) -> int:
     return math.gcd(m // g1, g1)
 
 
-def _new_conjecture_record(p: int, q: int, m: int, h: str) -> ScanRecord:
+def _new_conjecture_record(p: int, q: int, m: int) -> tuple[dict, str]:
     """The record of q^2 | m = (w(p) - 1) / p^v, reverified mod q^2."""
     reverified = w_mod(p, q * q).value == 1
     witness = {
@@ -344,11 +348,10 @@ def _new_conjecture_record(p: int, q: int, m: int, h: str) -> ScanRecord:
         "ratio_p_over_q": str(Fraction(p, q)),
         "reverified": reverified,
     }
-    verdict = "hit" if q < p and reverified else "fail"
-    return ScanRecord("new-conjecture", p, witness, verdict, h)
+    return witness, "hit" if q < p and reverified else "fail"
 
 
-def _gen_new_conjecture(params: dict, h: str, lo: int, hi: int):
+def _gen_new_conjecture(params: dict, lo: int, hi: int):
     qs = primes_upto(params["q_max"])
     primorial = _prod_tree(qs)
     for p, w in _w_at_primes(lo, hi):
@@ -357,15 +360,15 @@ def _gen_new_conjecture(params: dict, h: str, lo: int, hi: int):
         m = w - 1
         m //= p ** valuation(m, p)
         squares = _square_divisors(m, primorial)
-        recs = []
+        found = []
         if squares > 1:  # at few p: 6 of the 301 primes up to 2000
-            recs = [_new_conjecture_record(p, q, m, h) for q in qs if squares % q == 0]
-        yield p, recs
+            found = [_new_conjecture_record(p, q, m) for q in qs if squares % q == 0]
+        yield p, found
 
 
 def _pair_record(
-    p: int, q: int, left: bool, right: bool, h: str, always: bool
-) -> list[ScanRecord]:
+    p: int, q: int, left: bool, right: bool, always: bool
+) -> list[tuple[dict, str]]:
     """The pairs record for p < q from the criterion's two halves at level 1:
     left is w(p) = 1 (mod q), right is w(q) = 1 (mod p)."""
     combined = left and right
@@ -380,7 +383,7 @@ def _pair_record(
             verdict = "fail"
     elif combined:
         witness["direct_agrees"] = "skipped"
-    return [ScanRecord("pairs", (p, q), witness, verdict, h)]
+    return [(witness, verdict)]
 
 
 def _w_mod_prime(p: int) -> Callable[[int], int]:
@@ -410,7 +413,7 @@ def _w_mod_prime(p: int) -> Callable[[int], int]:
     return w_mod_p
 
 
-def _gen_pairs(params: dict, h: str, lo: tuple[int, int], hi: int):
+def _gen_pairs(params: dict, lo: tuple[int, int], hi: int):
     # pairs run in lexicographic order; lo is the first (p, q) to check
     if params.get("known"):
         # published pairs are expected hits, so a miss is emitted as a fail
@@ -418,7 +421,7 @@ def _gen_pairs(params: dict, h: str, lo: tuple[int, int], hi: int):
         for p, q in pairs:
             if (p, q) >= lo:
                 res = pair_criterion(p, q, 1)
-                yield (p, q), _pair_record(p, q, res.left, res.right, h, always=True)
+                yield (p, q), _pair_record(p, q, res.left, res.right, always=True)
         return
     p_lo, q_lo = lo
     qs = primes_upto(params["q_max"])
@@ -429,13 +432,14 @@ def _gen_pairs(params: dict, h: str, lo: tuple[int, int], hi: int):
         for q in qs[bisect_left(qs, q_from):]:
             left = w % q == 1
             right = w_mod_p(q) == 1
-            yield (p, q), _pair_record(p, q, left, right, h, always=False)
+            yield (p, q), _pair_record(p, q, left, right, always=False)
 
 
 @dataclass(frozen=True)
 class _ScanDef:
-    """The one definition of a scan: its generator, subject bounds and params."""
+    """The one definition of a scan: its name, generator, subject bounds and params."""
 
+    name: str
     generate: Callable
     bounds: Callable[[dict], tuple[Subject, int]]
     required: tuple[str, ...]
@@ -447,27 +451,33 @@ class _ScanDef:
         return [k for k in self.required if params.get(k) is None]
 
     def stream(self, params: dict, h: str, after: Subject | None = None) -> Iterator:
-        """The scan's (subject, records) stream, entered just after `after`."""
+        """The scan's (subject, records) stream, entered just after `after`,
+        each record stamped with the scan's name and params hash h."""
         lo, hi = self.bounds(params)
         if after is not None:
             lo = (after[0], after[1] + 1) if isinstance(after, tuple) else after + 1
-        return self.generate(params, h, lo, hi)
+        for subject, found in self.generate(params, lo, hi):
+            yield subject, [ScanRecord(self.name, subject, w, v, h) for w, v in found]
 
 
 _SCANS = {
-    "wilson": _ScanDef(_gen_wilson, lambda p: (2, p["limit"]), ("limit",)),
-    "wilson-cube": _ScanDef(_gen_wilson_cube, lambda p: (2, p["limit"]), ("limit",)),
-    "jones": _ScanDef(_gen_jones, lambda p: (2, p["limit"]), ("limit",)),
-    "wolstenholme-primes": _ScanDef(
-        _gen_wolstenholme, lambda p: (5, p["limit"]), ("limit",)
-    ),
-    "mod5": _ScanDef(_gen_mod5, lambda p: (2, p["limit"]), ("limit",)),
-    "new-conjecture": _ScanDef(
-        _gen_new_conjecture, lambda p: (5, p["p_max"]), ("p_max", "q_max")
-    ),
-    "pairs": _ScanDef(
-        _gen_pairs, lambda p: ((5, 0), p.get("p_max")), ("p_max", "q_max"), known=True
-    ),
+    sd.name: sd
+    for sd in (
+        _ScanDef("wilson", _gen_wilson, lambda p: (2, p["limit"]), ("limit",)),
+        _ScanDef("wilson-cube", _gen_wilson_cube, lambda p: (2, p["limit"]), ("limit",)),
+        _ScanDef("jones", _gen_jones, lambda p: (2, p["limit"]), ("limit",)),
+        _ScanDef(
+            "wolstenholme-primes", _gen_wolstenholme, lambda p: (5, p["limit"]), ("limit",)
+        ),
+        _ScanDef("mod5", _gen_mod5, lambda p: (2, p["limit"]), ("limit",)),
+        _ScanDef(
+            "new-conjecture", _gen_new_conjecture, lambda p: (5, p["p_max"]), ("p_max", "q_max")
+        ),
+        _ScanDef(
+            "pairs", _gen_pairs, lambda p: ((5, 0), p.get("p_max")), ("p_max", "q_max"),
+            known=True,
+        ),
+    )
 }
 
 
@@ -650,35 +660,74 @@ def _flush(sink) -> None:
         flush()
 
 
-_CSV_COLUMNS = ("scan", "subject", "witness", "verdict", "params_hash")
-
-
-def _make_writer(sink: _Tally, fmt: str, header: bool):
+def _make_writer(sink: _Tally, fmt: str, header: bool) -> Callable[[ScanRecord], None]:
     if fmt == "jsonl":
-        def emit(rec: ScanRecord) -> None:
-            sink.write(rec.to_json() + "\n")
-
-        return emit
+        return lambda rec: sink.write(rec.to_json() + "\n")
     if fmt == "csv":
-        import csv
-
         writer = csv.writer(sink, lineterminator="\n")
         if header:
-            writer.writerow(_CSV_COLUMNS)
-
-        def emit(rec: ScanRecord) -> None:
-            subject = (
-                json.dumps(list(rec.subject))
-                if isinstance(rec.subject, tuple)
-                else rec.subject
-            )
-            witness = json.dumps(
-                {k: rec.witness[k] for k in sorted(rec.witness)}, separators=(",", ":")
-            )
-            writer.writerow([rec.scan, subject, witness, rec.verdict, rec.params_hash])
-
-        return emit
+            writer.writerow(_COLUMNS)
+        # a pair subject keeps JSON's default spacing, "[29, 937]"
+        return lambda rec: writer.writerow(
+            [rec.scan, rec.subject_json(None), rec.witness_json(), rec.verdict, rec.params_hash]
+        )
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _loads(text: str):
+    """The JSON value of an ASCII text (records are ASCII), or None."""
+    try:
+        return json.loads(text) if text.isascii() else None
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep
+        return None
+
+
+def _decoded_rows(fh, fmt: str) -> Iterator:
+    """Each line's columns as JSON values, or None where they do not decode."""
+    if fmt == "jsonl":
+        for line in fh:
+            if line.strip():
+                yield _loads(line)
+        return
+    if fmt != "csv":
+        raise ValueError(f"unknown format {fmt!r}")
+    try:
+        for row in csv.DictReader(fh):
+            # extra fields (a list under key None), a missing one (None), non-ASCII
+            if all(isinstance(v, str) and v.isascii() for v in row.values()):
+                row.update((k, _loads(row[k])) for k in ("subject", "witness") if k in row)
+                yield row
+            else:
+                yield None
+    except csv.Error:  # a torn quote makes the rest of the file one huge field
+        yield None
+
+
+def _ratio_readable(rec: ScanRecord) -> bool:
+    """Whether max_ratio_report can read q/p off a record: q, if present, is
+    spelled as str(q) spells an int, and p is an int subject above 0."""
+    q = rec.witness.get("q", "0")
+    try:
+        return type(rec.subject) is int and rec.subject > 0 and str(int(q)) == q
+    except (TypeError, ValueError):
+        return False
+
+
+def read_records(fh, fmt: str) -> Iterator[ScanRecord | None]:
+    """Decode a jsonl or csv record stream from the text file fh: yield each
+    record as a ScanRecord, or None for a line that does not parse.  Beyond
+    its columns' types, a record must have the subject shape (int or pair)
+    of its scan's first record, and a new-conjecture record a readable q/p."""
+    shapes: dict[str, type] = {}
+    for row in _decoded_rows(fh, fmt):
+        rec = ScanRecord.from_fields(row)
+        if rec is not None and (
+            (rec.scan == "new-conjecture" and not _ratio_readable(rec))
+            # only a record that parses sets its scan's shape
+            or shapes.setdefault(rec.scan, type(rec.subject)) is not type(rec.subject)
+        ):
+            rec = None
+        yield rec
 
 
 def scan_records(name: str, params: dict) -> list[ScanRecord]:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -380,9 +381,21 @@ class TestReportCommand:
         assert "usage error" in rep.stderr
         assert "Traceback" not in rep.stderr
 
+    def test_ratio_matches_the_scan(self):
+        # the scan's own ratio report (stderr) and report over its stream agree
+        scan = cli("scan", "new-conjecture", "--p-max", "200", "--q-max", "5000")
+        assert scan.returncode == 0
+        line = next(l for l in scan.stderr.splitlines() if l.startswith("ratio report: "))
+        own = ast.literal_eval(line.removeprefix("ratio report: "))
+        rep = cli("report", stdin=scan.stdout)
+        assert rep.returncode == 0
+        summary = json.loads(rep.stdout)["new_conjecture"]
+        assert own["hits"] > 1
+        assert summary == {"hits": own["hits"], "max_q_over_p": own["max_q_over_p"]}
 
-def _record(subject, params_hash="h", **witness) -> str:
-    rec = {"scan": "s", "subject": subject, "witness": witness, "verdict": "hit",
+
+def _record(subject, params_hash="h", scan="s", **witness) -> str:
+    rec = {"scan": scan, "subject": subject, "witness": witness, "verdict": "hit",
            "params_hash": params_hash}
     return json.dumps(rec, separators=(",", ":")) + "\n"
 
@@ -422,6 +435,37 @@ class TestReportDamage:
         assert code == 1
         assert damage["scans_with_mixed_params_hash"] == ["s"]
 
+    @pytest.mark.parametrize(
+        "subject, q",
+        [(13, "abc"), (0, "3"), ([5, 7], "3")],
+        ids=["q-not-decimal", "subject-zero", "pair-subject"],
+    )
+    def test_new_conjecture_hit_without_a_ratio(self, subject, q):
+        # the hit's q/p cannot be read, so the line counts as unparseable,
+        # and the scan's subjects keep the shape of the hit that follows
+        stream = _record(subject, scan="new-conjecture", q=q)
+        stream += _record(13, scan="new-conjecture", q="3")
+        rep = cli("report", stdin=stream)
+        assert "Traceback" not in rep.stderr
+        assert rep.returncode == 1
+        summary = json.loads(rep.stdout)
+        assert summary["damage"]["unparseable_lines"] == 1
+        assert summary["new_conjecture"] == {"hits": 1, "max_q_over_p": "3/13"}
+
+    @pytest.mark.parametrize("subject", [[], [5], [1, 2, 3]], ids=["empty", "one", "three"])
+    def test_subject_list_not_a_pair(self, subject):
+        code, damage = self._damage(_record(3) + _record(subject))
+        assert code == 1
+        assert damage["unparseable_lines"] == 1
+
+    @pytest.mark.parametrize("first, then", [(5, [5, 7]), ([5, 7], 11)], ids=["int-pair", "pair-int"])
+    def test_mixed_subject_shapes(self, first, then):
+        # a scan's subjects all have the shape of its first record's
+        stream = _record(first, scan="wilson") + _record(then, scan="wilson")
+        code, damage = self._damage(stream + _record([5, 7]) + _record(9))
+        assert code == 1
+        assert damage["unparseable_lines"] == 2  # the second wilson record and s's 9
+
     def test_csv_damage(self):
         stream = cli("scan", "wilson", "--limit", "600", "--format", "csv").stdout
         lines = stream.splitlines(keepends=True)
@@ -451,6 +495,12 @@ class TestReportDamage:
         summary = json.loads(rep.stdout)
         assert summary["records"] == 1
         assert summary["damage"]["unparseable_lines"] == 1
+
+    def test_deeply_nested_line(self):
+        # json.loads gives up with RecursionError, not ValueError, on this one
+        code, damage = self._damage(_record(5) + "[" * 100000 + "\n")
+        assert code == 1
+        assert damage["unparseable_lines"] == 1
 
     def test_non_ascii_inside_a_record(self):
         code, damage = self._damage(_record(5).replace('"h"', '"h\u00e9"'))

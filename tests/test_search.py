@@ -25,6 +25,7 @@ from wolstenholme.search import (
     checkpoint_save,
     max_ratio_report,
     params_digest,
+    read_records,
     run_scan,
     scan_records,
 )
@@ -624,29 +625,53 @@ class TestCarriedPaths:
         assert calls["w_mod"] == len(recs) > 0
 
 
-# sha256 of each scan's jsonl stream at a size that runs in well under a
-# second, pinned so that a change to the arithmetic routes that alters one
-# byte fails here.  Streams that are empty at these sizes (wilson-cube and
-# mod5 always so far, wolstenholme-primes below 16843) pin only that.
+# sha256 of each scan's stream in both formats at a size that runs in well
+# under a second, pinned so that a change to the arithmetic routes or to the
+# writer that alters one byte fails here.  Streams that are empty at these
+# sizes (wilson-cube and mod5 always so far, wolstenholme-primes below 16843)
+# pin only that, and in csv only the header row.  The jsonl rows keep the
+# bare scan name as their test id.
 _EMPTY = hashlib.sha256(b"").hexdigest()
-STREAM_DIGESTS = [
-    ("wilson", {"limit": 2000},
-     "216c69c36cdc0f6a0724297bd6456e467c11e349f59fca91e572768a74808a2c"),
-    ("wilson-cube", {"limit": 1000}, _EMPTY),
-    ("jones", {"limit": 1500},
-     "833854e397032706c7d5c3ebbd75a0b2f87fa3c4ce1b8577795c422e6631747e"),
-    ("mod5", {"limit": 2000}, _EMPTY),
-    ("wolstenholme-primes", {"limit": 2000}, _EMPTY),
-    ("pairs", {"p_max": 30, "q_max": 1000},
-     "1a3914c8bade0e932efc39fc32d683206f3d67d20e21f27dea858e9c37193c4c"),
-    ("new-conjecture", {"p_max": 200, "q_max": 5000},
-     "e6bf5058da59d68bd022df8e9833b8b603222b096abbbed9470524f9e21b1414"),
+_EMPTY_CSV = hashlib.sha256(b"scan,subject,witness,verdict,params_hash\n").hexdigest()
+STREAM_DIGESTS = [  # id, scan, params, jsonl digest, csv digest
+    ("wilson", "wilson", {"limit": 2000},
+     "216c69c36cdc0f6a0724297bd6456e467c11e349f59fca91e572768a74808a2c",
+     "bdefec8b02cc72570afc96e1b75d9d389bc420a09e64378666b7a1e4bf66b50e"),
+    ("wilson-cube", "wilson-cube", {"limit": 1000}, _EMPTY, _EMPTY_CSV),
+    ("jones", "jones", {"limit": 1500},
+     "833854e397032706c7d5c3ebbd75a0b2f87fa3c4ce1b8577795c422e6631747e",
+     "ba247e8b548ef26701d41558aa17dd1e2ebb5916d1a41fef8ca6748e5064633d"),
+    ("mod5", "mod5", {"limit": 2000}, _EMPTY, _EMPTY_CSV),
+    ("wolstenholme-primes", "wolstenholme-primes", {"limit": 2000}, _EMPTY, _EMPTY_CSV),
+    ("pairs", "pairs", {"p_max": 30, "q_max": 1000},
+     "1a3914c8bade0e932efc39fc32d683206f3d67d20e21f27dea858e9c37193c4c",
+     "60208a919268035d473ab703959895e7249af92805dd1a220406a25c4a5b0436"),
+    ("pairs-known", "pairs", {"known": True, "stretch": False},
+     "6f1dd28bfffb53bde7665d8c0ffa41760d571afac759e970556bf8f57fb47335",
+     "4a58a299f7b0915dd775357ebcce8ccc48642af6efead3103370ef1b59578f3e"),
+    ("new-conjecture", "new-conjecture", {"p_max": 200, "q_max": 5000},
+     "e6bf5058da59d68bd022df8e9833b8b603222b096abbbed9470524f9e21b1414",
+     "b6045e48c1053d12d6f0e7581c8ee176ef91a9c83c4de92ab35526f559fd7dec"),
+]
+STREAM_CASES = [
+    pytest.param(name, params, fmt, digest, id=ident if fmt == "jsonl" else f"{ident}-csv")
+    for ident, name, params, *digests in STREAM_DIGESTS
+    for fmt, digest in zip(("jsonl", "csv"), digests)
 ]
 
 
-@pytest.mark.parametrize("name, params, digest", STREAM_DIGESTS,
-                         ids=[name for name, _, _ in STREAM_DIGESTS])
-def test_stream_digest_pinned(name, params, digest):
+@pytest.mark.parametrize("name, params, fmt, digest", STREAM_CASES)
+def test_stream_digest_pinned(name, params, fmt, digest):
     buf = io.StringIO()
-    run_scan(name, params, buf)
+    run_scan(name, params, buf, fmt=fmt)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, params, fmt, digest", STREAM_CASES)
+def test_read_records_round_trip(name, params, fmt, digest):
+    # what the writer wrote decodes to the records the scan yields, with
+    # pair subjects back as tuples
+    buf = io.StringIO()
+    run_scan(name, params, buf, fmt=fmt)
+    buf.seek(0)
+    assert list(read_records(buf, fmt)) == scan_records(name, params)

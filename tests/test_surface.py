@@ -1,7 +1,8 @@
 """The public surface: each module's __all__ lists exactly the public
 functions and classes it defines, the package re-exports the library
-modules' lists, no module imports a name it never uses, every check of a
-claim survives ``python -O``, and the README's library example runs."""
+modules' lists, no module imports a name it never uses, only search reads
+the record format, every check of a claim survives ``python -O``, and the
+README's library example runs."""
 
 import ast
 import importlib
@@ -57,6 +58,29 @@ def test_no_unused_imports(path):
             imported |= {a.asname or a.name for a in node.names if a.name != "*"}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _reads_records(node: ast.AST) -> bool:
+    """An import of csv, or a reference to json.loads."""
+    if isinstance(node, ast.Import):
+        return any(a.name == "csv" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "csv" or (
+            node.module == "json" and any(a.name == "loads" for a in node.names)
+        )
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "loads"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+    )
+
+
+def test_only_search_reads_records():
+    # the record format lives in search, so report cannot grow a parser of
+    # its own; checkpoints are read with json.load, not json.loads
+    readers = [p.name for p in FILES if any(map(_reads_records, ast.walk(_tree(p))))]
+    assert readers == ["search.py"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
