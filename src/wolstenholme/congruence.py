@@ -214,6 +214,53 @@ def _prod_tree(xs: list[int]) -> int:
     return _prod_tree(xs[:mid]) * _prod_tree(xs[mid:])
 
 
+_LEAF_EVENTS = 32  # events per leaf block of _factorial_residues
+
+
+def _factorial_residues(points: list[int], moduli: list[int]):
+    """Yield x! mod m for each x of points, non-decreasing, with the m of
+    moduli at the same index, in order.
+
+    An accumulating remainder tree (Costa, Gerbicz and Harvey, "A search
+    for Wilson primes", 2014).  The moduli are multiplied up a tree over
+    leaf blocks of events.  Its descent hands each node V, the product of
+    the runs (x_{i-1}, x_i] before the node, mod the node's modulus: the
+    left child gets V mod M_left, the right child V * A_left mod M_right,
+    where A_left, the product of the runs under the left child, is what
+    the left descent returns.  Within a block V is carried mod the block's
+    modulus.  The root's V is points[0]!, so a range entered high costs one
+    factorial, and nothing is computed before the first next().
+    """
+    if not points:
+        return
+    leaves = range(0, len(points), _LEAF_EVENTS)
+    tree = [[math.prod(moduli[a : a + _LEAF_EVENTS]) for a in leaves]]
+    while len(tree[-1]) > 1:
+        below = tree[-1]
+        tree.append([math.prod(below[i : i + 2]) for i in range(0, len(below), 2)])
+
+    def descend(level: int, j: int, v: int):
+        """Yield the residues under node j of level, given its V; return
+        the product of its runs."""
+        if level == 0:
+            block, runs = tree[0][j], 1
+            for i in range(j * _LEAF_EVENTS, min((j + 1) * _LEAF_EVENTS, len(points))):
+                run = math.prod(range(points[max(i - 1, 0)] + 1, points[i] + 1))
+                runs *= run
+                v = v * run % block
+                yield v % moduli[i]
+            return runs
+        below = tree[level - 1]
+        if 2 * j + 1 == len(below):  # a lone child spans the same events
+            return (yield from descend(level - 1, 2 * j, v))
+        left = yield from descend(level - 1, 2 * j, v % below[2 * j])
+        right_m = below[2 * j + 1]
+        right = yield from descend(level - 1, 2 * j + 1, v % right_m * (left % right_m) % right_m)
+        return left * right
+
+    yield from descend(len(tree) - 1, 0, math.factorial(points[0]) % tree[-1][0])
+
+
 def _wprime_parts(n_max: int):
     """Yield (d, divisors of d, num, den) for d = 1..n_max, where
     w'(d) = num/den in lowest terms, from its definition: before reduction

@@ -25,23 +25,21 @@ import math
 import os
 import re
 import tempfile
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
 from .arith import (
-    ResidueClass,
     binomial_mod,
-    is_prime,
     primes_in,
     primes_upto,
     valuation,
 )
 from .congruence import (
     PAIR_DIRECT_BUDGET,
-    CongruenceVerdict,
+    _factorial_residues,
     _prod_tree,
     pair_criterion,
     pair_direct_check,
@@ -109,12 +107,12 @@ class ScanRecord:
 
     @classmethod
     def from_fields(cls, row) -> ScanRecord | None:
-        """The record of one decoded line, or None unless its columns have
-        the types the writer writes; a pair subject is made a tuple again."""
-        try:
-            scan, subject, witness, verdict, h = (row[k] for k in _COLUMNS)
-        except (KeyError, TypeError):
+        """The record of one decoded line, or None unless it has exactly the
+        five columns, of the types the writer writes; a pair subject is made
+        a tuple again."""
+        if not isinstance(row, dict) or row.keys() != set(_COLUMNS):
             return None
+        scan, subject, witness, verdict, h = (row[k] for k in _COLUMNS)
         if not (
             _is_subject(subject)
             and isinstance(witness, dict)
@@ -226,74 +224,63 @@ def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoin
 # --------------------------------------------------------------------------
 
 
-class _CarriedFactorial:
-    """n! exactly for non-decreasing n: the first call computes it, each later
-    call extends the previous value by one math.prod over the gap, so a scan
-    stepping through its subjects pays a few big-int operations in C for
-    each one."""
-
-    def __init__(self):
-        self.n: int | None = None
-        self.value = 1
-
-    def at(self, n: int) -> int:
-        if self.n is None:
-            self.value = math.factorial(n)
-        else:
-            self.value *= math.prod(range(self.n + 1, n + 1))
-        self.n = n
-        return self.value
-
-
-def _wilson_verdict(n: int, fact: int, e: int) -> CongruenceVerdict:
-    """wilson_residue(n, e) from the exact (n-1)! carried by the scan."""
-    m = n**e
-    return CongruenceVerdict.check(n, ResidueClass(fact % m, m), m - 1)
-
-
-def _wilson_record(v: CongruenceVerdict, verdict: str) -> tuple[dict, str]:
-    return {"residue": str(v.residue.value), "modulus": str(v.modulus)}, verdict
+def _wilson_record(residue: int, m: int, verdict: str) -> list[tuple[dict, str]]:
+    """The record of (n-1)! = -1 (mod m), from residue = (n-1)! mod m, or none."""
+    if residue != m - 1:
+        return []
+    return [({"residue": str(residue), "modulus": str(m)}, verdict)]
 
 
 def _gen_wilson(params: dict, lo: int, hi: int):
-    fact = _CarriedFactorial()
-    for p in primes_in(lo, hi):
-        v = _wilson_verdict(p, fact.at(p - 1), 2)
-        yield p, [_wilson_record(v, "hit")] if v.holds else []
+    points = [p - 1 for p in primes_in(lo, hi)]  # (p-1)! at each prime p
+    moduli = [(x + 1) ** 2 for x in points]
+    for x, m, residue in zip(points, moduli, _factorial_residues(points, moduli)):
+        yield x + 1, _wilson_record(residue, m, "hit")
 
 
 def _gen_wilson_cube(params: dict, lo: int, hi: int):
-    fact = _CarriedFactorial()
+    # composite n > 4 has n | (n-1)!, so (n-1)! = 0 != -1 (mod n^3);
+    # only primes and n = 4 need the residue
+    points = [n - 1 for n in primes_in(lo, hi)]
+    if lo <= 4 <= hi:
+        insort(points, 3)
+    moduli = [(x + 1) ** 3 for x in points]
+    residues = _factorial_residues(points, moduli)
+    i = 0
     for n in range(lo, hi + 1):
         found = []
-        # composite n > 4 has n | (n-1)!, so (n-1)! = 0 != -1 (mod n^3);
-        # only primes and n = 4 need the residue
-        if n == 4 or is_prime(n):
-            v = _wilson_verdict(n, fact.at(n - 1), 3)
-            if v.holds:
-                # the scan asserts no such n exists
-                found.append(_wilson_record(v, "fail"))
+        if i < len(points) and n == points[i] + 1:
+            # the scan asserts no such n exists
+            found = _wilson_record(next(residues), moduli[i], "fail")
+            i += 1
         yield n, found
 
 
-def _w_mod_cube(p: int, low: _CarriedFactorial, high: _CarriedFactorial) -> int:
-    """w(p) mod p^3 for a prime p, by the factorial formula
-    w(p) = ((2p-1)!/p) / ((p-1)!)^2, independent of the scan's recurrence."""
+def _w_from_factorials(p: int, low: int, high: int) -> int:
+    """w(p) mod p^3 for a prime p, from low = (p-1)! mod p^3 and high =
+    (2p-1)! mod p^4 by the factorial formula w(p) = ((2p-1)!/p) / ((p-1)!)^2;
+    p divides (2p-1)! exactly once."""
     m = p**3
-    top = high.at(2 * p - 1) % (m * p) // p  # p divides (2p-1)! exactly once
-    bottom = low.at(p - 1) % m
-    return top * pow(bottom * bottom, -1, m) % m
+    return high // p * pow(low * low, -1, m) % m
 
 
 def _gen_jones(params: dict, lo: int, hi: int):
-    low, high = _CarriedFactorial(), _CarriedFactorial()
+    # (p-1)! mod p^3 and (2p-1)! mod p^4 at each prime p >= 5, for w(p)
+    # again, independent of the recurrence
+    points = [p - 1 for p in primes_in(max(lo, 5), hi)]
+    lows = _factorial_residues(points, [(x + 1) ** 3 for x in points])
+    highs = _factorial_residues([2 * x + 1 for x in points], [(x + 1) ** 4 for x in points])
+    i = 0
     for n, w in w_iter(hi, lo):
         found = []
+        prime_ok = i < len(points) and n == points[i] + 1
+        if prime_ok:
+            low, high = next(lows), next(highs)
+            i += 1
         # w = 1 (mod n) is necessary and costs a one-digit division
         if w % n == 1 and w % n**3 == 1:
-            prime_ok = n >= 5 and is_prime(n)
             if prime_ok:
-                reverified = _w_mod_cube(n, low, high) == 1
+                reverified = _w_from_factorials(n, low, high) == 1
             else:
                 reverified = w_mod(n, n**3).value == 1
             witness = {"modulus": str(n**3), "prime": prime_ok, "reverified": reverified}
@@ -692,13 +679,20 @@ def _decoded_rows(fh, fmt: str) -> Iterator:
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
     try:
-        for row in csv.DictReader(fh):
+        # the header row is read as a row, so a stream that lost it loses no record
+        for i, row in enumerate(csv.DictReader(fh, _COLUMNS)):
+            if i == 0 and list(row.values()) == list(_COLUMNS):
+                continue
             # extra fields (a list under key None), a missing one (None), non-ASCII
             if all(isinstance(v, str) and v.isascii() for v in row.values()):
-                row.update((k, _loads(row[k])) for k in ("subject", "witness") if k in row)
-                yield row
+                row.update((k, _loads(row[k])) for k in ("subject", "witness"))
             else:
-                yield None
+                row = None
+            if i == 0:
+                yield None  # the header row is lost or damaged
+                if ScanRecord.from_fields(row) is None:
+                    continue  # it was the damaged header, counted once
+            yield row
     except csv.Error:  # a torn quote makes the rest of the file one huge field
         yield None
 
@@ -717,7 +711,9 @@ def read_records(fh, fmt: str) -> Iterator[ScanRecord | None]:
     """Decode a jsonl or csv record stream from the text file fh: yield each
     record as a ScanRecord, or None for a line that does not parse.  Beyond
     its columns' types, a record must have the subject shape (int or pair)
-    of its scan's first record, and a new-conjecture record a readable q/p."""
+    of its scan's first record, and a new-conjecture record a readable q/p.
+    A csv stream whose first row is not the header row yields None for the
+    header, then that row if it is a record, so none is lost."""
     shapes: dict[str, type] = {}
     for row in _decoded_rows(fh, fmt):
         rec = ScanRecord.from_fields(row)

@@ -474,6 +474,28 @@ class TestReportDamage:
         assert damage["repeated_or_backwards_subjects"] == 1
         assert damage["unparseable_lines"] == 1
 
+    def test_extra_jsonl_key(self):
+        # as a csv row with an extra field is
+        junk = '{"scan":"s","subject":5,"witness":{},"verdict":"hit","params_hash":"h","junk":1}\n'
+        code, damage = self._damage(_record(3) + junk)
+        assert code == 1
+        assert damage["unparseable_lines"] == 1
+
+    @pytest.mark.parametrize(
+        "header", ["", "scan,subjec,witness,verdict,params_hash\n"], ids=["lost", "damaged"]
+    )
+    def test_csv_header_not_first(self, header):
+        # scan wilson --limit 600 --format csv | tail -n +2 | report --format csv:
+        # the missing header is damage, and no record is taken for it
+        stream = cli("scan", "wilson", "--limit", "600", "--format", "csv").stdout
+        rows = stream.splitlines(keepends=True)[1:]
+        rep = cli("report", "--format", "csv", stdin=header + "".join(rows))
+        assert "Traceback" not in rep.stderr
+        assert rep.returncode == 1
+        summary = json.loads(rep.stdout)
+        assert (summary["records"], summary["by_scan"]) == (3, {"wilson": {"hit": 3}})
+        assert summary["damage"]["unparseable_lines"] == 1
+
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_non_ascii_bytes(self, tmp_path, fmt, source):

@@ -1,12 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from wolstenholme import congruence
-from wolstenholme.arith import is_prime, primes_upto
+from wolstenholme.arith import ResidueClass, is_prime, primes_in, primes_upto
 from wolstenholme.congruence import (
+    CongruenceVerdict,
     _divisors,
+    _factorial_residues,
     _prod_tree,
     _wprime_parts,
     divisor_product_check,
@@ -27,6 +30,41 @@ from wolstenholme.congruence import (
     wprime_mod,
 )
 from wolstenholme.errors import BudgetExceeded, PreconditionViolated
+from wolstenholme.search import _w_from_factorials
+
+
+class _CarriedFactorial:
+    """n! exactly for non-decreasing n: the first call computes it, each later
+    call extends the previous value by one math.prod over the gap.  The
+    wilson, wilson-cube and jones scans once carried their factorials so;
+    it is the oracle for _factorial_residues."""
+
+    def __init__(self):
+        self.n: int | None = None
+        self.value = 1
+
+    def at(self, n: int) -> int:
+        if self.n is None:
+            self.value = math.factorial(n)
+        else:
+            self.value *= math.prod(range(self.n + 1, n + 1))
+        self.n = n
+        return self.value
+
+
+def _wilson_verdict(n: int, fact: int, e: int) -> CongruenceVerdict:
+    """wilson_residue(n, e) from an exact (n-1)!."""
+    m = n**e
+    return CongruenceVerdict.check(n, ResidueClass(fact % m, m), m - 1)
+
+
+def _w_mod_cube(p: int, low: _CarriedFactorial, high: _CarriedFactorial) -> int:
+    """w(p) mod p^3 for a prime p by w(p) = ((2p-1)!/p) / ((p-1)!)^2, from
+    exact factorials."""
+    m = p**3
+    top = high.at(2 * p - 1) % (m * p) // p  # p divides (2p-1)! exactly once
+    bottom = low.at(p - 1) % m
+    return top * pow(bottom * bottom, -1, m) % m
 
 
 class TestWExact:
@@ -185,6 +223,77 @@ class TestDivisorProductChecks:
         xs = list(range(1, 300))
         for n in range(len(xs) + 1):
             assert _prod_tree(xs[:n]) == math.prod(xs[:n]), n
+
+
+def _factorials_mod(points, moduli):
+    """x! mod m for each (x, m), directly and from the carried oracle; the
+    two must agree."""
+    direct = [math.factorial(x) % m for x, m in zip(points, moduli)]
+    fact = _CarriedFactorial()
+    assert [fact.at(x) % m for x, m in zip(points, moduli)] == direct
+    return direct
+
+
+class TestFactorialResidues:
+    """The remainder-tree kernel against math.factorial and the carried
+    factorial it replaced in the scans."""
+
+    @staticmethod
+    def _check(points, moduli):
+        assert list(_factorial_residues(points, moduli)) == _factorials_mod(points, moduli)
+
+    def test_no_points(self):
+        assert list(_factorial_residues([], [])) == []
+
+    @pytest.mark.parametrize("x", [0, 1, 2, 5, 97, 1000])
+    def test_single_point(self, x):
+        self._check([x], [10**9 + 7])
+
+    def test_zero_and_one(self):
+        self._check([0, 0, 1, 1, 2], [2, 1, 3, 5, 7])
+
+    def test_repeated_points(self):
+        self._check([3, 3, 3, 10, 10, 50, 50, 50], [7, 8, 9, 11**3, 13**2, 2**64, 3**40, 5])
+
+    @pytest.mark.parametrize("count", range(1, 101))
+    def test_event_counts(self, count):
+        # counts off a multiple of the leaf block, with gaps, repeats and
+        # moduli from 1 to 60 digits
+        rng = random.Random(count)
+        points = sorted(rng.randrange(0, 4 * count) for _ in range(count))
+        moduli = [rng.randrange(1, 10 ** rng.randrange(1, 61)) for _ in range(count)]
+        self._check(points, moduli)
+
+    def test_entered_high(self):
+        # as a resume enters: the first point far above 2
+        ps = list(primes_in(5003, 7000))
+        self._check([p - 1 for p in ps], [p**3 for p in ps])
+
+    def test_nothing_before_first_next(self):
+        class Unread(list):
+            def __len__(self):
+                raise AssertionError("read before the first next()")
+
+        residues = _factorial_residues(Unread([4]), Unread([7]))
+        with pytest.raises(AssertionError):
+            next(residues)
+
+    @pytest.mark.parametrize("lo", [2, 1500])
+    def test_scan_residues_against_carried(self, lo):
+        # the residues wilson, wilson-cube and jones read, against the
+        # carried verdicts and w(p) mod p^3 they replaced
+        ps = list(primes_in(lo, 3000))
+        for e in (2, 3):
+            fact = _CarriedFactorial()
+            residues = _factorial_residues([p - 1 for p in ps], [p**e for p in ps])
+            for p, r in zip(ps, residues):
+                v = _wilson_verdict(p, fact.at(p - 1), e)
+                assert (r, p**e, r == p**e - 1) == (v.residue.value, v.modulus, v.holds)
+        lows = _factorial_residues([p - 1 for p in ps], [p**3 for p in ps])
+        highs = _factorial_residues([2 * p - 1 for p in ps], [p**4 for p in ps])
+        low_c, high_c = _CarriedFactorial(), _CarriedFactorial()
+        for p, low, high in zip(ps, lows, highs):
+            assert _w_from_factorials(p, low, high) == _w_mod_cube(p, low_c, high_c)
 
 
 class TestWilson:

@@ -216,13 +216,13 @@ class TestRunner:
         assert buf.getvalue() == full
 
     def test_limit_zero_computes_nothing(self, tmp_path, monkeypatch):
-        seen = _spy_calls(monkeypatch, "_wilson_verdict")
+        calls, seen = _spy_residues(monkeypatch)
         buf = io.StringIO()
         cpath = str(tmp_path / "cp.json")
         summary = run_scan("wilson", {"limit": 100}, buf, checkpoint_path=cpath,
                            checkpoint_interval=1, limit_subjects=0)
         assert (summary.subjects, summary.records) == (0, 0)
-        assert seen == [] and buf.getvalue() == ""
+        assert calls == [] and seen == [] and buf.getvalue() == ""
         assert not os.path.exists(cpath)
 
     def test_negative_limit_rejected(self, tmp_path):
@@ -389,10 +389,12 @@ class TestSeekResume:
         params = {"limit": 400}
         out, cpath = self._leg1(tmp_path, "wilson", params, cut=30)
         last = checkpoint_load(cpath).last_subject
-        # the scan's one per-subject reduction: (n-1)! mod n^e
-        seen = self._spy(monkeypatch, "_wilson_verdict")
+        # the scan's one per-subject computation: (n-1)! mod n^2, from a
+        # kernel that computes x! for no x below its first point
+        calls, seen = _spy_residues(monkeypatch)
         self._leg2(out, cpath, "wilson", params)
-        assert seen and min(seen) > last
+        assert len(calls) == 1 and min(calls[0][0]) + 1 > last
+        assert seen and min(x + 1 for x, _, _ in seen) > last
         assert [json.loads(l)["subject"] for l in out.read_text().splitlines()] == [5, 13]
 
     def test_resume_pairs_mid_p(self, tmp_path, monkeypatch):
@@ -433,6 +435,26 @@ def _spy_calls(monkeypatch, name):
     return seen
 
 
+def _spy_residues(monkeypatch):
+    """Record each call to the factorial-residue kernel while a scan runs,
+    as (points, moduli), and each (x, m, x! mod m) it yields."""
+    calls, seen = [], []
+    real = search._factorial_residues
+
+    def spy(points, moduli):
+        calls.append((points, moduli))
+
+        def recorded():
+            for x, m, r in zip(points, moduli, real(points, moduli)):
+                seen.append((x, m, r))
+                yield r
+
+        return recorded()
+
+    monkeypatch.setattr(search, "_factorial_residues", spy)
+    return calls, seen
+
+
 def _drain(name, params, after=None):
     """A scan's (subject, records) stream, entered after `after` as a resume is."""
     return list(search._SCANS[name].stream(params, params_digest(params), after))
@@ -445,13 +467,15 @@ class TestCarriedPaths:
     @pytest.mark.parametrize("scan, e", [("wilson", 2), ("wilson-cube", 3)])
     @pytest.mark.parametrize("after", [None, 3, 1499])
     def test_wilson_residues(self, monkeypatch, scan, e, after):
-        seen = _spy_calls(monkeypatch, "_wilson_verdict")
+        calls, seen = _spy_residues(monkeypatch)
         _drain(scan, {"limit": 3000}, after)
         start = 2 if after is None else after + 1
         expected = [n for n in range(start, 3001) if is_prime(n) or (e == 3 and n == 4)]
-        assert [args[0] for args, _ in seen] == expected
-        for (n, _, _), verdict in seen:
-            assert verdict == wilson_residue(n, e)
+        assert len(calls) == 1
+        assert [x + 1 for x, _, _ in seen] == expected
+        for x, m, residue in seen:
+            verdict = wilson_residue(x + 1, e)
+            assert (m, residue) == (verdict.modulus, verdict.residue.value)
 
     @pytest.mark.parametrize("after", [None, 1499])
     def test_wolstenholme_residues(self, monkeypatch, after):
@@ -472,21 +496,23 @@ class TestCarriedPaths:
 
     @pytest.mark.parametrize("after", [None, 1000])
     def test_jones_factorial_formula(self, monkeypatch, after):
-        seen = _spy_calls(monkeypatch, "_w_mod_cube")
+        seen = _spy_calls(monkeypatch, "_w_from_factorials")
         _drain("jones", {"limit": 1999}, after)
         start = 5 if after is None else after + 1
         assert [args[0] for args, _ in seen] == [
             p for p in primes_upto(1999) if p >= start
         ]
-        for (p, _, _), residue in seen:
+        for (p, low, high), residue in seen:
+            assert low == math.factorial(p - 1) % p**3
+            assert high == math.factorial(2 * p - 1) % p**4
             assert residue == w_mod(p, p**3).value
 
     def test_jones_formula_off_wolstenholme(self):
         # below 5 the residue is not 1, so the formula's value is visible
         for p, residue in ((2, 3), (3, 10)):
-            assert search._w_mod_cube(
-                p, search._CarriedFactorial(), search._CarriedFactorial()
-            ) == residue
+            (low,) = search._factorial_residues([p - 1], [p**3])
+            (high,) = search._factorial_residues([2 * p - 1], [p**4])
+            assert search._w_from_factorials(p, low, high) == residue
 
     @pytest.mark.parametrize("after", [None, (7, 101), (7, 397), (37, 41)])
     def test_pairs_sieve_and_halves(self, monkeypatch, after):
