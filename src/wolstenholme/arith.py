@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, cycle, islice
+from itertools import compress
 from math import isqrt
 
 from .errors import (
@@ -110,16 +110,21 @@ def is_prime(n: int) -> bool:
     return prime_check(n).is_prime
 
 
+def _sieve(left: int, right: int, base):
+    """Primes in [left, right], left >= 2; base: all primes <= isqrt(right)."""
+    flags = bytearray([1]) * (right - left + 1)
+    for p in base:
+        start = max(p * p, -(-left // p) * p) - left  # first multiple to strike
+        if start < len(flags):
+            flags[start::p] = bytes(len(range(start, len(flags), p)))
+    return compress(range(left, right + 1), flags)
+
+
 @lru_cache(maxsize=8)
 def _small_primes_upto(n: int) -> tuple[int, ...]:
     if n < 2:
         return ()
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return tuple(_sieve(2, n, _small_primes_upto(isqrt(n))))
 
 
 _SEGMENT = 1 << 16
@@ -133,23 +138,9 @@ def primes_in(lo: int, hi: int):
     """
     if hi < lo or hi < 2:
         return
-    lo = max(lo, 2)
-    root = isqrt(hi)
-    base = _small_primes_upto(root)
-    for p in base:
-        if lo <= p <= hi:
-            yield p
-    start = max(lo, root + 1)
-    for left in range(start, hi + 1, _SEGMENT):
-        right = min(left + _SEGMENT - 1, hi)
-        seg = bytearray([1]) * (right - left + 1)
-        for p in base:
-            first = max(p * p, (left + p - 1) // p * p)
-            for multiple in range(first, right + 1, p):
-                seg[multiple - left] = 0
-        for offset, flag in enumerate(seg):
-            if flag:
-                yield left + offset
+    base = _small_primes_upto(isqrt(hi))
+    for left in range(max(lo, 2), hi + 1, _SEGMENT):
+        yield from _sieve(left, min(left + _SEGMENT - 1, hi), base)
 
 
 def primes_upto(n: int) -> list[int]:
@@ -176,15 +167,17 @@ def binomial_exact(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _check_base(q: int) -> None:
-    # no base below 2 has digits; at q = 1 or -1 the loops below never end
+def _check_base(q: int, *numbers: int) -> None:
+    # no base below 2 has digits, nor has a negative number: the loops never end
     if q < 2:
         raise ValueError(f"base must be >= 2, got {q}")
+    if min(numbers, default=0) < 0:
+        raise ValueError(f"digits need numbers >= 0, got {min(numbers)}")
 
 
 def legendre_valuation(n: int, q: int) -> int:
     """Exponent of the prime q in n!, via the floor-sum formula."""
-    _check_base(q)
+    _check_base(q, n)
     total = 0
     while n:
         n //= q
@@ -197,7 +190,7 @@ def carry_count(a: int, b: int, q: int) -> int:
 
     By Kummer's theorem this is the exponent of q in C(a+b, a).
     """
-    _check_base(q)
+    _check_base(q, a, b)
     carries = carry = 0
     while a or b or carry:
         carry = 1 if a % q + b % q + carry >= q else 0
@@ -271,22 +264,8 @@ _TRIAL_LIMIT = 10**6
 _EXACT_FALLBACK_LIMIT = 200_000
 
 
-# Trial divisors: 2, 3, 5, then only the integers coprime to 30, which from 7
-# on are spaced by these gaps (one turn spans 30).  The divisors below
-# _WHEEL_END are a tuple, so a small m builds no iterator chain.
-_WHEEL_STEPS = (4, 2, 4, 2, 4, 6, 2, 6)
-_WHEEL_END = 7 + 30 * 32
-
-
-def _wheel(start: int):
-    return accumulate(cycle(_WHEEL_STEPS), initial=start)
-
-
-_SMALL_DIVISORS = (2, 3, 5, *islice(_wheel(7), 8 * 32))
-
-
-def factor_completely(m: int, trial_limit: int = _TRIAL_LIMIT) -> dict[int, int]:
-    """Factor m by trial division up to trial_limit plus one primality check.
+def factor_completely(m: int) -> dict[int, int]:
+    """Factor m by trial division up to 10^6 plus one primality check.
 
     Moduli in this package are built from known primes, so this nearly always
     completes; raises FactoringBudgetExceeded (with the partial factorization)
@@ -296,18 +275,14 @@ def factor_completely(m: int, trial_limit: int = _TRIAL_LIMIT) -> dict[int, int]
         raise ValueError("factorization requires m >= 1")
     factors: dict[int, int] = {}
     rest = m
-    if rest < _WHEEL_END * _WHEEL_END:
-        divisors = _SMALL_DIVISORS
-    else:
-        divisors = chain(_SMALL_DIVISORS, _wheel(_WHEEL_END))
-    for p in divisors:
-        if p > trial_limit or p * p > rest:
+    for p in _small_primes_upto(min(_TRIAL_LIMIT, isqrt(m))):
+        if p * p > rest:
             break
         while rest % p == 0:
             factors[p] = factors.get(p, 0) + 1
             rest //= p
     if rest > 1:
-        if rest <= trial_limit * trial_limit or is_prime(rest):
+        if rest <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(rest):
             factors[rest] = factors.get(rest, 0) + 1
         else:
             raise FactoringBudgetExceeded(m, factors, rest)

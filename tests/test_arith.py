@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from wolstenholme import arith
 from wolstenholme.arith import (
     ResidueClass,
     binomial_exact,
@@ -32,6 +35,18 @@ def trial_division_is_prime(n: int) -> bool:
     if n < 2:
         return False
     return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def trial_division_window(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi] by trial division by every integer d up to
+    isqrt(hi), applied to the whole window at once: d strikes its multiples
+    above d.  Far from 0 this costs one pass over the divisors rather than
+    one per candidate."""
+    composite = [n < 2 for n in range(lo, hi + 1)]
+    for d in range(2, math.isqrt(hi) + 1):
+        for multiple in range(max(2 * d, -(-lo // d) * d), hi + 1, d):
+            composite[multiple - lo] = True
+    return [n for n, c in zip(range(lo, hi + 1), composite) if not c]
 
 
 class TestPrimality:
@@ -88,6 +103,38 @@ class TestPrimeStream:
 
     def test_reversed_range(self):
         assert list(primes_in(10, 1)) == []
+
+    def test_small_primes_upto(self):
+        primes = [n for n in range(401) if trial_division_is_prime(n)]
+        for n in range(401):
+            assert arith._small_primes_upto(n) == tuple(p for p in primes if p <= n), n
+
+    @pytest.mark.parametrize("lo", [0, 1, 2, 3])
+    def test_low_starts(self, lo):
+        for hi in range(-2, 300):
+            expected = [n for n in range(lo, hi + 1) if trial_division_is_prime(n)]
+            assert list(primes_in(lo, hi)) == expected, hi
+
+    # primes, composites, and squares of the primes that sieve them
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 25, 91, 97, 961, 65521, 65536, 1009**2])
+    def test_single_point(self, n):
+        expected = [n] if trial_division_is_prime(n) else []
+        assert list(primes_in(n, n)) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_windows_straddle_segments(self, k):
+        edge = k << 16
+        expected = [n for n in range(edge + 51) if trial_division_is_prime(n)]
+        # segments start at max(lo, 2) + j * 2^16, a prime (65539) for lo = 3;
+        # the window from edge - 50 straddles edge itself
+        for lo in (0, 3, edge - 50):
+            assert list(primes_in(lo, edge + 50)) == [p for p in expected if p >= lo], lo
+
+    def test_far_window(self):
+        lo, hi = 10**12, 10**12 + 3000
+        small = [n for n in range(3001) if trial_division_is_prime(n)]
+        assert trial_division_window(0, 3000) == small
+        assert list(primes_in(lo, hi)) == trial_division_window(lo, hi)
 
 
 class TestFactorials:
@@ -242,6 +289,24 @@ class TestBaseBelowTwo:
             call()
 
 
+class TestNegativeArgument:
+    # floor division of a negative number never reaches 0, so the digit
+    # loops would never end
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: legendre_valuation(-1, 2),
+            lambda: carry_count(-1, 1, 2),
+            lambda: carry_count(1, -1, 2),
+            lambda: factorial_unit(-3, 5),
+        ],
+        ids=["legendre", "carry-a", "carry-b", "factorial_unit"],
+    )
+    def test_raises_value_error(self, call):
+        with pytest.raises(ValueError, match="numbers >= 0"):
+            call()
+
+
 class TestFactorization:
     def test_complete(self):
         assert factor_completely(1) == {}
@@ -255,7 +320,7 @@ class TestFactorization:
     @staticmethod
     def _plain(m, trial_limit):
         """Trial division by every integer 2..trial_limit, as factor_completely
-        did before it skipped the multiples of 2, 3 and 5."""
+        did before it divided by primes only."""
         factors, rest = {}, m
         for p in range(2, trial_limit + 1):
             if p * p > rest:
@@ -271,23 +336,39 @@ class TestFactorization:
         return factors
 
     @pytest.mark.parametrize("trial_limit", [1, 2, 4, 5, 6, 7, 30, 961, 967, 1000])
-    def test_wheel_matches_plain_loop(self, trial_limit):
+    def test_wheel_matches_plain_loop(self, trial_limit, monkeypatch):
+        # the sieved trial divisors against every integer up to the limit
+        monkeypatch.setattr(arith, "_TRIAL_LIMIT", trial_limit)
         rng = random.Random(trial_limit)
         ms = [
             *range(1, 3000),
-            *range(967**2 - 400, 967**2 + 400),  # where the divisor tuple ends
+            *range(967**2 - 400, 967**2 + 400),  # where a mod-30 wheel's tuple ended
             *(rng.getrandbits(bits) for bits in (24, 40, 64) for _ in range(40)),
             31 * 37, 8 * 31 * 37, 1009 * 1013, 2 * 3 * 5 * 1009 * 1013,
         ]
         budget = 0
         for m in ms:
             try:
-                got = factor_completely(m, trial_limit)
+                got = factor_completely(m)
             except FactoringBudgetExceeded as exc:
                 got = "budget", exc.n, exc.partial, exc.cofactor
                 budget += 1
             assert got == self._plain(m, trial_limit), m
         assert budget  # every limit meets some cofactor it cannot split
+
+    def test_wpoly_moduli_pinned(self):
+        # (w(p) - 1)/p^3 for 5 <= p <= 61, the moduli the wpoly suite factors;
+        # the digest was taken with trial division by a mod-30 wheel
+        rows = []
+        for p in primes_in(5, 61):
+            m = (math.comb(2 * p - 1, p - 1) - 1) // p**3
+            try:
+                rows.append([p, sorted(factor_completely(m).items())])
+            except FactoringBudgetExceeded as exc:
+                rows.append([p, "budget", exc.n, sorted(exc.partial.items()), exc.cofactor])
+        assert [len(rows), sum(row[1] == "budget" for row in rows)] == [16, 4]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "db01d9b09f8f72f1485bfa2243a6989d6013123fc17a7b4dda26ce7f2fa7080c"
 
 
 class TestNumValuation:

@@ -38,6 +38,21 @@ from wolstenholme.cli import main
 result = {"code": main(["scan", "wilson", "--limit", "100000", "--out", sys.argv[1]])}
 """
 
+_SIEVE_CACHE = """
+import math
+from wolstenholme.arith import _small_primes_upto, factor_completely, primes_in
+
+# each n^2 takes the primes up to isqrt(n^2) = n as its trial divisors: ten
+# tables of about 78k primes each pass through the cache of eight
+ns = range(10**6 - 10, 10**6)
+factored = [math.prod(q**a for q, a in factor_completely(n * n).items()) for n in ns]
+result = {
+    "factored": factored == [n * n for n in ns],
+    "cached": _small_primes_upto.cache_info().currsize,
+    "primes": sum(1 for _ in primes_in(10**12, 10**12 + 3 * 2**16)),
+}
+"""
+
 # appended to each script: print its result with its own peak RSS
 _REPORT = """
 import json
@@ -78,6 +93,14 @@ def test_wilson_100000_under_64_mib(tmp_path):
     out = _fresh(_WILSON_100000, str(path))
     assert out["code"] == 0
     assert [json.loads(l)["subject"] for l in path.read_text().splitlines()] == [5, 13, 563]
+    assert out["peak_kib"] < 64 * 1024, out["peak_kib"]
+
+
+@needs_vmhwm
+def test_full_sieve_cache_then_far_window_under_64_mib():
+    out = _fresh(_SIEVE_CACHE)
+    assert out["factored"] and out["cached"] == 8
+    assert out["primes"] == 7108
     assert out["peak_kib"] < 64 * 1024, out["peak_kib"]
 
 

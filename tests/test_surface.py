@@ -1,7 +1,8 @@
 """The public surface: each module's __all__ lists exactly the public
 functions and classes it defines, the package re-exports the library
-modules' lists, no module imports a name it never uses, only search reads
-the record format, every check of a claim survives ``python -O``, and the
+modules' lists, no module imports a name it never uses, every private
+top-level name has a caller in the package, only search reads the record
+format, every check of a claim survives ``python -O``, and the
 README's library example runs."""
 
 import ast
@@ -58,6 +59,49 @@ def test_no_unused_imports(path):
             imported |= {a.asname or a.name for a in node.names if a.name != "*"}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) for each private top-level function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Every name that node reads, imports or looks up as an attribute."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def test_every_private_name_is_used():
+    # references from tests, and from inside the definition itself (a
+    # recursive call), do not count
+    trees = [_tree(path) for path in FILES]
+    uses = {id(node): _referenced(node) for tree in trees for node in tree.body}
+    unused = [
+        f"{path.name}:{name}"
+        for path, tree in zip(FILES, trees)
+        for name, definition in _private_definitions(tree)
+        if not any(name in names for key, names in uses.items() if key != id(definition))
+    ]
+    assert unused == []
 
 
 def _reads_records(node: ast.AST) -> bool:
