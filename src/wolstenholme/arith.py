@@ -9,9 +9,9 @@ big integers are plain ``int``, exact rationals are ``fractions.Fraction``
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress
 from math import isqrt
 
@@ -110,6 +110,11 @@ def is_prime(n: int) -> bool:
     return prime_check(n).is_prime
 
 
+def _check_prime_ge5(p: int) -> None:
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"requires a prime p >= 5, got {p}")
+
+
 def _sieve(left: int, right: int, base):
     """Primes in [left, right], left >= 2; base: all primes <= isqrt(right)."""
     flags = bytearray([1]) * (right - left + 1)
@@ -120,11 +125,15 @@ def _sieve(left: int, right: int, base):
     return compress(range(left, right + 1), flags)
 
 
-@lru_cache(maxsize=8)
-def _small_primes_upto(n: int) -> tuple[int, ...]:
-    if n < 2:
-        return ()
-    return tuple(_sieve(2, n, _small_primes_upto(isqrt(n))))
+_PRIMES = [2]  # every prime up to the largest bound asked for yet
+
+
+def _small_primes_upto(n: int) -> list[int]:
+    """The primes <= n, read from one table that grows as bounds rise."""
+    if n > _PRIMES[-1]:
+        base = _small_primes_upto(isqrt(n))  # may itself extend the table
+        _PRIMES.extend(_sieve(_PRIMES[-1] + 1, n, base))
+    return _PRIMES[: bisect_right(_PRIMES, n)]
 
 
 _SEGMENT = 1 << 16

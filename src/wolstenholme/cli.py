@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -120,8 +121,6 @@ def _scan_params(args) -> dict:
 
 
 def _cmd_scan(args) -> int:
-    import os
-
     try:
         params = _scan_params(args)
     except _Usage as exc:

@@ -15,6 +15,7 @@ from itertools import compress
 
 from .arith import (
     ResidueClass,
+    _check_prime_ge5,
     binomial_exact,
     binomial_mod,
     factor_completely,
@@ -352,8 +353,7 @@ def jones_check(n: int) -> CongruenceVerdict:
 
 def is_wolstenholme_prime(p: int) -> bool:
     """True iff w(p) = 1 (mod p^4); only 16843 and 2124679 are known."""
-    if p < 5 or not is_prime(p):
-        raise ValueError("requires a prime p >= 5")
+    _check_prime_ge5(p)
     return w_mod(p, p**4).value == 1
 
 
@@ -418,8 +418,7 @@ def factor_band_classify(p: int) -> list[FactorBand]:
     Band index n = floor((2p-1)/q); odd n predicts q | w(p), even n predicts
     q does not divide w(p).  actual_divides reduces the exact w(p) mod q.
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError("requires a prime p >= 5")
+    _check_prime_ge5(p)
     top = 2 * p - 1
     w = w_exact(p)
     bands = []

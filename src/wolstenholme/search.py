@@ -31,12 +31,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
-from .arith import (
-    binomial_mod,
-    primes_in,
-    primes_upto,
-    valuation,
-)
+from .arith import primes_in, primes_upto, valuation
 from .congruence import (
     PAIR_DIRECT_BUDGET,
     _factorial_residues,
@@ -302,8 +297,8 @@ def _gen_wolstenholme(params: dict, lo: int, hi: int):
     for p, w in _w_at_primes(lo, hi):
         found = []
         if w % p**4 == 1:
-            # independent route: prime-power binomial instead of the recurrence
-            reverified = binomial_mod(2 * p - 1, p - 1, p**4).value == 1
+            # independent route: the modular product instead of the recurrence
+            reverified = w_mod(p, p**4).value == 1
             witness = {"modulus": str(p**4), "reverified": reverified}
             found.append((witness, "hit" if reverified else "fail"))
         yield p, found

@@ -5,8 +5,8 @@ S(n, k) here (lowercase s reserved for Stirling numbers of the first kind)
 denotes the k-th elementary symmetric function of {1, 1/2, ..., 1/n}, and
 P(n, k) the same over {1, ..., n}.  All arithmetic is exact; there is no
 floating point anywhere in this module.  Table builders return immutable
-values and keep no hidden caches - callers that need many rows should hold
-on to the tables themselves.  Every identity check takes the table it reads
+values and keep no module-level caches; each table object builds a
+triangle once, on first read.  Every identity check takes the table it reads
 as a required argument and never builds one: a row of the wrong n raises
 ValueError, a row of the wrong kind TypeError, and a Stirling table too
 small for the subject IndexError.
@@ -21,8 +21,10 @@ the Fraction rows of elem_sym_rows.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import double_factorial, valuation
 from .congruence import w_exact
@@ -51,42 +53,51 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SymRationalTable:
-    """Row n of elementary symmetric values over {1, 1/2, ..., 1/n}."""
+class _SymRow:
+    """Row n of elementary symmetric values; 0 of the entries' type past n."""
 
     n: int
-    entries: tuple[Fraction, ...]  # entries[k] = S(n, k), 0 <= k <= n
+    entries: tuple  # entries[k] for 0 <= k <= n; entries[0] = 1
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int):
         if k < 0:
             raise IndexError(k)
-        return self.entries[k] if k <= self.n else Fraction(0)
+        return self.entries[k] if k <= self.n else self.entries[0] * 0
 
 
-@dataclass(frozen=True)
-class IntSymTable:
-    """Row n of elementary symmetric values over {1, ..., n}."""
+class SymRationalTable(_SymRow):
+    """Row n of S(n, k), over {1, 1/2, ..., 1/n}; Fraction entries."""
 
-    n: int
-    entries: tuple[int, ...]  # entries[k] = P(n, k)
 
-    def __getitem__(self, k: int) -> int:
-        if k < 0:
-            raise IndexError(k)
-        return self.entries[k] if k <= self.n else 0
+class IntSymTable(_SymRow):
+    """Row n of P(n, k), over {1, ..., n}; int entries."""
+
+
+def _triangle(n_max: int, coeff) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n_max of T(n, k) = T(n-1, k-1) + coeff(n, k)*T(n-1, k),
+    with T(0, 0) = 1 and T(n, k) = 0 outside 0 <= k <= n."""
+    rows = [(1,)]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + (0,)
+        rows.append((0, *(prev[k - 1] + coeff(n, k) * prev[k] for k in range(1, n + 1))))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class StirlingTables:
-    """Triangles of both Stirling kinds up to row n_max.
-
-    s1 is the signed first kind (coefficients of the falling factorial),
-    s2 the second kind (set-partition counts).
-    """
+    """Triangles of both Stirling kinds up to row n_max, each built on its
+    first read: s1 the signed first kind (coefficients of the falling
+    factorial), s2 the second kind (set-partition counts)."""
 
     n_max: int
-    s1_rows: tuple[tuple[int, ...], ...]
-    s2_rows: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def s1_rows(self) -> tuple[tuple[int, ...], ...]:
+        return _triangle(self.n_max, lambda n, k: 1 - n)
+
+    @cached_property
+    def s2_rows(self) -> tuple[tuple[int, ...], ...]:
+        return _triangle(self.n_max, lambda n, k: k)
 
     def s1(self, n: int, k: int) -> int:
         if not 0 <= k <= n <= self.n_max:
@@ -99,68 +110,48 @@ class StirlingTables:
         return self.s2_rows[n][k]
 
 
+def stirling_tables(n_max: int) -> StirlingTables:
+    """The Stirling triangles through row n_max, built as they are read."""
+    return StirlingTables(n_max)
+
+
+def _sym_rows(n_max: int, table: type, one, weight):
+    """Yield table(n, row) for n = 0..n_max, nothing for n_max < 0, where
+    row[k] = E(n, k) = E(n-1, k) + weight(n)*E(n-1, k-1) and E(0, 0) = one."""
+    row = [one]
+    for n in range(n_max + 1):
+        if n:
+            w = weight(n)
+            row.append(row[-1] * w)
+            for k in range(n - 1, 0, -1):
+                row[k] += row[k - 1] * w
+        yield table(n, tuple(row))
+
+
 def elem_sym_rows(n_max: int):
     """Yield SymRationalTable for n = 0..n_max, built by the row recurrence
     S(n, k) = S(n-1, k) + S(n-1, k-1)/n; nothing for n_max < 0."""
-    if n_max < 0:
-        return
-    row = [Fraction(1)]
-    yield SymRationalTable(0, tuple(row))
-    for n in range(1, n_max + 1):
-        inv = Fraction(1, n)
-        row.append(row[-1] * inv)
-        for k in range(len(row) - 2, 0, -1):
-            row[k] += row[k - 1] * inv
-        yield SymRationalTable(n, tuple(row))
+    return _sym_rows(n_max, SymRationalTable, Fraction(1), lambda n: Fraction(1, n))
 
 
 def elem_sym_table(n: int) -> SymRationalTable:
     """The full row S(n, 0..n)."""
-    for table in elem_sym_rows(n):
-        if table.n == n:
-            return table
-    raise ValueError(n)
+    if n < 0:
+        raise ValueError(n)
+    return deque(elem_sym_rows(n), maxlen=1)[0]
 
 
 def perm_sym_rows(n_max: int):
     """Yield IntSymTable for n = 0..n_max, built by the row recurrence
     P(n, k) = P(n-1, k) + n*P(n-1, k-1); nothing for n_max < 0."""
-    if n_max < 0:
-        return
-    row = [1]
-    yield IntSymTable(0, tuple(row))
-    for n in range(1, n_max + 1):
-        row.append(row[-1] * n)
-        for k in range(len(row) - 2, 0, -1):
-            row[k] += row[k - 1] * n
-        yield IntSymTable(n, tuple(row))
+    return _sym_rows(n_max, IntSymTable, 1, lambda n: n)
 
 
 def perm_sym_table(n: int) -> IntSymTable:
     """The full row P(n, 0..n)."""
-    for table in perm_sym_rows(n):
-        if table.n == n:
-            return table
-    raise ValueError(n)
-
-
-def stirling_tables(n_max: int) -> StirlingTables:
-    """Both Stirling triangles through row n_max, by the standard recurrences."""
-    s1_rows = [(1,)]
-    s2_rows = [(1,)]
-    for n in range(1, n_max + 1):
-        prev1 = s1_rows[-1]
-        prev2 = s2_rows[-1]
-        row1 = [0] * (n + 1)
-        row2 = [0] * (n + 1)
-        for k in range(1, n + 1):
-            above1 = prev1[k] if k < n else 0
-            above2 = prev2[k] if k < n else 0
-            row1[k] = prev1[k - 1] - (n - 1) * above1
-            row2[k] = prev2[k - 1] + k * above2
-        s1_rows.append(tuple(row1))
-        s2_rows.append(tuple(row2))
-    return StirlingTables(n_max, tuple(s1_rows), tuple(s2_rows))
+    if n < 0:
+        raise ValueError(n)
+    return deque(perm_sym_rows(n), maxlen=1)[0]
 
 
 # --------------------------------------------------------------------------

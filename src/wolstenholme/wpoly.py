@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .arith import double_factorial, is_prime, primes_in
+from .arith import _check_prime_ge5, double_factorial, is_prime, primes_in
 from .congruence import w_exact
 from .errors import (
     AssertionFailure,
@@ -98,11 +98,6 @@ def poly_shift(f: IntPoly, n: int) -> IntPoly:
         for j in range(d - 2, i - 1, -1):
             a[j] += n * a[j + 1]
     return IntPoly(tuple(a))
-
-
-def _check_prime_ge5(p: int) -> None:
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"requires a prime p >= 5, got {p}")
 
 
 def _check_W(p: int, w_poly: IntPoly) -> None:

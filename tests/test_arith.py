@@ -107,7 +107,7 @@ class TestPrimeStream:
     def test_small_primes_upto(self):
         primes = [n for n in range(401) if trial_division_is_prime(n)]
         for n in range(401):
-            assert arith._small_primes_upto(n) == tuple(p for p in primes if p <= n), n
+            assert arith._small_primes_upto(n) == [p for p in primes if p <= n], n
 
     @pytest.mark.parametrize("lo", [0, 1, 2, 3])
     def test_low_starts(self, lo):

@@ -40,17 +40,23 @@ result = {"code": main(["scan", "wilson", "--limit", "100000", "--out", sys.argv
 
 _SIEVE_CACHE = """
 import math
-from wolstenholme.arith import _small_primes_upto, factor_completely, primes_in
+from wolstenholme.arith import _PRIMES, factor_completely, primes_in
 
 # each n^2 takes the primes up to isqrt(n^2) = n as its trial divisors: ten
-# tables of about 78k primes each pass through the cache of eight
+# bounds just below 10^6, all read from the one prime table
 ns = range(10**6 - 10, 10**6)
 factored = [math.prod(q**a for q, a in factor_completely(n * n).items()) for n in ns]
 result = {
     "factored": factored == [n * n for n in ns],
-    "cached": _small_primes_upto.cache_info().currsize,
+    "table": len(_PRIMES) == len(set(_PRIMES)) == 78498 and _PRIMES[-1] < 10**6,
     "primes": sum(1 for _ in primes_in(10**12, 10**12 + 3 * 2**16)),
 }
+"""
+
+_VERIFY_IDENT = """
+from wolstenholme.cli import main
+
+result = {"code": main(["verify", "ident"])}  # a violation would print to stdout
 """
 
 # appended to each script: print its result with its own peak RSS
@@ -99,9 +105,17 @@ def test_wilson_100000_under_64_mib(tmp_path):
 @needs_vmhwm
 def test_full_sieve_cache_then_far_window_under_64_mib():
     out = _fresh(_SIEVE_CACHE)
-    assert out["factored"] and out["cached"] == 8
+    assert out["factored"] and out["table"]  # the 78498 primes < 10^6, once each
     assert out["primes"] == 7108
-    assert out["peak_kib"] < 64 * 1024, out["peak_kib"]
+    assert out["peak_kib"] < 32 * 1024, out["peak_kib"]
+
+
+@needs_vmhwm
+def test_verify_ident_under_40_mib():
+    # ident reads only the second-kind Stirling triangle, to row 400
+    out = _fresh(_VERIFY_IDENT)
+    assert out["code"] == 0
+    assert out["peak_kib"] < 40 * 1024, out["peak_kib"]
 
 
 @pytest.mark.parametrize("name, limit", [("jones", 10000), ("wilson-cube", 20000)])

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from wolstenholme import congruence, search
+from wolstenholme import arith, congruence, search
 from wolstenholme.arith import is_prime, primes_in, primes_upto, valuation
 from wolstenholme.congruence import pair_criterion, w_exact, w_mod, wilson_residue
 from wolstenholme.errors import (
@@ -21,6 +21,7 @@ from wolstenholme.errors import (
 from wolstenholme.search import (
     FORMAT_VERSION,
     Checkpoint,
+    ScanRecord,
     checkpoint_load,
     checkpoint_save,
     max_ratio_report,
@@ -421,17 +422,17 @@ class TestSeekResume:
         assert out.read_text() == full.getvalue()
 
 
-def _spy_calls(monkeypatch, name):
-    """Record (args, result) of each call to search.<name> while a scan runs."""
+def _spy_calls(monkeypatch, name, module=search):
+    """Record (args, result) of each call to module.<name> while a scan runs."""
     seen = []
-    real = getattr(search, name)
+    real = getattr(module, name)
 
     def spy(*args, **kwargs):
         out = real(*args, **kwargs)
         seen.append((args, out))
         return out
 
-    monkeypatch.setattr(search, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return seen
 
 
@@ -493,6 +494,19 @@ class TestCarriedPaths:
         assert [p for p, _ in seen] == [p for p in primes_upto(3000) if p >= start]
         for p, residue in seen:
             assert residue == w_mod(p, p**4).value
+
+    def test_wolstenholme_hit_reverified_without_factoring(self, monkeypatch):
+        # the hit at 16843 is reverified by w_mod's modular product mod p^4,
+        # which needs no factorization of p^4
+        seen = _spy_calls(monkeypatch, "factor_completely", arith)
+        params = {"limit": 16843}
+        record = ScanRecord(
+            "wolstenholme-primes", 16843,
+            {"modulus": "80478114820849201", "reverified": True},
+            "hit", params_digest(params),
+        )
+        assert _drain("wolstenholme-primes", params, 16842) == [(16843, [record])]
+        assert seen == []
 
     @pytest.mark.parametrize("after", [None, 1000])
     def test_jones_factorial_formula(self, monkeypatch, after):
@@ -636,7 +650,7 @@ class TestCarriedPaths:
         # new-conjecture calls w_mod once per record, to reverify it
         calls = {"w_mod": 0, "binomial_mod": 0}
         for module in (search, congruence):
-            for name in calls:
+            for name in [n for n in calls if hasattr(module, n)]:
                 real = getattr(module, name)
 
                 def spy(*args, _real=real, _name=name):

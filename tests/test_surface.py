@@ -1,9 +1,9 @@
 """The public surface: each module's __all__ lists exactly the public
 functions and classes it defines, the package re-exports the library
-modules' lists, no module imports a name it never uses, every private
-top-level name has a caller in the package, only search reads the record
-format, every check of a claim survives ``python -O``, and the
-README's library example runs."""
+modules' lists, no module imports a name it never uses or imports below
+its top level, every private top-level name has a caller in the package,
+only search reads the record format, every check of a claim survives
+``python -O``, and the README's library example runs."""
 
 import ast
 import importlib
@@ -104,6 +104,19 @@ def test_every_private_name_is_used():
     assert unused == []
 
 
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    # an import inside a function hides a dependency from the module's head
+    tree = _tree(path)
+    top = {id(node) for node in tree.body}
+    nested = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Import, ast.ImportFrom)) and id(n) not in top
+    ]
+    assert nested == []
+
+
 def _reads_records(node: ast.AST) -> bool:
     """An import of csv, or a reference to json.loads."""
     if isinstance(node, ast.Import):
@@ -139,11 +152,16 @@ import sys
 from wolstenholme.errors import AssertionFailure
 from wolstenholme.symmetric import StirlingTables, form4_eval, stirling_tables
 
-st = stirling_tables(6)
-s2 = list(st.s2_rows)
+s2 = list(stirling_tables(6).s2_rows)
 s2[3] = (1,) + s2[3][1:]  # forged S2(3, 0) = 1
+
+
+class Forged(StirlingTables):
+    s2_rows = tuple(s2)
+
+
 try:
-    form4_eval(5, 3, StirlingTables(st.n_max, st.s1_rows, tuple(s2)))
+    form4_eval(5, 3, Forged(6))
 except AssertionFailure as exc:
     print(sys.flags.optimize, exc.clause)
 """

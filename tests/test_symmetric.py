@@ -1,9 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from wolstenholme import verify, wpoly
 from wolstenholme.arith import num_valuation, primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme.errors import AssertionFailure, DenominatorNotCoprime, ZeroNumerator
@@ -64,6 +66,23 @@ def _perm_row_by_loop(n):
         for k in range(len(row) - 2, 0, -1):
             row[k] += row[k - 1] * i
     return IntSymTable(n, tuple(row))
+
+
+def _stirling_rows_by_loop(n_max):
+    """Both triangles through row n_max by one double loop, as
+    stirling_tables once built them together."""
+    s1_rows, s2_rows = [(1,)], [(1,)]
+    for n in range(1, n_max + 1):
+        prev1, prev2 = s1_rows[-1], s2_rows[-1]
+        row1, row2 = [0] * (n + 1), [0] * (n + 1)
+        for k in range(1, n + 1):
+            above1 = prev1[k] if k < n else 0
+            above2 = prev2[k] if k < n else 0
+            row1[k] = prev1[k - 1] - (n - 1) * above1
+            row2[k] = prev2[k - 1] + k * above2
+        s1_rows.append(tuple(row1))
+        s2_rows.append(tuple(row2))
+    return tuple(s1_rows), tuple(s2_rows)
 
 
 # The four S-expansion checks as they read the Fraction rows S(n, .) before
@@ -178,6 +197,11 @@ class TestStirling:
         for n in range(0, 10):
             for k in range(0, n + 1):
                 assert stirling_tables(n).s2(n, k) == brute_partitions(n, k), (n, k)
+
+    def test_rows_match_double_loop(self):
+        for n_max in (0, 1, 2, 7, 120):
+            st = stirling_tables(n_max)
+            assert (st.s1_rows, st.s2_rows) == _stirling_rows_by_loop(n_max)
 
     def test_characterizations_at_integer_points(self):
         # n! C(x, n) = sum s(n,k) x^k and x^n = sum k! C(x,k) S(n,k)
@@ -422,3 +446,61 @@ def _shifted_row():
     entries = list(tab.entries)
     entries[5] += 1  # P(6, 5) = 6!*S(6, 1)
     return type(tab)(6, tuple(entries))
+
+
+class TestStirlingKindsBuilt:
+    """A check that reads one Stirling kind never builds the other."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The kinds built by the tables that verify and wpoly ask for."""
+        tables = []
+
+        def spy(n_max):
+            tables.append(stirling_tables(n_max))
+            return tables[-1]
+
+        for module in (verify, wpoly):
+            monkeypatch.setattr(module, "stirling_tables", spy)
+
+        def kinds():
+            assert tables
+            return {k for st in tables for k in ("s1_rows", "s2_rows") if k in vars(st)}
+
+        return kinds
+
+    @pytest.mark.parametrize(
+        "suite, bound, kinds",
+        [
+            ("ident", 40, {"s2_rows"}),
+            ("form4", 31, {"s2_rows"}),
+            ("wpoly", 23, {"s2_rows"}),
+            ("form2", 40, {"s1_rows"}),
+            ("form3", 12, {"s1_rows", "s2_rows"}),
+        ],
+    )
+    def test_suites(self, built, suite, bound, kinds):
+        assert all(r.ok for r in verify.run_suite(suite, bound))
+        assert built() == kinds
+
+    def test_construct_W(self, built):
+        wpoly.construct_W(13)
+        assert built() == {"s2_rows"}
+
+
+# sha256 of repr([(subject, ok, detail), ...]) of each suite that reads a
+# Stirling triangle, at its default bound, taken before the triangles were
+# built on first read
+SUITE_DIGESTS = {
+    "form2": "d2898b4f9d77380f3f8a5eb534bb1e62c28a94ce6096f8b6c1b1dfa3439a21f5",
+    "form3": "82e9a13b2d138111c77c7a8109736ab4e6b93c487d51e647f4fc68bc6bca49a6",
+    "form4": "b7f4d6e4d0a1e95ca7de8d6fea26916e22898c4b8ae96dbc6a7334e220436707",
+    "ident": "d2898b4f9d77380f3f8a5eb534bb1e62c28a94ce6096f8b6c1b1dfa3439a21f5",
+    "wpoly": "b7f4d6e4d0a1e95ca7de8d6fea26916e22898c4b8ae96dbc6a7334e220436707",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_DIGESTS))
+def test_suite_results_pinned(suite):
+    rows = [(r.subject, r.ok, r.detail) for r in verify.run_suite(suite)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SUITE_DIGESTS[suite]
