@@ -20,15 +20,7 @@ from contextlib import nullcontext
 from .arith import is_prime
 from .congruence import factor_band_classify
 from .errors import CheckpointError
-from .search import (
-    _FORMATS,
-    _SCANS,
-    ScanRecord,
-    max_ratio_report,
-    read_records,
-    run_scan,
-    scan_names,
-)
+from .search import _FORMATS, _SCANS, check_stream, max_ratio_report, run_scan, scan_names
 from .verify import _ALIASES, default_bound, run_suite, suite_names
 from .wpoly import construct_W, verify_W
 
@@ -55,11 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="run a search scan emitting records")
     p_scan.add_argument("scan", choices=scan_names())
-    p_scan.add_argument("--limit", type=int)
-    p_scan.add_argument("--p-max", type=int, dest="p_max")
-    p_scan.add_argument("--q-max", type=int, dest="q_max")
+    for flag in ("--limit", "--p-max", "--q-max"):  # dest limit, p_max, q_max
+        p_scan.add_argument(flag, type=int)
     p_scan.add_argument("--known", action="store_true", help="pairs: check the published pairs")
-    p_scan.add_argument("--stretch", action="store_true", help="include long-running stretch subjects")
+    p_scan.add_argument(
+        "--stretch", action="store_true", help="pairs --known: add the third published pair"
+    )
     p_scan.add_argument("--out", help="write records to this file instead of stdout")
     p_scan.add_argument("--format", choices=_FORMATS, default="jsonl")
     p_scan.add_argument("--checkpoint", help="checkpoint file for resumable runs")
@@ -79,10 +72,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Usage(Exception):
+    pass
+
+
 def _open_out(path: str | None, append: bool = False):
     if path is None:
         return nullcontext(sys.stdout)
     return open(path, "a" if append else "w")
+
+
+def _open_in(path: str | None):
+    # records are ASCII: decode any other byte to a lone surrogate rather than
+    # raise, so the line holding it counts as unparseable
+    text = {"encoding": "ascii", "errors": "surrogateescape"}
+    if not path:
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(**text)
+        return nullcontext(sys.stdin)
+    try:
+        return open(path, **text)
+    except OSError as exc:
+        raise _Usage(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _cmd_verify(args) -> int:
@@ -104,54 +115,52 @@ def _cmd_verify(args) -> int:
     return 1 if violations else 0
 
 
-class _Usage(Exception):
-    pass
+def _flags(names) -> str:
+    return " and ".join("--" + k.replace("_", "-") for k in names)
 
 
 def _scan_params(args) -> dict:
     sd = _SCANS[args.scan]
-    if sd.known and args.known:
+    known = sd.known and args.known
+    taken = ("known", "stretch") if known else sd.required
+    # a flag not given reads None (a number) or False (a switch)
+    extra = [
+        k for k in ("limit", "p_max", "q_max", "known", "stretch")
+        if k not in taken and getattr(args, k) is not None and getattr(args, k) is not False
+    ]
+    if extra:
+        raise _Usage(f"scan {args.scan} does not take {_flags(extra)}")
+    if known:
         return {"known": True, "stretch": args.stretch}
     params = {k: getattr(args, k) for k in sd.required}
     if sd.missing(params):
-        flags = " and ".join("--" + k.replace("_", "-") for k in sd.required)
         either = "--known or " if sd.known else ""
-        raise _Usage(f"scan {args.scan} requires {either}{flags}")
+        raise _Usage(f"scan {args.scan} requires {either}{_flags(sd.required)}")
     return params
 
 
 def _cmd_scan(args) -> int:
-    try:
-        params = _scan_params(args)
-    except _Usage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    params = _scan_params(args)
     resuming = bool(args.checkpoint and os.path.exists(args.checkpoint))
     if resuming and args.out is None:
         # a resume reads back and truncates its output, which stdout cannot do
-        print(
-            f"usage error: checkpoint {args.checkpoint} exists; resuming needs "
-            "--out (the file the first run wrote)",
-            file=sys.stderr,
+        raise _Usage(
+            f"checkpoint {args.checkpoint} exists; resuming needs "
+            "--out (the file the first run wrote)"
         )
-        return 2
     hits: list = []
     observer = hits.append if args.scan == "new-conjecture" else None
     t0 = time.perf_counter()
-    try:
-        with _open_out(args.out, append=resuming) as sink:
-            summary = run_scan(
-                args.scan,
-                params,
-                sink,
-                fmt=args.format,
-                checkpoint_path=args.checkpoint,
-                checkpoint_interval=args.checkpoint_interval,
-                observer=observer,
-            )
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 2
+    with _open_out(args.out, append=resuming) as sink:
+        summary = run_scan(
+            args.scan,
+            params,
+            sink,
+            fmt=args.format,
+            checkpoint_path=args.checkpoint,
+            checkpoint_interval=args.checkpoint_interval,
+            observer=observer,
+        )
     dt = time.perf_counter() - t0
     print(
         f"scan {summary.scan}: {summary.subjects} subjects, {summary.records} records, "
@@ -165,8 +174,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_wpoly(args) -> int:
     if args.p < 5 or not is_prime(args.p):
-        print(f"wpoly requires a prime p >= 5, got {args.p}", file=sys.stderr)
-        return 2
+        raise _Usage(f"wpoly requires a prime p >= 5, got {args.p}")
     w_poly = construct_W(args.p)
     report = verify_W(args.p, w_poly)
     # exact values computed here, not parsed input, may pass CPython's digit cap
@@ -191,8 +199,7 @@ def _cmd_wpoly(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.p < 5 or not is_prime(args.p):
-        print(f"classify requires a prime p >= 5, got {args.p}", file=sys.stderr)
-        return 2
+        raise _Usage(f"classify requires a prime p >= 5, got {args.p}")
     bands = factor_band_classify(args.p)
     mismatches = 0
     with _open_out(args.out) as sink:
@@ -214,83 +221,16 @@ def _cmd_classify(args) -> int:
     return 1 if mismatches else 0
 
 
-class _Damage:
-    """Counts what an intact stream never holds: unparseable lines, a record
-    at or before one already seen in its scan, and mixed params hashes."""
-
-    def __init__(self):
-        self.unparseable = self.out_of_order = 0
-        self.hashes: dict[str, set[str]] = {}
-        self.front: dict[str, tuple] = {}  # scan -> (max subject, records seen there)
-
-    def add(self, rec: ScanRecord | None) -> None:
-        if rec is None:
-            self.unparseable += 1
-            return
-        self.hashes.setdefault(rec.scan, set()).add(rec.params_hash)
-        # several records may share a subject (one per q in new-conjecture),
-        # so a repeat is the same subject with the same witness
-        key = rec.witness_json()
-        top, keys = self.front.get(rec.scan, (None, set()))
-        # read_records gives each scan's subjects one shape, so they compare
-        if top is None or rec.subject > top:
-            self.front[rec.scan] = (rec.subject, {key})
-        elif rec.subject < top or key in keys:
-            self.out_of_order += 1
-        else:
-            keys.add(key)
-
-    def summary(self) -> dict:
-        mixed = sorted(s for s, hs in self.hashes.items() if len(hs) > 1)
-        return {
-            "unparseable_lines": self.unparseable,
-            "repeated_or_backwards_subjects": self.out_of_order,
-            "scans_with_mixed_params_hash": mixed,
-        }
-
-
 def _cmd_report(args) -> int:
-    # records are ASCII: decode any other byte to a lone surrogate rather than
-    # raise, so the line holding it counts as unparseable
-    text = {"encoding": "ascii", "errors": "surrogateescape"}
-    try:
-        if args.file:
-            fh = open(args.file, **text)
-        else:
-            fh = sys.stdin
-            if hasattr(fh, "reconfigure"):
-                fh.reconfigure(**text)
-    except OSError as exc:
-        print(f"usage error: cannot read {args.file}: {exc.strerror}", file=sys.stderr)
-        return 2
-    damage = _Damage()
-    by_scan: dict[str, dict[str, int]] = {}
-    new_conjecture = []
-    total = fails = 0
-    try:
-        for rec in read_records(fh, args.format):
-            damage.add(rec)
-            if rec is None:
-                continue
-            total += 1
-            counts = by_scan.setdefault(rec.scan, {})
-            counts[rec.verdict] = counts.get(rec.verdict, 0) + 1
-            fails += rec.verdict == "fail"
-            if rec.scan == "new-conjecture":
-                new_conjecture.append(rec)
-    finally:
-        if args.file:
-            fh.close()
-    damaged = damage.summary()
-    summary: dict = {"records": total, "by_scan": by_scan, "damage": damaged}
-    ratio = max_ratio_report(new_conjecture)
-    if ratio["hits"]:
-        summary["new_conjecture"] = {k: ratio[k] for k in ("hits", "max_q_over_p")}
+    with _open_in(args.file) as fh:
+        summary = check_stream(fh, args.format)
     print(json.dumps(summary, sort_keys=True))
-    for kind, found in damaged.items():
+    damage = summary["damage"]
+    for kind, found in damage.items():
         if found:
             print(f"damaged stream: {kind}: {found}", file=sys.stderr)
-    return 1 if fails or any(damaged.values()) else 0
+    fails = any(counts.get("fail") for counts in summary["by_scan"].values())
+    return 1 if fails or any(damage.values()) else 0
 
 
 _COMMANDS = {
@@ -306,12 +246,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except _Usage as exc:
+        message = f"usage error: {exc}"
+    except CheckpointError as exc:
+        message = f"checkpoint error: {exc}"
     except OSError as exc:
         # the files a command writes: --out, and --checkpoint at each save
         if exc.filename is None:
             raise
-        print(f"usage error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
+        message = f"usage error: cannot write {exc.filename}: {exc.strerror}"
+    print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

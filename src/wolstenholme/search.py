@@ -1,9 +1,10 @@
 """Checkpointable, resumable desk-scale scans with deterministic output.
 
 Each scan walks a totally ordered subject space (integers, primes, or prime
-pairs) and emits ScanRecords as JSON lines or CSV rows, and read_records
-decodes either format back into ScanRecords: this module is the one place
-that knows the record format.  Running a scan twice with the same
+pairs) and emits ScanRecords as JSON lines or CSV rows, read_records
+decodes either format back into ScanRecords, and check_stream judges a
+stream for damage: this module is the one place that knows the record
+format and what an intact stream holds.  Running a scan twice with the same
 parameters produces byte-identical streams; interrupting (even by
 SIGKILL) and resuming reproduces the uninterrupted stream exactly.  A
 checkpoint records the last completed subject plus the byte length and
@@ -12,8 +13,8 @@ whatever was written after it, and starts the generator after that subject.
 
 Verdicts: "hit" marks a found subject matching the scan's expectation,
 "fail" marks a record violating an assertion the scan makes (e.g. a Jones
-hit that is not a prime >= 5), "pass" is reserved for verification-suite
-records.  A scan with any "fail" record exits nonzero in CLI context.
+hit that is not a prime >= 5); no scan writes another, and verification
+suites write no records.  A scan with any "fail" record exits nonzero in CLI context.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 import re
 import tempfile
 from bisect import bisect_left, insort
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
@@ -60,13 +61,15 @@ __all__ = [
     "scan_names",
     "scan_records",
     "read_records",
+    "check_stream",
     "max_ratio_report",
 ]
 
 FORMAT_VERSION = 3
 _FORMATS = ("jsonl", "csv")  # of the record stream
 
-# published pairs (p, q) with w(pq) = 1 (mod pq); the third is stretch-sized
+# published pairs (p, q) with w(pq) = 1 (mod pq); the third is checked only with
+# {"stretch": True}, so the stream of the first two keeps its params and bytes
 KNOWN_PAIRS = ((29, 937), (787, 2543), (69239, 231433))
 
 Subject = int | tuple[int, int]
@@ -80,7 +83,7 @@ class ScanRecord:
     scan: str
     subject: Subject
     witness: dict
-    verdict: str  # hit | fail | pass
+    verdict: str  # hit | fail
     params_hash: str
 
     def subject_json(self, separators=_COMPACT) -> str:
@@ -704,21 +707,72 @@ def _ratio_readable(rec: ScanRecord) -> bool:
 
 def read_records(fh, fmt: str) -> Iterator[ScanRecord | None]:
     """Decode a jsonl or csv record stream from the text file fh: yield each
-    record as a ScanRecord, or None for a line that does not parse.  Beyond
-    its columns' types, a record must have the subject shape (int or pair)
-    of its scan's first record, and a new-conjecture record a readable q/p.
-    A csv stream whose first row is not the header row yields None for the
-    header, then that row if it is a record, so none is lost."""
-    shapes: dict[str, type] = {}
+    line's record as a ScanRecord, or None for a line that does not parse.
+    Lines are decoded one by one, so a record of another subject shape than
+    its scan's first, or a new-conjecture record without a readable q/p, is
+    yielded too: whether a record fits its stream is check_stream's call.
+    A csv stream whose first row is not the header yields None for the
+    header, then that row if it is a record."""
     for row in _decoded_rows(fh, fmt):
-        rec = ScanRecord.from_fields(row)
-        if rec is not None and (
-            (rec.scan == "new-conjecture" and not _ratio_readable(rec))
-            # only a record that parses sets its scan's shape
-            or shapes.setdefault(rec.scan, type(rec.subject)) is not type(rec.subject)
+        yield ScanRecord.from_fields(row)
+
+
+@dataclass
+class _ScanState:
+    front: Subject  # the largest subject so far; its type is the scan's subject shape
+    witnesses: set = field(default_factory=set)  # of the records at front
+    hashes: set = field(default_factory=set)
+    verdicts: dict = field(default_factory=dict)
+
+
+def check_stream(fh, fmt: str) -> dict:
+    """The summary `report` prints of a jsonl or csv record stream read from
+    the text file fh: its record count, each scan's verdict counts, the
+    damage found, and the new-conjecture ratio report if there are hits.
+    Damage is what an intact stream never holds: an unparseable line, which
+    also counts a record of another subject shape (int or pair) than its
+    scan's first record or a new-conjecture record whose q/p cannot be read,
+    and sets no state; a subject below its scan's largest so far, or at it
+    with a witness seen there already; a scan with more than one params hash."""
+    scans: dict[str, _ScanState] = {}
+    unparseable = out_of_order = 0
+    new_conjecture = []
+    for rec in read_records(fh, fmt):
+        state = scans.get(rec.scan) if rec is not None else None
+        if (
+            rec is None
+            or (rec.scan == "new-conjecture" and not _ratio_readable(rec))
+            or (state is not None and type(rec.subject) is not type(state.front))
         ):
-            rec = None
-        yield rec
+            unparseable += 1
+            continue
+        if state is None:
+            state = scans[rec.scan] = _ScanState(rec.subject)
+        state.hashes.add(rec.params_hash)
+        state.verdicts[rec.verdict] = state.verdicts.get(rec.verdict, 0) + 1
+        key = rec.witness_json()
+        if rec.subject > state.front:
+            state.front, state.witnesses = rec.subject, {key}
+        elif rec.subject < state.front or key in state.witnesses:
+            out_of_order += 1
+        else:
+            state.witnesses.add(key)
+        if rec.scan == "new-conjecture":
+            new_conjecture.append(rec)
+    mixed = sorted(name for name, st in scans.items() if len(st.hashes) > 1)
+    summary: dict = {
+        "records": sum(sum(st.verdicts.values()) for st in scans.values()),
+        "by_scan": {name: st.verdicts for name, st in scans.items()},
+        "damage": {
+            "unparseable_lines": unparseable,
+            "repeated_or_backwards_subjects": out_of_order,
+            "scans_with_mixed_params_hash": mixed,
+        },
+    }
+    ratio = max_ratio_report(new_conjecture)
+    if ratio["hits"]:
+        summary["new_conjecture"] = {k: ratio[k] for k in ("hits", "max_q_over_p")}
+    return summary
 
 
 def scan_records(name: str, params: dict) -> list[ScanRecord]:

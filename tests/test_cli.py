@@ -93,6 +93,27 @@ class TestScanCommand:
         assert message in r.stderr
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["wilson", "--limit", "30", "--stretch"], "--stretch"),
+            (["wilson", "--limit", "30", "--known"], "--known"),
+            (["wilson", "--limit", "30", "--p-max", "9"], "--p-max"),
+            (["pairs", "--known", "--p-max", "5", "--q-max", "9"], "--p-max and --q-max"),
+            (["pairs", "--p-max", "7", "--q-max", "40", "--limit", "3"], "--limit"),
+            (["pairs", "--p-max", "7", "--q-max", "40", "--limit", "0"], "--limit"),
+            (["pairs", "--p-max", "7", "--q-max", "40", "--stretch"], "--stretch"),
+        ],
+        ids=["wilson-stretch", "wilson-known", "wilson-p-max", "known-with-range", "pairs-limit",
+             "pairs-limit-0", "range-with-stretch"],
+    )
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv, flags):
+        # the flag would be dropped without a word; --out is not opened
+        out = tmp_path / "records.jsonl"
+        assert cli_module.main(["scan", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"usage error: scan {argv[0]} does not take {flags}\n"
+        assert not out.exists()
+
     def test_stdout_deterministic(self):
         a = cli("scan", "new-conjecture", "--p-max", "50", "--q-max", "500")
         b = cli("scan", "new-conjecture", "--p-max", "50", "--q-max", "500")
@@ -253,6 +274,10 @@ class TestWpolyCommand:
         assert cli("wpoly", "4").returncode == 2
         assert cli("wpoly", "3").returncode == 2
 
+    def test_nonprime_message(self, capsys):
+        assert cli_module.main(["wpoly", "9"]) == 2
+        assert capsys.readouterr().err == "usage error: wpoly requires a prime p >= 5, got 9\n"
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "w61.json"
         r = cli("wpoly", "61", "--out", str(out))
@@ -309,6 +334,10 @@ class TestClassifyCommand:
 
     def test_nonprime_exits_two(self):
         assert cli("classify", "10").returncode == 2
+
+    def test_nonprime_message(self, capsys):
+        assert cli_module.main(["classify", "10"]) == 2
+        assert capsys.readouterr().err == "usage error: classify requires a prime p >= 5, got 10\n"
 
 
 class TestUnwritableOutput:
@@ -536,3 +565,43 @@ class TestReportDamage:
         code, damage = self._damage(stream, "--format", "csv")
         assert code == 1
         assert damage["unparseable_lines"] == 1
+
+
+def _pinned_streams():
+    """The three report inputs whose output is pinned: an intact jsonl scan,
+    a csv scan with a duplicated row and a torn last row, and a jsonl stream
+    that mixes subject shapes and params hashes and holds a new-conjecture
+    hit whose q/p cannot be read."""
+    jones = cli("scan", "jones", "--limit", "300").stdout
+    rows = cli("scan", "wilson", "--limit", "600", "--format", "csv").stdout.splitlines(True)
+    csv_damaged = "".join(rows[:2] + rows[1:]) + rows[-1][:9]
+    mixed = (
+        _record(5, scan="wilson") + _record([5, 7], scan="wilson") + _record(13, scan="wilson")
+        + _record(5, "a") + _record(7, "b")
+        + _record(13, scan="new-conjecture", q="abc")
+        + _record(13, scan="new-conjecture", q="3")
+        + _record(11, scan="new-conjecture", q="3")
+    )
+    return {"jones": (jones, "jsonl"), "csv-damaged": (csv_damaged, "csv"), "mixed": (mixed, "jsonl")}
+
+
+# sha256 of report's stdout and stderr on each pinned stream, with its exit code
+_NO_DAMAGE = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+REPORT_PINS = [
+    ("jones", 0, "992ac6ebfe2cb0c0e875c5e434a21cd1268fcb7c2ad4ea808e9d18d0257155ad", _NO_DAMAGE),
+    ("csv-damaged", 1,
+     "903b86e8c8c2091a25cc22e4cd24c66ec1b7b1a6a184fb43837fc120525fbf95",
+     "2ba779515b6064f6b7ffb77fbd46b777bf3cbe266f32dc8a2e151e4cd678990d"),
+    ("mixed", 1,
+     "75ac4503a674a62e7fe4626be3f746e734f76a6a05511fb8fc19b19a2b65c3d4",
+     "c4d193ddc6fbb194f24b49cafaabe2d403bae15e01a906a1675fa0a8caf8b5a4"),
+]
+
+
+@pytest.mark.parametrize("name, code, stdout, stderr", REPORT_PINS, ids=[p[0] for p in REPORT_PINS])
+def test_report_output_pinned(name, code, stdout, stderr):
+    stream, fmt = _pinned_streams()[name]
+    rep = cli("report", "--format", fmt, stdin=stream)
+    assert rep.returncode == code
+    assert hashlib.sha256(rep.stdout.encode()).hexdigest() == stdout
+    assert hashlib.sha256(rep.stderr.encode()).hexdigest() == stderr

@@ -22,6 +22,7 @@ from wolstenholme.search import (
     FORMAT_VERSION,
     Checkpoint,
     ScanRecord,
+    check_stream,
     checkpoint_load,
     checkpoint_save,
     max_ratio_report,
@@ -715,3 +716,98 @@ def test_read_records_round_trip(name, params, fmt, digest):
     run_scan(name, params, buf, fmt=fmt)
     buf.seek(0)
     assert list(read_records(buf, fmt)) == scan_records(name, params)
+
+
+def test_read_records_keeps_a_record_of_another_shape():
+    # the reader decodes each line on its own; check_stream judges the shape
+    stream = io.StringIO(_line(5, scan="wilson") + _line([5, 7], scan="wilson"))
+    assert [r.subject for r in read_records(stream, "jsonl")] == [5, (5, 7)]
+
+
+def _line(subject, params_hash="h", scan="s", verdict="hit", **witness) -> str:
+    rec = {"scan": scan, "subject": subject, "witness": witness, "verdict": verdict,
+           "params_hash": params_hash}
+    return json.dumps(rec, separators=(",", ":")) + "\n"
+
+
+def _checked(text: str, fmt: str = "jsonl") -> dict:
+    return check_stream(io.StringIO(text), fmt)
+
+
+def _damage(unparseable=0, out_of_order=0, mixed=()) -> dict:
+    return {
+        "unparseable_lines": unparseable,
+        "repeated_or_backwards_subjects": out_of_order,
+        "scans_with_mixed_params_hash": list(mixed),
+    }
+
+
+class TestCheckStream:
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_intact_scan(self, fmt):
+        buf = io.StringIO()
+        run_scan("jones", {"limit": 300}, buf, fmt=fmt)
+        assert _checked(buf.getvalue(), fmt) == {
+            "records": 60, "by_scan": {"jones": {"hit": 60}}, "damage": _damage(),
+        }
+
+    def test_empty_stream(self):
+        assert _checked("") == {"records": 0, "by_scan": {}, "damage": _damage()}
+
+    def test_new_conjecture_block_is_the_ratio_report(self):
+        params = {"p_max": 200, "q_max": 5000}
+        buf = io.StringIO()
+        run_scan("new-conjecture", params, buf)
+        summary = _checked(buf.getvalue())
+        ratio = max_ratio_report(scan_records("new-conjecture", params))
+        assert ratio["hits"] > 1
+        assert summary["new_conjecture"] == {k: ratio[k] for k in ("hits", "max_q_over_p")}
+        assert summary["damage"] == _damage()
+
+    def test_no_block_without_hits(self):
+        summary = _checked(_line(13, scan="new-conjecture", verdict="fail", q="29"))
+        assert "new_conjecture" not in summary
+        assert summary["by_scan"] == {"new-conjecture": {"fail": 1}}
+
+    def test_verdicts_counted_per_scan(self):
+        stream = _line(5) + _line(7, verdict="fail") + _line(9, scan="t")
+        summary = _checked(stream)
+        assert summary["records"] == 3
+        assert summary["by_scan"] == {"s": {"hit": 1, "fail": 1}, "t": {"hit": 1}}
+
+    def test_repeats_and_backwards(self):
+        # several records may share a subject; the same witness there is a repeat
+        stream = _line(13, q="3") + _line(13, q="5") + _line(13, q="3") + _line(11) + _line(17)
+        assert _checked(stream)["damage"] == _damage(out_of_order=2)
+
+    def test_scans_are_ordered_apart(self):
+        stream = _line(13) + _line(5, scan="t") + _line(17) + _line(7, scan="t")
+        assert _checked(stream)["damage"] == _damage()
+
+    def test_mixed_params_hash(self):
+        stream = _line(5, "a") + _line(7, "b") + _line(5, "a", scan="t") + _line(7, "a", scan="t")
+        assert _checked(stream)["damage"] == _damage(mixed=["s"])
+
+    def test_other_shape_is_unparseable_and_sets_nothing(self):
+        # the pair counts neither as a record nor in the order or the hashes
+        stream = _line(5) + _line([3, 7], "x") + _line(7)
+        summary = _checked(stream)
+        assert summary["records"] == 2
+        assert summary["damage"] == _damage(unparseable=1)
+
+    @pytest.mark.parametrize("subject, q", [(13, "abc"), (0, "3"), ([5, 7], "3")])
+    def test_unreadable_ratio_sets_no_shape(self, subject, q):
+        # the scan's shape is that of the first record it keeps
+        stream = _line(subject, scan="new-conjecture", q=q)
+        stream += _line(13, scan="new-conjecture", q="3")
+        summary = _checked(stream)
+        assert summary["damage"] == _damage(unparseable=1)
+        assert summary["new_conjecture"] == {"hits": 1, "max_q_over_p": "3/13"}
+
+    def test_csv_lost_header(self):
+        buf = io.StringIO()
+        run_scan("wilson", {"limit": 600}, buf, fmt="csv")
+        rows = buf.getvalue().splitlines(keepends=True)
+        summary = _checked("".join(rows[1:] + rows[1:2]), "csv")
+        assert summary["by_scan"] == {"wilson": {"hit": 4}}
+        assert summary["damage"] == _damage(unparseable=1, out_of_order=1)

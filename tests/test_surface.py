@@ -2,8 +2,9 @@
 functions and classes it defines, the package re-exports the library
 modules' lists, no module imports a name it never uses or imports below
 its top level, every private top-level name has a caller in the package,
-only search reads the record format, every check of a claim survives
-``python -O``, and the README's library example runs."""
+only search reads the record format or judges a stream, only cli's main
+turns an error into exit 2, every check of a claim survives ``python -O``,
+and the README's library example runs."""
 
 import ast
 import importlib
@@ -138,6 +139,26 @@ def test_only_search_reads_records():
     # its own; checkpoints are read with json.load, not json.loads
     readers = [p.name for p in FILES if any(map(_reads_records, ast.walk(_tree(p))))]
     assert readers == ["search.py"]
+
+
+def test_cli_takes_no_records():
+    # report prints what search.check_stream finds; it decodes and judges nothing
+    assert _referenced(_tree(SRC / "cli.py")) & {"read_records", "ScanRecord"} == set()
+
+
+def _returns_two(node: ast.AST) -> list[int]:
+    return sorted(
+        n.lineno
+        for n in ast.walk(node)
+        if isinstance(n, ast.Return) and isinstance(n.value, ast.Constant) and n.value.value == 2
+    )
+
+
+def test_cli_exits_two_only_in_main():
+    # a command raises its usage or checkpoint error; main prints it and exits 2
+    tree = _tree(SRC / "cli.py")
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    assert _returns_two(tree) == _returns_two(main) != []
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
