@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from math import isqrt
 
 from .errors import (
@@ -284,12 +284,18 @@ def factor_completely(m: int) -> dict[int, int]:
         raise ValueError("factorization requires m >= 1")
     factors: dict[int, int] = {}
     rest = m
-    for p in _small_primes_upto(min(_TRIAL_LIMIT, isqrt(m))):
-        if p * p > rest:
-            break
-        while rest % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            rest //= p
+    tried = 1  # every prime <= tried is divided out of rest
+    # the prime table grows by doubling, only while p^2 <= rest may still hold
+    while tried < min(_TRIAL_LIMIT, isqrt(rest)):
+        top = min(_TRIAL_LIMIT, isqrt(rest), max(2 * tried, 1 << 10))
+        table = _small_primes_upto(top)
+        for p in islice(table, bisect_right(table, tried), None):
+            if p * p > rest:
+                break
+            while rest % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                rest //= p
+        tried = top
     if rest > 1:
         if rest <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(rest):
             factors[rest] = factors.get(rest, 0) + 1

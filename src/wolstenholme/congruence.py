@@ -31,6 +31,8 @@ __all__ = [
     "FactorBand",
     "w_exact",
     "w_iter",
+    "w_at",
+    "w_residues",
     "w_mod",
     "wprime_exact",
     "wprime_mod",
@@ -119,6 +121,54 @@ def w_iter(limit: int, start: int = 1):
         yield n, w
         n += 1
         w = w * (2 * (2 * n - 1)) // n
+
+
+def w_at(points):
+    """Yield (n, w(n)) for each n of points, strictly increasing, n >= 1.
+
+    Enters at the first point as w_iter does, then crosses each gap n < m
+    in one step: w(m) = w(n) * prod 2(2j-1) // prod j over n < j <= m, an
+    exact division.  Nothing is computed before the first next().
+    """
+    n = w = None
+    for m in points:
+        if n is None:
+            if m < 1:
+                raise ValueError("w(n) requires n >= 1")
+            w = math.comb(2 * m - 1, m - 1)
+        else:
+            if m <= n:
+                raise ValueError(f"points must increase, got {m} after {n}")
+            js = range(n + 1, m + 1)
+            w = w * _prod_tree([2 * (2 * j - 1) for j in js]) // _prod_tree(list(js))
+        n = m
+        yield n, w
+
+
+_W_BLOCK = 16  # subjects per block of w_residues
+
+
+def w_residues(limit: int, e: int, start: int = 1):
+    """Yield (n, w(n) mod n^e) for n = start..limit.
+
+    The subjects go in blocks of 16, s..s+15, each w(s) from w_at.  With P
+    the product of a block's n, one reduction R = w(s) mod P^(e+1) serves
+    the whole block: w(n) * P_n = w(s) * A_n, where P_n and A_n are the
+    products of j and of 2(2j-1) over s < j <= n, and n^e * P_n divides
+    P^(e+1), so w(n) mod n^e = (R * A_n mod n^e * P_n) // P_n, all small
+    numbers.
+    """
+    if start < 1:
+        raise ValueError("w(n) requires n >= 1")
+    for s, w in w_at(range(start, limit + 1, _W_BLOCK)):
+        block = range(s, min(s + _W_BLOCK, limit + 1))
+        big = math.prod(block) ** (e + 1)
+        v, below = w % big, 1  # v = w(s) * A_n mod big, below = P_n
+        for n in block:
+            if n > s:
+                v = v * (2 * (2 * n - 1)) % big
+                below *= n
+            yield n, v % (n**e * below) // below
 
 
 def w_mod(n: int, m: int) -> ResidueClass:

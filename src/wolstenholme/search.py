@@ -30,7 +30,7 @@ from bisect import bisect_left, insort
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .arith import primes_in, primes_upto, valuation
 from .congruence import (
@@ -39,8 +39,9 @@ from .congruence import (
     _prod_tree,
     pair_criterion,
     pair_direct_check,
-    w_iter,
+    w_at,
     w_mod,
+    w_residues,
 )
 from .errors import (
     CheckpointError,
@@ -269,14 +270,14 @@ def _gen_jones(params: dict, lo: int, hi: int):
     lows = _factorial_residues(points, [(x + 1) ** 3 for x in points])
     highs = _factorial_residues([2 * x + 1 for x in points], [(x + 1) ** 4 for x in points])
     i = 0
-    for n, w in w_iter(hi, lo):
+    # w(n) mod n^3 by blocks of subjects: one reduction of w(n) per block
+    for n, residue in w_residues(hi, 3, lo):
         found = []
         prime_ok = i < len(points) and n == points[i] + 1
         if prime_ok:
             low, high = next(lows), next(highs)
             i += 1
-        # w = 1 (mod n) is necessary and costs a one-digit division
-        if w % n == 1 and w % n**3 == 1:
+        if residue == 1:
             if prime_ok:
                 reverified = _w_from_factorials(n, low, high) == 1
             else:
@@ -287,13 +288,9 @@ def _gen_jones(params: dict, lo: int, hi: int):
 
 
 def _w_at_primes(lo: int, hi: int):
-    """Yield (p, w(p)) for the primes lo <= p <= hi, read off w_iter."""
-    ws = w_iter(hi, lo)
-    for p in primes_in(lo, hi):
-        for n, w in ws:
-            if n == p:
-                break
-        yield p, w
+    """Yield (p, w(p)) for the primes lo <= p <= hi, crossing each prime gap
+    in one step of w_at."""
+    return w_at(primes_in(lo, hi))
 
 
 def _gen_wolstenholme(params: dict, lo: int, hi: int):
@@ -308,9 +305,9 @@ def _gen_wolstenholme(params: dict, lo: int, hi: int):
 
 
 def _gen_mod5(params: dict, lo: int, hi: int):
-    for n, w in w_iter(hi, lo):
+    for n, residue in w_residues(hi, 5, lo):
         found = []
-        if w % n == 1 and w % n**5 == 1:  # the first test as in jones
+        if residue == 1:
             witness = {"modulus": str(n**5), "reverified": w_mod(n, n**5).value == 1}
             found.append((witness, "fail"))  # the scan asserts no such n exists
         yield n, found
@@ -736,7 +733,7 @@ def check_stream(fh, fmt: str) -> dict:
     with a witness seen there already; a scan with more than one params hash."""
     scans: dict[str, _ScanState] = {}
     unparseable = out_of_order = 0
-    new_conjecture = []
+    ratio = _RatioBest()  # of the new-conjecture hits, kept as they pass
     for rec in read_records(fh, fmt):
         state = scans.get(rec.scan) if rec is not None else None
         if (
@@ -757,8 +754,7 @@ def check_stream(fh, fmt: str) -> dict:
             out_of_order += 1
         else:
             state.witnesses.add(key)
-        if rec.scan == "new-conjecture":
-            new_conjecture.append(rec)
+        ratio.add(rec)
     mixed = sorted(name for name, st in scans.items() if len(st.hashes) > 1)
     summary: dict = {
         "records": sum(sum(st.verdicts.values()) for st in scans.values()),
@@ -769,9 +765,8 @@ def check_stream(fh, fmt: str) -> dict:
             "scans_with_mixed_params_hash": mixed,
         },
     }
-    ratio = max_ratio_report(new_conjecture)
-    if ratio["hits"]:
-        summary["new_conjecture"] = {k: ratio[k] for k in ("hits", "max_q_over_p")}
+    if ratio.hits:
+        summary["new_conjecture"] = {"hits": ratio.hits, "max_q_over_p": str(ratio.best)}
     return summary
 
 
@@ -784,26 +779,33 @@ def scan_records(name: str, params: dict) -> list[ScanRecord]:
     return out
 
 
-def max_ratio_report(records: list[ScanRecord]) -> dict:
+@dataclass
+class _RatioBest:
+    """The new-conjecture hits counted so far and the largest q/p among them."""
+
+    hits: int = 0
+    best: Fraction | None = None
+    pair: list | None = None  # [p, q] at the largest q/p
+
+    def add(self, rec: ScanRecord) -> None:
+        if rec.scan != "new-conjecture" or rec.verdict != "hit" or "q" not in rec.witness:
+            return
+        self.hits += 1
+        q = int(rec.witness["q"])
+        ratio = Fraction(q, rec.subject)
+        if self.best is None or ratio > self.best:
+            self.best, self.pair = ratio, [rec.subject, q]
+
+
+def max_ratio_report(records: Iterable[ScanRecord]) -> dict:
     """Summary of new-conjecture hits: the largest q/p ratio observed.
 
     The conjecture predicts q < p on all but finitely many hits, so the
     interesting statistic is how close q/p comes to 1 (published data at
     larger scale reports ratios around 1/100).
     """
-    best: Fraction | None = None
-    best_subject = None
-    count = 0
+    ratio = _RatioBest()
     for rec in records:
-        if rec.scan != "new-conjecture" or rec.verdict != "hit" or "q" not in rec.witness:
-            continue
-        count += 1
-        ratio = Fraction(int(rec.witness["q"]), rec.subject)
-        if best is None or ratio > best:
-            best = ratio
-            best_subject = (rec.subject, int(rec.witness["q"]))
-    return {
-        "hits": count,
-        "max_q_over_p": str(best) if best is not None else None,
-        "max_pair": list(best_subject) if best_subject else None,
-    }
+        ratio.add(rec)
+    best = str(ratio.best) if ratio.best is not None else None
+    return {"hits": ratio.hits, "max_q_over_p": best, "max_pair": ratio.pair}

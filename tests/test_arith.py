@@ -356,6 +356,18 @@ class TestFactorization:
             assert got == self._plain(m, trial_limit), m
         assert budget  # every limit meets some cofactor it cannot split
 
+    def test_table_grows_only_as_the_cofactor_needs(self, monkeypatch):
+        # 997^4 is split by the first primes; sizing the table by isqrt(997^4)
+        # once built every prime below 10^6 for it
+        monkeypatch.setattr(arith, "_PRIMES", [2])
+        assert factor_completely(997**4) == {997: 4}
+        assert arith._PRIMES[-1] < 2 * 997
+        # factors on both sides of each doubling of the table, from a fresh one
+        for m in (1021 * 1031, 2039**2 * 2053, 4093 * 4099 * 8191, 65521 * 65537, 999983**2):
+            monkeypatch.setattr(arith, "_PRIMES", [2])
+            assert factor_completely(m) == self._plain(m, 10**6), m
+        assert len(arith._PRIMES) == 78498  # all of them, for 999983^2
+
     def test_wpoly_moduli_pinned(self):
         # (w(p) - 1)/p^3 for 5 <= p <= 61, the moduli the wpoly suite factors;
         # the digest was taken with trial division by a mod-30 wheel

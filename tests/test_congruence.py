@@ -20,9 +20,11 @@ from wolstenholme.congruence import (
     mcintosh_check,
     pair_criterion,
     pair_direct_check,
+    w_at,
     w_exact,
     w_iter,
     w_mod,
+    w_residues,
     wilson_residue,
     wilson_restatement_check,
     wilson_restatement_checks,
@@ -84,6 +86,58 @@ class TestWExact:
         # entered mid-range, the recurrence continues the run from 1
         for start in (2, 5, 137, 200, 201):
             assert list(w_iter(200, start)) == full[start - 1:]
+
+
+# w(n) for n = 1..240 from the one-step recurrence, the oracle of the two
+# kernels that advance it by gaps and blocks
+_W = dict(w_iter(240))
+
+
+class TestWAt:
+    @pytest.mark.parametrize("gaps", [[1], [2, 1, 3], [16, 17, 15], [1, 39]])
+    def test_every_start(self, gaps):
+        for start in range(1, 201):
+            points = [start]
+            while points[-1] + gaps[len(points) % len(gaps)] <= 240:
+                points.append(points[-1] + gaps[len(points) % len(gaps)])
+            assert list(w_at(points)) == [(n, _W[n]) for n in points], start
+
+    def test_primes(self):
+        ps = list(primes_in(2, 240))
+        assert list(w_at(ps)) == [(p, _W[p]) for p in ps]
+        assert list(w_at(iter(ps[5:]))) == [(p, _W[p]) for p in ps[5:]]
+
+    def test_no_points(self):
+        assert list(w_at([])) == []
+
+    @pytest.mark.parametrize("points", [[0, 3], [-2], [5, 5], [7, 4]])
+    def test_bad_points_raise(self, points):
+        with pytest.raises(ValueError):
+            list(w_at(points))
+
+
+class TestWResidues:
+    @pytest.mark.parametrize("e", [1, 3, 4, 5])
+    def test_every_start_at_block_edges(self, e):
+        # a block holds 16 subjects: limits end one short of, at and one past
+        # the first block's last subject
+        for start in range(1, 201):
+            for limit in (start + 15, start + 16, start + 17):
+                expected = [(n, _W[n] % n**e) for n in range(start, limit + 1)]
+                assert list(w_residues(limit, e, start)) == expected, (start, limit)
+
+    @pytest.mark.parametrize("e", [1, 3, 4, 5])
+    def test_long_run(self, e):
+        assert list(w_residues(240, e)) == [(n, w % n**e) for n, w in _W.items()]
+
+    def test_start_past_limit_yields_nothing(self):
+        assert list(w_residues(9, 3, 10)) == []
+        assert list(w_residues(0, 3)) == []
+
+    @pytest.mark.parametrize("start", [0, -5])
+    def test_start_below_one_raises(self, start):
+        with pytest.raises(ValueError):
+            list(w_residues(20, 3, start))
 
 
 def _next_prime(x: int) -> int:

@@ -42,9 +42,9 @@ _SIEVE_CACHE = """
 import math
 from wolstenholme.arith import _PRIMES, factor_completely, primes_in
 
-# each n^2 takes the primes up to isqrt(n^2) = n as its trial divisors: ten
-# bounds just below 10^6, all read from the one prime table
-ns = range(10**6 - 10, 10**6)
+# each p^2 for a prime p takes the primes up to p as its trial divisors: the
+# ten largest p below 10^6, all read from the one prime table
+ns = list(primes_in(10**6 - 200, 10**6))[-10:]
 factored = [math.prod(q**a for q, a in factor_completely(n * n).items()) for n in ns]
 result = {
     "factored": factored == [n * n for n in ns],
@@ -57,6 +57,19 @@ _VERIFY_IDENT = """
 from wolstenholme.cli import main
 
 result = {"code": main(["verify", "ident"])}  # a violation would print to stdout
+"""
+
+_REPORT_NEW_CONJECTURE = """
+from wolstenholme.search import check_stream
+
+# 100000 new-conjecture hits, made as they are read, so that only what
+# check_stream keeps of them counts
+lines = (
+    '{"scan":"new-conjecture","subject":%d,"witness":{"q":"%d"},'
+    '"verdict":"hit","params_hash":"0123456789abcdef"}\\n' % (p, (p - 1) // 3)
+    for p in range(5, 100005)
+)
+result = check_stream(lines, "jsonl")
 """
 
 # appended to each script: print its result with its own peak RSS
@@ -107,6 +120,15 @@ def test_full_sieve_cache_then_far_window_under_64_mib():
     out = _fresh(_SIEVE_CACHE)
     assert out["factored"] and out["table"]  # the 78498 primes < 10^6, once each
     assert out["primes"] == 7108
+    assert out["peak_kib"] < 32 * 1024, out["peak_kib"]
+
+
+@needs_vmhwm
+def test_report_new_conjecture_100000_under_32_mib():
+    # check_stream keeps the best q/p as the hits pass, not the hits
+    out = _fresh(_REPORT_NEW_CONJECTURE)
+    assert out["new_conjecture"] == {"hits": 100000, "max_q_over_p": "33334/100003"}
+    assert out["damage"]["unparseable_lines"] == 0
     assert out["peak_kib"] < 32 * 1024, out["peak_kib"]
 
 

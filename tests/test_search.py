@@ -618,14 +618,35 @@ class TestCarriedPaths:
 
     @pytest.mark.parametrize("scan, e", [("jones", 3), ("mod5", 5)])
     def test_candidate_filter(self, monkeypatch, scan, e):
-        # w = 1 (mod n) is only the first test: each made-up w passes it,
-        # and a record is due only where w = 1 (mod n^e) as well
+        # w = 1 (mod n) is not enough: each made-up w passes it, and a record
+        # is due only where w = 1 (mod n^e) as well.  With one subject per
+        # block the residue kernel reduces each made-up w(n) itself.
         made_up = {0: lambda n: 1 + 2 * n**e, 1: lambda n: 1 + n, 2: lambda n: 1 + n ** (e - 1)}
-        ws = [(n, made_up[n % 3](n)) for n in range(6, 15)]
-        monkeypatch.setattr(search, "w_iter", lambda limit, start=1: iter(ws))
-        stream = _drain(scan, {"limit": 14})
+        monkeypatch.setattr(congruence, "_W_BLOCK", 1)
+        monkeypatch.setattr(
+            congruence, "w_at", lambda points: ((n, made_up[n % 3](n)) for n in points)
+        )
+        stream = _drain(scan, {"limit": 14}, after=5)
         assert [n for n, recs in stream] == list(range(6, 15))
         assert [rec.subject for _, recs in stream for rec in recs] == [6, 9, 12]
+
+    @pytest.mark.parametrize("scan", ["jones", "mod5"])
+    def test_entered_at_every_subject(self, tmp_path, scan):
+        # the residue kernel works in blocks of 16 subjects from where it is
+        # entered; cut after each subject from 10 to 40, the first run's
+        # blocks begin at 2, 18 and 34, and every resume re-blocks from its
+        # checkpoint on, yet the stream is the uninterrupted one
+        params = {"limit": 60}
+        full = io.StringIO()
+        run_scan(scan, params, full)
+        plain = _drain(scan, params)
+        for cut in range(9, 40):
+            assert _drain(scan, params, after=plain[cut - 1][0]) == plain[cut:]
+            buf = io.StringIO()
+            cpath = str(tmp_path / f"{cut}.json")
+            run_scan(scan, params, buf, checkpoint_path=cpath, limit_subjects=cut)
+            run_scan(scan, params, buf, checkpoint_path=cpath)
+            assert buf.getvalue() == full.getvalue(), cut
 
     def test_candidate_filter_is_only_necessary(self):
         # w(p^2) = w(p) (mod p^4) and w(p) = 1 (mod p^3) give w(p^2) = 1 (mod p^2)
@@ -706,6 +727,20 @@ def test_stream_digest_pinned(name, params, fmt, digest):
     buf = io.StringIO()
     run_scan(name, params, buf, fmt=fmt)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_scans_never_step_w_iter(monkeypatch):
+    # every scan reads w(n) from w_at or w_residues; the one-step recurrence
+    # stays the oracle of both and has no caller on the scan path
+    def refuse(*args):
+        raise AssertionError("w_iter called")
+
+    monkeypatch.setattr(congruence, "w_iter", refuse)
+    monkeypatch.setattr(search, "w_iter", refuse, raising=False)
+    for ident, name, params, digest, _ in STREAM_DIGESTS:
+        buf = io.StringIO()
+        run_scan(name, params, buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, ident
 
 
 @pytest.mark.parametrize("name, params, fmt, digest", STREAM_CASES)
