@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from .arith import is_prime
 from .congruence import factor_band_classify
 from .errors import CheckpointError
-from .search import _FORMATS, _SCANS, check_stream, max_ratio_report, run_scan, scan_names
+from .search import _FORMATS, _SCANS, check_stream, run_scan, scan_names
 from .verify import _ALIASES, default_bound, run_suite, suite_names
 from .wpoly import construct_W, verify_W
 
@@ -148,8 +148,6 @@ def _cmd_scan(args) -> int:
             f"checkpoint {args.checkpoint} exists; resuming needs "
             "--out (the file the first run wrote)"
         )
-    hits: list = []
-    observer = hits.append if args.scan == "new-conjecture" else None
     t0 = time.perf_counter()
     with _open_out(args.out, append=resuming) as sink:
         summary = run_scan(
@@ -159,7 +157,6 @@ def _cmd_scan(args) -> int:
             fmt=args.format,
             checkpoint_path=args.checkpoint,
             checkpoint_interval=args.checkpoint_interval,
-            observer=observer,
         )
     dt = time.perf_counter() - t0
     print(
@@ -168,7 +165,7 @@ def _cmd_scan(args) -> int:
         file=sys.stderr,
     )
     if args.scan == "new-conjecture":
-        print(f"ratio report: {max_ratio_report(hits)}", file=sys.stderr)
+        print(f"ratio report: {summary.ratio_report}", file=sys.stderr)
     return 1 if summary.fails else 0
 
 

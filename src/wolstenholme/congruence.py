@@ -1,8 +1,13 @@
 """Congruence checks around the central binomial value w(n) = C(2n-1, n-1).
 
-Wilson-type factorial residues, Wolstenholme/Babbage/Jones checks, the
-modified binomial w'(n) and its divisor-product relation, the two-prime
-pair criterion, and the parity classification of large prime factors.
+The one module that computes w(n), with one kernel per job: exactly
+(w_exact), by the recurrence over gaps (w_at) or blocks of residues
+(w_residues), modulo m (w_mod), modulo a prime by Lucas' theorem
+(_w_mod_prime), and modulo p^3 from factorial residues
+(_w_from_factorials).  Also Wilson-type factorial residues,
+Wolstenholme/Babbage/Jones checks, the modified binomial w'(n) and its
+divisor-product relation, the two-prime pair criterion, and the parity
+classification of large prime factors.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from typing import Callable
 
 from .arith import (
     ResidueClass,
@@ -30,7 +36,6 @@ __all__ = [
     "PairCriterionResult",
     "FactorBand",
     "w_exact",
-    "w_iter",
     "w_at",
     "w_residues",
     "w_mod",
@@ -108,25 +113,10 @@ def w_exact(n: int) -> int:
     return binomial_exact(2 * n - 1, n - 1)
 
 
-def w_iter(limit: int, start: int = 1):
-    """Yield (n, w(n)) for n = start..limit with O(1) big-integer ops per step.
-
-    Enters at w(start), then steps w(n) = w(n-1) * 2(2n-1) / n, an exact
-    integer recurrence.
-    """
-    if start < 1:
-        raise ValueError("w(n) requires n >= 1")
-    n, w = start, math.comb(2 * start - 1, start - 1)
-    while n <= limit:
-        yield n, w
-        n += 1
-        w = w * (2 * (2 * n - 1)) // n
-
-
 def w_at(points):
     """Yield (n, w(n)) for each n of points, strictly increasing, n >= 1.
 
-    Enters at the first point as w_iter does, then crosses each gap n < m
+    Enters at the first point by math.comb, then crosses each gap n < m
     in one step: w(m) = w(n) * prod 2(2j-1) // prod j over n < j <= m, an
     exact division.  Nothing is computed before the first next().
     """
@@ -196,6 +186,33 @@ def w_mod(n: int, m: int) -> ResidueClass:
                 num = num * k % m
             return ResidueClass(num * pow(den, -1, m) % m, m)
     return binomial_mod(2 * n - 1, n - 1, m)
+
+
+def _w_mod_prime(p: int) -> Callable[[int], int]:
+    """n -> w(n) mod the prime p, by Lucas' theorem: C(2n-1, n-1) is the
+    product of C(a, b) mod p over the base-p digits a of 2n-1 and b of n-1.
+    One table of k! mod p for k < p serves every n; the inverse factorials
+    run down from (p-1)! = -1 (mod p), Wilson's theorem."""
+    fact = [1] * p
+    for k in range(1, p):
+        fact[k] = fact[k - 1] * k % p
+    inv = [1] * p
+    inv[p - 1] = p - 1  # -1 is its own inverse
+    for k in range(p - 1, 1, -1):
+        inv[k - 1] = inv[k] * k % p
+
+    def w_mod_p(n: int) -> int:
+        top, bottom, r = 2 * n - 1, n - 1, 1
+        while bottom:  # a digit of 2n-1 past the last of n-1 gives C(a, 0) = 1
+            a, b = top % p, bottom % p
+            if b > a:
+                return 0
+            r = r * fact[a] * inv[b] * inv[a - b] % p
+            top //= p
+            bottom //= p
+        return r
+
+    return w_mod_p
 
 
 def wprime_exact(n: int) -> Fraction:
@@ -312,6 +329,14 @@ def _factorial_residues(points: list[int], moduli: list[int]):
     yield from descend(len(tree) - 1, 0, math.factorial(points[0]) % tree[-1][0])
 
 
+def _w_from_factorials(p: int, low: int, high: int) -> int:
+    """w(p) mod p^3 for a prime p, from low = (p-1)! mod p^3 and high =
+    (2p-1)! mod p^4 by the factorial formula w(p) = ((2p-1)!/p) / ((p-1)!)^2;
+    p divides (2p-1)! exactly once."""
+    m = p**3
+    return high // p * pow(low * low, -1, m) % m
+
+
 def _wprime_parts(n_max: int):
     """Yield (d, divisors of d, num, den) for d = 1..n_max, where
     w'(d) = num/den in lowest terms, from its definition: before reduction
@@ -342,11 +367,12 @@ def divisor_product_checks(n_max: int):
     """Yield (n, divisor_product_check(n)) for n = 1..n_max in one pass.
 
     Each w'(d) is built once and kept for the n it divides; w(n) comes
-    from w_iter.  The comparison cross-multiplies as divisor_product_check
+    from w_at.  The comparison cross-multiplies as divisor_product_check
     does.
     """
     nums, dens = [0], [0]  # w'(d) = nums[d] / dens[d]
-    for (n, w), (_, divisors, num, den) in zip(w_iter(n_max), _wprime_parts(n_max)):
+    ws = w_at(range(1, n_max + 1))
+    for (n, w), (_, divisors, num, den) in zip(ws, _wprime_parts(n_max)):
         nums.append(num)
         dens.append(den)
         yield n, math.prod(nums[d] for d in divisors) == w * math.prod(

@@ -37,6 +37,8 @@ from .congruence import (
     PAIR_DIRECT_BUDGET,
     _factorial_residues,
     _prod_tree,
+    _w_from_factorials,
+    _w_mod_prime,
     pair_criterion,
     pair_direct_check,
     w_at,
@@ -255,14 +257,6 @@ def _gen_wilson_cube(params: dict, lo: int, hi: int):
         yield n, found
 
 
-def _w_from_factorials(p: int, low: int, high: int) -> int:
-    """w(p) mod p^3 for a prime p, from low = (p-1)! mod p^3 and high =
-    (2p-1)! mod p^4 by the factorial formula w(p) = ((2p-1)!/p) / ((p-1)!)^2;
-    p divides (2p-1)! exactly once."""
-    m = p**3
-    return high // p * pow(low * low, -1, m) % m
-
-
 def _gen_jones(params: dict, lo: int, hi: int):
     # (p-1)! mod p^3 and (2p-1)! mod p^4 at each prime p >= 5, for w(p)
     # again, independent of the recurrence
@@ -287,14 +281,8 @@ def _gen_jones(params: dict, lo: int, hi: int):
         yield n, found
 
 
-def _w_at_primes(lo: int, hi: int):
-    """Yield (p, w(p)) for the primes lo <= p <= hi, crossing each prime gap
-    in one step of w_at."""
-    return w_at(primes_in(lo, hi))
-
-
 def _gen_wolstenholme(params: dict, lo: int, hi: int):
-    for p, w in _w_at_primes(lo, hi):
+    for p, w in w_at(primes_in(lo, hi)):
         found = []
         if w % p**4 == 1:
             # independent route: the modular product instead of the recurrence
@@ -336,7 +324,7 @@ def _new_conjecture_record(p: int, q: int, m: int) -> tuple[dict, str]:
 def _gen_new_conjecture(params: dict, lo: int, hi: int):
     qs = primes_upto(params["q_max"])
     primorial = _prod_tree(qs)
-    for p, w in _w_at_primes(lo, hi):
+    for p, w in w_at(primes_in(lo, hi)):
         # w(p) - 1, to be scanned for square prime divisors q != p; with p's
         # power divided out, q = p never divides it
         m = w - 1
@@ -368,33 +356,6 @@ def _pair_record(
     return [(witness, verdict)]
 
 
-def _w_mod_prime(p: int) -> Callable[[int], int]:
-    """n -> w(n) mod the prime p, by Lucas' theorem: C(2n-1, n-1) is the
-    product of C(a, b) mod p over the base-p digits a of 2n-1 and b of n-1.
-    One table of k! mod p for k < p serves every n; the inverse factorials
-    run down from (p-1)! = -1 (mod p), Wilson's theorem."""
-    fact = [1] * p
-    for k in range(1, p):
-        fact[k] = fact[k - 1] * k % p
-    inv = [1] * p
-    inv[p - 1] = p - 1  # -1 is its own inverse
-    for k in range(p - 1, 1, -1):
-        inv[k - 1] = inv[k] * k % p
-
-    def w_mod_p(n: int) -> int:
-        top, bottom, r = 2 * n - 1, n - 1, 1
-        while bottom:  # a digit of 2n-1 past the last of n-1 gives C(a, 0) = 1
-            a, b = top % p, bottom % p
-            if b > a:
-                return 0
-            r = r * fact[a] * inv[b] * inv[a - b] % p
-            top //= p
-            bottom //= p
-        return r
-
-    return w_mod_p
-
-
 def _gen_pairs(params: dict, lo: tuple[int, int], hi: int):
     # pairs run in lexicographic order; lo is the first (p, q) to check
     if params.get("known"):
@@ -408,7 +369,7 @@ def _gen_pairs(params: dict, lo: tuple[int, int], hi: int):
     p_lo, q_lo = lo
     qs = primes_upto(params["q_max"])
     # a p at or above q_max has no q > p to pair with
-    for p, w in _w_at_primes(p_lo, min(hi, params["q_max"])):
+    for p, w in w_at(primes_in(p_lo, min(hi, params["q_max"]))):
         q_from = max(p + 1, q_lo) if p == p_lo else p + 1
         w_mod_p = _w_mod_prime(p)
         for q in qs[bisect_left(qs, q_from):]:
@@ -480,6 +441,7 @@ class ScanSummary:
     records: int
     hits: int
     fails: int
+    ratio_report: dict  # max_ratio_report of the records this run wrote
 
 
 def _scan_def(name: str, params: dict) -> _ScanDef:
@@ -559,7 +521,6 @@ def run_scan(
     checkpoint_path: str | None = None,
     checkpoint_interval: int = 1000,
     limit_subjects: int | None = None,
-    observer: Callable[[ScanRecord], None] | None = None,
 ) -> ScanSummary:
     """Drive a scan: emit records to sink, checkpointing as it goes.
 
@@ -574,7 +535,9 @@ def run_scan(
     checkpoint never claims unflushed work.  limit_subjects stops early
     after that many subjects, computing none past them (used to exercise
     interruption in tests); a negative value raises ValueError, as does a
-    checkpoint_interval (subjects between checkpoints) below 1.
+    checkpoint_interval (subjects between checkpoints) below 1.  The
+    summary counts only the subjects and records of this call: a resumed
+    run leaves out those before its checkpoint, in its ratio report too.
     """
     h = params_digest(params)
     sd = _scan_def(name, params)
@@ -602,6 +565,7 @@ def run_scan(
 
     emit = _make_writer(tally, fmt, header=after is None)
     subjects = records = hits = fails = 0
+    ratio = _RatioBest()
     last: Subject | None = after
     since_checkpoint = 0
 
@@ -617,8 +581,7 @@ def run_scan(
     for subject, recs in islice(sd.stream(params, h, after), limit_subjects):
         for rec in recs:
             emit(rec)
-            if observer is not None:
-                observer(rec)
+            ratio.add(rec)
             records += 1
             hits += rec.verdict == "hit"
             fails += rec.verdict == "fail"
@@ -633,7 +596,7 @@ def run_scan(
     _flush(sink)
     if checkpoint_path and last is not None:
         save()
-    return ScanSummary(name, h, subjects, records, hits, fails)
+    return ScanSummary(name, h, subjects, records, hits, fails, ratio.report())
 
 
 def _flush(sink) -> None:
@@ -796,6 +759,10 @@ class _RatioBest:
         if self.best is None or ratio > self.best:
             self.best, self.pair = ratio, [rec.subject, q]
 
+    def report(self) -> dict:
+        best = str(self.best) if self.best is not None else None
+        return {"hits": self.hits, "max_q_over_p": best, "max_pair": self.pair}
+
 
 def max_ratio_report(records: Iterable[ScanRecord]) -> dict:
     """Summary of new-conjecture hits: the largest q/p ratio observed.
@@ -807,5 +774,4 @@ def max_ratio_report(records: Iterable[ScanRecord]) -> dict:
     ratio = _RatioBest()
     for rec in records:
         ratio.add(rec)
-    best = str(ratio.best) if ratio.best is not None else None
-    return {"hits": ratio.hits, "max_q_over_p": best, "max_pair": ratio.pair}
+    return ratio.report()

@@ -22,7 +22,6 @@ from wolstenholme.arith import (
 from wolstenholme.congruence import (
     pair_criterion,
     pair_direct_check,
-    w_iter,
     w_mod,
     wilson_residue,
     wprime_mod,
@@ -34,6 +33,7 @@ from wolstenholme.search import (
 )
 from wolstenholme.verify import run_suite
 from wolstenholme.wpoly import construct_W, trend_scan, verify_W
+from w_oracle import w_iter
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -11,6 +11,7 @@ from wolstenholme.congruence import (
     _divisors,
     _factorial_residues,
     _prod_tree,
+    _w_from_factorials,
     _wprime_parts,
     divisor_product_check,
     divisor_product_checks,
@@ -22,7 +23,6 @@ from wolstenholme.congruence import (
     pair_direct_check,
     w_at,
     w_exact,
-    w_iter,
     w_mod,
     w_residues,
     wilson_residue,
@@ -32,7 +32,7 @@ from wolstenholme.congruence import (
     wprime_mod,
 )
 from wolstenholme.errors import BudgetExceeded, PreconditionViolated
-from wolstenholme.search import _w_from_factorials
+from w_oracle import w_iter
 
 
 class _CarriedFactorial:
@@ -255,13 +255,13 @@ class TestDivisorProductChecks:
 
     def test_reads_w_from_the_recurrence(self, monkeypatch):
         # a w(n) off by one at a single n must fail there and nowhere else
-        real = congruence.w_iter
+        real = congruence.w_at
 
-        def skewed(limit, start=1):
-            for n, w in real(limit, start):
+        def skewed(points):
+            for n, w in real(points):
                 yield n, w + (n == 360)
 
-        monkeypatch.setattr(congruence, "w_iter", skewed)
+        monkeypatch.setattr(congruence, "w_at", skewed)
         assert [n for n, ok in divisor_product_checks(400) if not ok] == [360]
 
     def test_small_bounds(self):

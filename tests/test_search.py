@@ -217,6 +217,23 @@ class TestRunner:
         run_scan("pairs", params, buf, checkpoint_path=cpath, checkpoint_interval=3)
         assert buf.getvalue() == full
 
+    def test_ratio_report_covers_one_invocation(self, tmp_path):
+        # hits at p = 13, 107, 113, 137; the cut after 20 subjects (p = 79)
+        # leaves the largest q/p, 3/13, to the first leg only
+        params = {"p_max": 200, "q_max": 5000}
+        recs = scan_records("new-conjecture", params)
+        buf = io.StringIO()
+        cpath = str(tmp_path / "cp.json")
+        legs = [
+            run_scan("new-conjecture", params, buf, checkpoint_path=cpath, limit_subjects=cut)
+            for cut in (20, None)
+        ]
+        first, second = [leg.ratio_report for leg in legs]
+        assert first == max_ratio_report(r for r in recs if r.subject <= 79)
+        assert second == max_ratio_report(r for r in recs if r.subject > 79)
+        assert (first["max_pair"], second["hits"], second["max_pair"]) == ([13, 3], 3, [137, 17])
+        assert buf.getvalue() == self._full("new-conjecture", params)
+
     def test_limit_zero_computes_nothing(self, tmp_path, monkeypatch):
         calls, seen = _spy_residues(monkeypatch)
         buf = io.StringIO()
@@ -482,14 +499,14 @@ class TestCarriedPaths:
     @pytest.mark.parametrize("after", [None, 1499])
     def test_wolstenholme_residues(self, monkeypatch, after):
         seen = []
-        real = search._w_at_primes
+        real = search.w_at
 
-        def spy(lo, hi):
-            for p, w in real(lo, hi):
+        def spy(points):
+            for p, w in real(points):
                 seen.append((p, w % p**4))
                 yield p, w
 
-        monkeypatch.setattr(search, "_w_at_primes", spy)
+        monkeypatch.setattr(search, "w_at", spy)
         _drain("wolstenholme-primes", {"limit": 3000}, after)
         start = 5 if after is None else after + 1
         assert [p for p, _ in seen] == [p for p in primes_upto(3000) if p >= start]
@@ -525,9 +542,9 @@ class TestCarriedPaths:
     def test_jones_formula_off_wolstenholme(self):
         # below 5 the residue is not 1, so the formula's value is visible
         for p, residue in ((2, 3), (3, 10)):
-            (low,) = search._factorial_residues([p - 1], [p**3])
-            (high,) = search._factorial_residues([2 * p - 1], [p**4])
-            assert search._w_from_factorials(p, low, high) == residue
+            (low,) = congruence._factorial_residues([p - 1], [p**3])
+            (high,) = congruence._factorial_residues([2 * p - 1], [p**4])
+            assert congruence._w_from_factorials(p, low, high) == residue
 
     @pytest.mark.parametrize("after", [None, (7, 101), (7, 397), (37, 41)])
     def test_pairs_sieve_and_halves(self, monkeypatch, after):
@@ -658,7 +675,7 @@ class TestCarriedPaths:
 
     @pytest.mark.parametrize("p", [p for p in primes_upto(60) if p >= 5])
     def test_w_mod_prime(self, p):
-        w_mod_p = search._w_mod_prime(p)
+        w_mod_p = congruence._w_mod_prime(p)
         near_powers = []
         for power in (p**2, p**3):
             below = next(q for q in range(power - 1, 0, -1) if is_prime(q))
@@ -727,20 +744,6 @@ def test_stream_digest_pinned(name, params, fmt, digest):
     buf = io.StringIO()
     run_scan(name, params, buf, fmt=fmt)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
-
-
-def test_scans_never_step_w_iter(monkeypatch):
-    # every scan reads w(n) from w_at or w_residues; the one-step recurrence
-    # stays the oracle of both and has no caller on the scan path
-    def refuse(*args):
-        raise AssertionError("w_iter called")
-
-    monkeypatch.setattr(congruence, "w_iter", refuse)
-    monkeypatch.setattr(search, "w_iter", refuse, raising=False)
-    for ident, name, params, digest, _ in STREAM_DIGESTS:
-        buf = io.StringIO()
-        run_scan(name, params, buf)
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, ident
 
 
 @pytest.mark.parametrize("name, params, fmt, digest", STREAM_CASES)
