@@ -169,9 +169,13 @@ def _cmd_scan(args) -> int:
     return 1 if summary.fails else 0
 
 
-def _cmd_wpoly(args) -> int:
+def _require_prime(args) -> None:
     if args.p < 5 or not is_prime(args.p):
-        raise _Usage(f"wpoly requires a prime p >= 5, got {args.p}")
+        raise _Usage(f"{args.command} requires a prime p >= 5, got {args.p}")
+
+
+def _cmd_wpoly(args) -> int:
+    _require_prime(args)
     w_poly = construct_W(args.p)
     report = verify_W(args.p, w_poly)
     # exact values computed here, not parsed input, may pass CPython's digit cap
@@ -195,8 +199,7 @@ def _cmd_wpoly(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.p < 5 or not is_prime(args.p):
-        raise _Usage(f"classify requires a prime p >= 5, got {args.p}")
+    _require_prime(args)
     bands = factor_band_classify(args.p)
     mismatches = 0
     with _open_out(args.out) as sink:

@@ -1,15 +1,16 @@
 """Checkpointable, resumable desk-scale scans with deterministic output.
 
-Each scan walks a totally ordered subject space (integers, primes, or prime
-pairs) and emits ScanRecords as JSON lines or CSV rows, read_records
-decodes either format back into ScanRecords, and check_stream judges a
-stream for damage: this module is the one place that knows the record
-format and what an intact stream holds.  Running a scan twice with the same
-parameters produces byte-identical streams; interrupting (even by
-SIGKILL) and resuming reproduces the uninterrupted stream exactly.  A
-checkpoint records the last completed subject plus the byte length and
-sha256 of the stream through it; resuming checks that prefix, truncates
-whatever was written after it, and starts the generator after that subject.
+Each scan walks ascending int subjects (integers or primes; for pairs, the
+primes p, each carrying the records of its pairs (p, q), q > p) and emits
+ScanRecords as JSON lines or CSV rows, read_records decodes either format
+back into ScanRecords, and check_stream judges a stream for damage: this
+module is the one place that knows the record format and what an intact
+stream holds.  Running a scan twice with the same parameters produces
+byte-identical streams; interrupting (even by SIGKILL) and resuming
+reproduces the uninterrupted stream exactly.  A checkpoint records the last
+completed subject plus the byte length and sha256 of the stream through
+it; resuming checks that prefix, truncates whatever was written after it,
+and starts the generator after that subject.
 
 Verdicts: "hit" marks a found subject matching the scan's expectation,
 "fail" marks a record violating an assertion the scan makes (e.g. a Jones
@@ -26,7 +27,7 @@ import math
 import os
 import re
 import tempfile
-from bisect import bisect_left, insort
+from bisect import bisect_right, insort
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import islice
@@ -39,7 +40,6 @@ from .congruence import (
     _prod_tree,
     _w_from_factorials,
     _w_mod_prime,
-    pair_criterion,
     pair_direct_check,
     w_at,
     w_mod,
@@ -129,7 +129,7 @@ class Checkpoint:
     scan: str
     params: dict
     params_hash: str
-    last_subject: Subject
+    last_subject: int
     records_emitted: int
     offset: int = 0  # bytes of the stream through last_subject, CSV header included
     sha256: str = hashlib.sha256().hexdigest()  # digest of those bytes
@@ -147,7 +147,7 @@ def checkpoint_save(cp: Checkpoint, path: str) -> None:
 
     An OSError from any step names path, not the temp file.
     """
-    payload = asdict(cp)  # a tuple last_subject is written as a JSON list
+    payload = asdict(cp)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
@@ -168,7 +168,7 @@ def _is_count(v) -> bool:
 
 
 def _is_subject(v) -> bool:
-    # an int, or a pair of ints, which JSON gives back as a list
+    # a record's subject: an int, or a pair of ints, which JSON gives back as a list
     return type(v) is int or (
         type(v) is list and len(v) == 2 and all(type(x) is int for x in v)
     )
@@ -176,7 +176,7 @@ def _is_subject(v) -> bool:
 
 # what each field that a resume reads must hold
 _FIELD_CHECKS = {
-    "last_subject": _is_subject,
+    "last_subject": lambda v: type(v) is int,
     "records_emitted": _is_count,
     "offset": _is_count,
     "sha256": lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v) is not None,
@@ -210,33 +210,32 @@ def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoin
         raise ParamsMismatch(
             f"checkpoint {path} belongs to params {payload['params']}"
         )
-    kwargs = {name: payload[name] for name in names}
-    if isinstance(kwargs["last_subject"], list):
-        kwargs["last_subject"] = tuple(kwargs["last_subject"])
-    return Checkpoint(**kwargs)
+    return Checkpoint(**{name: payload[name] for name in names})
 
 
 # --------------------------------------------------------------------------
-# Scan generators: yield (subject, [(witness, verdict)]) in strictly
-# ascending subject order, one yield per subject, never skipping a subject of
-# the scan's space; _ScanDef.stream makes each pair a ScanRecord.
+# Scan generators: yield (subject, [(record subject, witness, verdict)]) for
+# int subjects in strictly ascending order, one yield per subject, never
+# skipping a subject of the scan's space; _ScanDef.stream makes each found
+# item a ScanRecord.  A record's subject is its scan subject, but for pairs,
+# whose subject p carries the records of its pairs (p, q).
 # Each walks the subjects lo..hi it is given; the scan table supplies them,
 # and a resumed run passes the subject after its checkpoint as lo.
 # --------------------------------------------------------------------------
 
 
-def _wilson_record(residue: int, m: int, verdict: str) -> list[tuple[dict, str]]:
+def _wilson_record(n: int, residue: int, m: int, verdict: str) -> list[tuple]:
     """The record of (n-1)! = -1 (mod m), from residue = (n-1)! mod m, or none."""
     if residue != m - 1:
         return []
-    return [({"residue": str(residue), "modulus": str(m)}, verdict)]
+    return [(n, {"residue": str(residue), "modulus": str(m)}, verdict)]
 
 
 def _gen_wilson(params: dict, lo: int, hi: int):
     points = [p - 1 for p in primes_in(lo, hi)]  # (p-1)! at each prime p
     moduli = [(x + 1) ** 2 for x in points]
     for x, m, residue in zip(points, moduli, _factorial_residues(points, moduli)):
-        yield x + 1, _wilson_record(residue, m, "hit")
+        yield x + 1, _wilson_record(x + 1, residue, m, "hit")
 
 
 def _gen_wilson_cube(params: dict, lo: int, hi: int):
@@ -252,7 +251,7 @@ def _gen_wilson_cube(params: dict, lo: int, hi: int):
         found = []
         if i < len(points) and n == points[i] + 1:
             # the scan asserts no such n exists
-            found = _wilson_record(next(residues), moduli[i], "fail")
+            found = _wilson_record(n, next(residues), moduli[i], "fail")
             i += 1
         yield n, found
 
@@ -277,7 +276,7 @@ def _gen_jones(params: dict, lo: int, hi: int):
             else:
                 reverified = w_mod(n, n**3).value == 1
             witness = {"modulus": str(n**3), "prime": prime_ok, "reverified": reverified}
-            found.append((witness, "hit" if prime_ok and reverified else "fail"))
+            found.append((n, witness, "hit" if prime_ok and reverified else "fail"))
         yield n, found
 
 
@@ -288,7 +287,7 @@ def _gen_wolstenholme(params: dict, lo: int, hi: int):
             # independent route: the modular product instead of the recurrence
             reverified = w_mod(p, p**4).value == 1
             witness = {"modulus": str(p**4), "reverified": reverified}
-            found.append((witness, "hit" if reverified else "fail"))
+            found.append((p, witness, "hit" if reverified else "fail"))
         yield p, found
 
 
@@ -297,7 +296,7 @@ def _gen_mod5(params: dict, lo: int, hi: int):
         found = []
         if residue == 1:
             witness = {"modulus": str(n**5), "reverified": w_mod(n, n**5).value == 1}
-            found.append((witness, "fail"))  # the scan asserts no such n exists
+            found.append((n, witness, "fail"))  # the scan asserts no such n exists
         yield n, found
 
 
@@ -309,7 +308,7 @@ def _square_divisors(m: int, primorial: int) -> int:
     return math.gcd(m // g1, g1)
 
 
-def _new_conjecture_record(p: int, q: int, m: int) -> tuple[dict, str]:
+def _new_conjecture_record(p: int, q: int, m: int) -> tuple[int, dict, str]:
     """The record of q^2 | m = (w(p) - 1) / p^v, reverified mod q^2."""
     reverified = w_mod(p, q * q).value == 1
     witness = {
@@ -318,7 +317,7 @@ def _new_conjecture_record(p: int, q: int, m: int) -> tuple[dict, str]:
         "ratio_p_over_q": str(Fraction(p, q)),
         "reverified": reverified,
     }
-    return witness, "hit" if q < p and reverified else "fail"
+    return p, witness, "hit" if q < p and reverified else "fail"
 
 
 def _gen_new_conjecture(params: dict, lo: int, hi: int):
@@ -338,7 +337,7 @@ def _gen_new_conjecture(params: dict, lo: int, hi: int):
 
 def _pair_record(
     p: int, q: int, left: bool, right: bool, always: bool
-) -> list[tuple[dict, str]]:
+) -> list[tuple]:
     """The pairs record for p < q from the criterion's two halves at level 1:
     left is w(p) = 1 (mod q), right is w(q) = 1 (mod p)."""
     combined = left and right
@@ -353,29 +352,26 @@ def _pair_record(
             verdict = "fail"
     elif combined:
         witness["direct_agrees"] = "skipped"
-    return [(witness, verdict)]
+    return [((p, q), witness, verdict)]
 
 
-def _gen_pairs(params: dict, lo: tuple[int, int], hi: int):
-    # pairs run in lexicographic order; lo is the first (p, q) to check
-    if params.get("known"):
-        # published pairs are expected hits, so a miss is emitted as a fail
-        pairs = KNOWN_PAIRS if params.get("stretch") else KNOWN_PAIRS[:2]
-        for p, q in pairs:
-            if (p, q) >= lo:
-                res = pair_criterion(p, q, 1)
-                yield (p, q), _pair_record(p, q, res.left, res.right, always=True)
-        return
-    p_lo, q_lo = lo
-    qs = primes_upto(params["q_max"])
-    # a p at or above q_max has no q > p to pair with
-    for p, w in w_at(primes_in(p_lo, min(hi, params["q_max"]))):
-        q_from = max(p + 1, q_lo) if p == p_lo else p + 1
+def _gen_pairs(params: dict, lo: int, hi: int | None):
+    # each prime p carries its pairs (p, q), q > p, in q order; with {"known":
+    # True}, the published pairs, expected hits, so a miss is emitted as a fail
+    known = bool(params.get("known"))
+    if known:
+        q_of = dict(KNOWN_PAIRS if params.get("stretch") else KNOWN_PAIRS[:2])
+        ps = [p for p in q_of if p >= lo]
+    else:
+        qs = primes_upto(params["q_max"])
+        # a p at or above q_max has no q > p to pair with
+        ps = primes_in(lo, min(hi, params["q_max"]))
+    for p, w in w_at(ps):
         w_mod_p = _w_mod_prime(p)
-        for q in qs[bisect_left(qs, q_from):]:
-            left = w % q == 1
-            right = w_mod_p(q) == 1
-            yield (p, q), _pair_record(p, q, left, right, always=False)
+        found = []
+        for q in [q_of[p]] if known else qs[bisect_right(qs, p):]:
+            found += _pair_record(p, q, w % q == 1, w_mod_p(q) == 1, always=known)
+        yield p, found
 
 
 @dataclass(frozen=True)
@@ -384,7 +380,7 @@ class _ScanDef:
 
     name: str
     generate: Callable
-    bounds: Callable[[dict], tuple[Subject, int]]
+    bounds: Callable[[dict], tuple[int, int | None]]
     required: tuple[str, ...]
     known: bool = False  # {"known": True} checks published subjects instead
 
@@ -393,14 +389,14 @@ class _ScanDef:
             return []
         return [k for k in self.required if params.get(k) is None]
 
-    def stream(self, params: dict, h: str, after: Subject | None = None) -> Iterator:
+    def stream(self, params: dict, h: str, after: int | None = None) -> Iterator:
         """The scan's (subject, records) stream, entered just after `after`,
         each record stamped with the scan's name and params hash h."""
         lo, hi = self.bounds(params)
         if after is not None:
-            lo = (after[0], after[1] + 1) if isinstance(after, tuple) else after + 1
+            lo = after + 1
         for subject, found in self.generate(params, lo, hi):
-            yield subject, [ScanRecord(self.name, subject, w, v, h) for w, v in found]
+            yield subject, [ScanRecord(self.name, s, w, v, h) for s, w, v in found]
 
 
 _SCANS = {
@@ -417,7 +413,7 @@ _SCANS = {
             "new-conjecture", _gen_new_conjecture, lambda p: (5, p["p_max"]), ("p_max", "q_max")
         ),
         _ScanDef(
-            "pairs", _gen_pairs, lambda p: ((5, 0), p.get("p_max")), ("p_max", "q_max"),
+            "pairs", _gen_pairs, lambda p: (5, p.get("p_max")), ("p_max", "q_max"),
             known=True,
         ),
     )
@@ -546,7 +542,7 @@ def run_scan(
     if checkpoint_interval < 1:
         raise ValueError(f"checkpoint_interval must be >= 1, got {checkpoint_interval}")
 
-    after: Subject | None = None
+    after: int | None = None
     already_emitted = 0
     tally = _Tally(sink)
     if checkpoint_path and os.path.exists(checkpoint_path):
@@ -555,10 +551,6 @@ def run_scan(
             raise ParamsMismatch(
                 f"checkpoint is for scan {cp.scan!r} in {cp.fmt}, not {name!r} in {fmt}"
             )
-        if isinstance(cp.last_subject, tuple) != isinstance(sd.bounds(params)[0], tuple):
-            raise CorruptFile(
-                f"checkpoint last_subject {cp.last_subject!r} is not a {name} subject"
-            )
         tally = _cut_back(sink, cp)
         after = cp.last_subject
         already_emitted = cp.records_emitted
@@ -566,7 +558,7 @@ def run_scan(
     emit = _make_writer(tally, fmt, header=after is None)
     subjects = records = hits = fails = 0
     ratio = _RatioBest()
-    last: Subject | None = after
+    last: int | None = after
     since_checkpoint = 0
 
     def save() -> None:

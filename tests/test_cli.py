@@ -193,7 +193,7 @@ class TestScanCommand:
             ("last_subject", None),
             ("last_subject", [5, 7, 11]),
             ("last_subject", [5, "7"]),
-            ("last_subject", [593, 599]),  # a pair, but wilson's subjects are ints
+            ("last_subject", [593, 599]),  # a pair: every scan's subjects are ints
             ("sha256", "00" * 31),
             ("sha256", "zz" * 32),
             ("sha256", 0),

@@ -4,6 +4,7 @@ a fresh interpreter and reads its peak RSS from VmHWM, the high-water mark
 of its own address space: Linux carries ru_maxrss across fork and exec, so
 that would count the test runner too."""
 
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import wolstenholme
+from wolstenholme import search
 from wolstenholme.search import checkpoint_load, run_scan
 
 SRC = Path(wolstenholme.__file__).resolve().parents[1]
@@ -155,3 +157,32 @@ def test_resume_from_90_percent(tmp_path, name, limit):
         run_scan(name, params, sink, checkpoint_path=cpath)
     assert out.read_text() == full.getvalue()
     assert checkpoint_load(cpath).last_subject == limit
+
+
+# sha256 of scan pairs --p-max 500 --q-max 100000 in each format: 887499
+# pairs (p, q) under 93 subjects p, with the one hit (29, 937)
+_PAIRS_500_DIGESTS = {
+    "jsonl": "d4ccad41a11e62b400002af8524293e944142141802856d689f38bb9943a4947",
+    "csv": "b9195ab07c780acd97cae401195bf06cafa584bf293fd4f38f39d0d171c23874",
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_pairs_500_by_100000(tmp_path, monkeypatch, fmt):
+    # each subject is a prime p, so at the default interval the 93 subjects
+    # take one checkpoint, written at the end
+    saves = []
+    real = search.checkpoint_save
+
+    def spy(cp, path):
+        saves.append(cp.last_subject)
+        real(cp, path)
+
+    monkeypatch.setattr(search, "checkpoint_save", spy)
+    out, cpath = tmp_path / f"out.{fmt}", str(tmp_path / "cp.json")
+    with open(out, "w") as sink:
+        summary = run_scan("pairs", {"p_max": 500, "q_max": 100000}, sink, fmt=fmt,
+                           checkpoint_path=cpath)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PAIRS_500_DIGESTS[fmt]
+    assert (summary.subjects, summary.hits, summary.fails) == (93, 1, 0)
+    assert saves == [499] and checkpoint_load(cpath).last_subject == 499

@@ -10,6 +10,7 @@ import pytest
 
 from wolstenholme import arith, congruence, search
 from wolstenholme.arith import is_prime, primes_in, primes_upto, valuation
+from wolstenholme.cli import main
 from wolstenholme.congruence import pair_criterion, w_exact, w_mod, wilson_residue
 from wolstenholme.errors import (
     CheckpointError,
@@ -111,7 +112,7 @@ class TestCheckpointFile:
 
     def test_every_field_roundtrips(self, tmp_path):
         params = {"p_max": 40, "q_max": 60}
-        cp = Checkpoint("pairs", params, params_digest(params), (29, 937), 1,
+        cp = Checkpoint("pairs", params, params_digest(params), 29, 1,
                         offset=143, sha256="ab" * 32, fmt="csv")
         path = str(tmp_path / "cp.json")
         checkpoint_save(cp, path)
@@ -123,12 +124,26 @@ class TestCheckpointFile:
         with pytest.raises(CorruptFile):
             checkpoint_load(path)
 
-    def test_tuple_subject_roundtrip(self, tmp_path):
-        params = {"p_max": 40, "q_max": 60}
-        cp = Checkpoint("pairs", params, params_digest(params), (29, 937), 1)
-        path = str(tmp_path / "cp.json")
-        checkpoint_save(cp, path)
-        assert checkpoint_load(path).last_subject == (29, 937)
+    def test_pair_last_subject_is_malformed(self, tmp_path, capsys):
+        # a pairs checkpoint whose last subject is a pair (p, q), as pairs
+        # checkpoints were before each p became one subject, is refused
+        # before its stream is touched
+        params = {"p_max": 40, "q_max": 1000}
+        out, path = tmp_path / "out.jsonl", str(tmp_path / "cp.json")
+        with open(out, "w") as sink:
+            run_scan("pairs", params, sink, checkpoint_path=path, limit_subjects=8)
+        raw = json.load(open(path))
+        raw["last_subject"] = [29, 937]
+        json.dump(raw, open(path, "w"))
+        with pytest.raises(CorruptFile, match="last_subject"):
+            checkpoint_load(path)
+        before = out.read_bytes()
+        argv = ["scan", "pairs", "--p-max", "40", "--q-max", "1000",
+                "--out", str(out), "--checkpoint", path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err and "last_subject" in err
+        assert out.read_bytes() == before
 
     def test_params_mismatch(self, tmp_path):
         path = str(tmp_path / "cp.json")
@@ -205,16 +220,6 @@ class TestRunner:
         run_scan("jones", params, buf, checkpoint_path=cpath,
                  checkpoint_interval=7, limit_subjects=cut)
         run_scan("jones", params, buf, checkpoint_path=cpath, checkpoint_interval=7)
-        assert buf.getvalue() == full
-
-    def test_resume_pairs_tuple_subjects(self, tmp_path):
-        params = {"p_max": 20, "q_max": 900}
-        full = self._full("pairs", params)
-        buf = io.StringIO()
-        cpath = str(tmp_path / "cp.json")
-        run_scan("pairs", params, buf, checkpoint_path=cpath,
-                 checkpoint_interval=3, limit_subjects=5)
-        run_scan("pairs", params, buf, checkpoint_path=cpath, checkpoint_interval=3)
         assert buf.getvalue() == full
 
     def test_ratio_report_covers_one_invocation(self, tmp_path):
@@ -416,18 +421,33 @@ class TestSeekResume:
         assert seen and min(x + 1 for x, _, _ in seen) > last
         assert [json.loads(l)["subject"] for l in out.read_text().splitlines()] == [5, 13]
 
-    def test_resume_pairs_mid_p(self, tmp_path, monkeypatch):
-        params = {"p_max": 20, "q_max": 900}
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("p_max, q_max", [(20, 900), (40, 1000)])
+    def test_resume_pairs_after_every_p(self, tmp_path, monkeypatch, fmt, p_max, q_max):
+        # the subjects are the primes 5 <= p <= p_max, each carrying its
+        # pairs (p, q); a cut after each k = 0..#p subjects resumes at the
+        # next p, and the rerun reproduces the uninterrupted stream without
+        # checking a pair of an earlier p.  (20, 900) writes no record;
+        # (40, 1000) writes the hit (29, 937) at the eighth subject.
+        params = {"p_max": p_max, "q_max": q_max}
         full = io.StringIO()
-        run_scan("pairs", params, full)
-        out, cpath = self._leg1(tmp_path, "pairs", params, cut=200)
-        last = checkpoint_load(cpath).last_subject
-        assert last[0] == 7  # 151 subjects at p = 5, so the cut falls inside p = 7
+        run_scan("pairs", params, full, fmt=fmt)
+        ps = list(primes_in(5, p_max))
         seen = self._spy(monkeypatch, "_pair_record")
-        self._leg2(out, cpath, "pairs", params)
-        assert seen[0][0] == last[0]  # entered inside p = 7, not at the next p
-        assert all(pq > last for pq in seen)
-        assert out.read_text() == full.getvalue()
+        for k in range(len(ps) + 1):
+            out, cpath = tmp_path / f"{k}.{fmt}", str(tmp_path / f"{k}.json")
+            with open(out, "w") as sink:
+                run_scan("pairs", params, sink, fmt=fmt, checkpoint_path=cpath,
+                         checkpoint_interval=2, limit_subjects=k)
+            resuming = os.path.exists(cpath)  # no subject done, no checkpoint
+            assert resuming == (k > 0)
+            assert not resuming or checkpoint_load(cpath).last_subject == ps[k - 1]
+            seen.clear()
+            with open(out, "a" if resuming else "w") as sink:
+                run_scan("pairs", params, sink, fmt=fmt, checkpoint_path=cpath,
+                         checkpoint_interval=2)
+            assert sorted({p for p, _ in seen}) == ps[k:], k
+            assert out.read_text() == full.getvalue(), k
 
     def test_resume_known_pairs(self, tmp_path, monkeypatch):
         params = {"known": True, "stretch": False}
@@ -546,19 +566,17 @@ class TestCarriedPaths:
             (high,) = congruence._factorial_residues([2 * p - 1], [p**4])
             assert congruence._w_from_factorials(p, low, high) == residue
 
-    @pytest.mark.parametrize("after", [None, (7, 101), (7, 397), (37, 41)])
+    @pytest.mark.parametrize("after", [None, 7, 37])
     def test_pairs_sieve_and_halves(self, monkeypatch, after):
         # the scan's q list and its halves, w(p) read off the recurrence,
-        # against primes_in per p and the validated pair_criterion
-        params = {"p_max": 40, "q_max": 400}
+        # against primes_in per p and the validated pair_criterion; the
+        # published pairs take the same halves
+        start = 5 if after is None else after + 1
         seen = _spy_calls(monkeypatch, "_pair_record")
-        _drain("pairs", params, after)
-        expected = [
-            (p, q)
-            for p in primes_in(5, 40)
-            for q in primes_in(p + 1, 400)
-            if after is None or (p, q) > after
-        ]
+        _drain("pairs", {"p_max": 40, "q_max": 400}, after)
+        _drain("pairs", {"known": True, "stretch": True}, after)
+        expected = [(p, q) for p in primes_in(start, 40) for q in primes_in(p + 1, 400)]
+        expected += [pq for pq in search.KNOWN_PAIRS if pq[0] >= start]
         assert [args[:2] for args, _ in seen] == expected
         for args, _ in seen:
             p, q, left, right = args[:4]
