@@ -566,7 +566,9 @@ class TestCarriedPaths:
             (high,) = congruence._factorial_residues([2 * p - 1], [p**4])
             assert congruence._w_from_factorials(p, low, high) == residue
 
-    @pytest.mark.parametrize("after", [None, 7, 37])
+    @pytest.mark.parametrize(
+        "after", [None, 5, 7, 37], ids=["None", "after1", "after2", "after3"]
+    )
     def test_pairs_sieve_and_halves(self, monkeypatch, after):
         # the scan's q list and its halves, w(p) read off the recurrence,
         # against primes_in per p and the validated pair_criterion; the
