@@ -1,10 +1,10 @@
 """Congruence checks around the central binomial value w(n) = C(2n-1, n-1).
 
 The one module that computes w(n), with one kernel per job: exactly
-(w_exact), by the recurrence over gaps (w_at) or blocks of residues
-(w_residues), modulo m (w_mod), modulo a prime by Lucas' theorem
-(_w_mod_prime), and modulo p^3 from factorial residues
-(_w_from_factorials).  Also Wilson-type factorial residues,
+(w_exact), by the recurrence over gaps (w_at), modulo m (w_mod), modulo a
+prime by Lucas' theorem (_w_mod_prime), modulo n^e at the n no small
+prime rules out (_w_power_residues), and modulo p^3 from factorial
+residues (_w_from_factorials).  Also Wilson-type factorial residues,
 Wolstenholme/Babbage/Jones checks, the modified binomial w'(n) and its
 divisor-product relation, the two-prime pair criterion, and the parity
 classification of large prime factors.
@@ -37,7 +37,6 @@ __all__ = [
     "FactorBand",
     "w_exact",
     "w_at",
-    "w_residues",
     "w_mod",
     "wprime_exact",
     "wprime_mod",
@@ -135,32 +134,6 @@ def w_at(points):
         yield n, w
 
 
-_W_BLOCK = 16  # subjects per block of w_residues
-
-
-def w_residues(limit: int, e: int, start: int = 1):
-    """Yield (n, w(n) mod n^e) for n = start..limit.
-
-    The subjects go in blocks of 16, s..s+15, each w(s) from w_at.  With P
-    the product of a block's n, one reduction R = w(s) mod P^(e+1) serves
-    the whole block: w(n) * P_n = w(s) * A_n, where P_n and A_n are the
-    products of j and of 2(2j-1) over s < j <= n, and n^e * P_n divides
-    P^(e+1), so w(n) mod n^e = (R * A_n mod n^e * P_n) // P_n, all small
-    numbers.
-    """
-    if start < 1:
-        raise ValueError("w(n) requires n >= 1")
-    for s, w in w_at(range(start, limit + 1, _W_BLOCK)):
-        block = range(s, min(s + _W_BLOCK, limit + 1))
-        big = math.prod(block) ** (e + 1)
-        v, below = w % big, 1  # v = w(s) * A_n mod big, below = P_n
-        for n in block:
-            if n > s:
-                v = v * (2 * (2 * n - 1)) % big
-                below *= n
-            yield n, v % (n**e * below) // below
-
-
 def w_mod(n: int, m: int) -> ResidueClass:
     """w(n) mod m.
 
@@ -213,6 +186,27 @@ def _w_mod_prime(p: int) -> Callable[[int], int]:
         return r
 
     return w_mod_p
+
+
+def _w_power_residues(lo: int, hi: int, e: int):
+    """Yield (n, w(n) mod n^e) for n = lo..hi, or (n, None) where a small
+    prime q | n rules w(n) = 1 (mod n^e) out by w(n) mod q != 1.
+
+    Each prime q <= isqrt(hi) in turn strikes such multiples of q, from one
+    _w_mod_prime(q) table; no prime is struck, as w(p) = 1 (mod p).  w_at
+    then crosses the gaps between the n left: every prime, few composites.
+    """
+    if lo < 1:
+        raise ValueError("w(n) requires n >= 1")
+    left = bytearray(b"\x01") * (hi - lo + 1)  # left[n - lo]: n not struck
+    for q in primes_upto(math.isqrt(max(hi, 0))):
+        w_mod_q = _w_mod_prime(q)
+        for n in range(-(-lo // q) * q, hi + 1, q):
+            if left[n - lo] and w_mod_q(n) != 1:
+                left[n - lo] = 0
+    ws = w_at(compress(range(lo, hi + 1), left))
+    for n, kept in zip(range(lo, hi + 1), left):
+        yield n, next(ws)[1] % n**e if kept else None
 
 
 def wprime_exact(n: int) -> Fraction:

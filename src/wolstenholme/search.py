@@ -40,10 +40,10 @@ from .congruence import (
     _prod_tree,
     _w_from_factorials,
     _w_mod_prime,
+    _w_power_residues,
     pair_direct_check,
     w_at,
     w_mod,
-    w_residues,
 )
 from .errors import (
     CheckpointError,
@@ -263,8 +263,7 @@ def _gen_jones(params: dict, lo: int, hi: int):
     lows = _factorial_residues(points, [(x + 1) ** 3 for x in points])
     highs = _factorial_residues([2 * x + 1 for x in points], [(x + 1) ** 4 for x in points])
     i = 0
-    # w(n) mod n^3 by blocks of subjects: one reduction of w(n) per block
-    for n, residue in w_residues(hi, 3, lo):
+    for n, residue in _w_power_residues(lo, hi, 3):
         found = []
         prime_ok = i < len(points) and n == points[i] + 1
         if prime_ok:
@@ -292,7 +291,7 @@ def _gen_wolstenholme(params: dict, lo: int, hi: int):
 
 
 def _gen_mod5(params: dict, lo: int, hi: int):
-    for n, residue in w_residues(hi, 5, lo):
+    for n, residue in _w_power_residues(lo, hi, 5):
         found = []
         if residue == 1:
             witness = {"modulus": str(n**5), "reverified": w_mod(n, n**5).value == 1}
@@ -586,7 +585,7 @@ def run_scan(
             since_checkpoint = 0
 
     _flush(sink)
-    if checkpoint_path and last is not None:
+    if checkpoint_path and since_checkpoint:
         save()
     return ScanSummary(name, h, subjects, records, hits, fails, ratio.report())
 

@@ -24,7 +24,6 @@ from wolstenholme.congruence import (
     w_at,
     w_exact,
     w_mod,
-    w_residues,
     wilson_residue,
     wilson_restatement_check,
     wilson_restatement_checks,
@@ -116,28 +115,32 @@ class TestWAt:
             list(w_at(points))
 
 
-class TestWResidues:
-    @pytest.mark.parametrize("e", [1, 3, 4, 5])
-    def test_every_start_at_block_edges(self, e):
-        # a block holds 16 subjects: limits end one short of, at and one past
-        # the first block's last subject
-        for start in range(1, 201):
-            for limit in (start + 15, start + 16, start + 17):
-                expected = [(n, _W[n] % n**e) for n in range(start, limit + 1)]
-                assert list(w_residues(limit, e, start)) == expected, (start, limit)
+class TestWPowerResidues:
+    @pytest.mark.parametrize("e", [3, 5])
+    def test_filter_against_oracle(self, e):
+        # n is struck exactly when a prime q <= isqrt(5000) dividing it has
+        # w(n) != 1 (mod q), which no prime n has; every other n gets
+        # w(n) mod n^e
+        qs = primes_upto(math.isqrt(5000))
+        got = list(congruence._w_power_residues(2, 5000, e))
+        struck = []
+        for (n, residue), (_, w) in zip(got, w_iter(5000, 2), strict=True):
+            if any(n % q == 0 and w % q != 1 for q in qs):
+                assert not is_prime(n) and residue is None, n
+                struck.append(n)
+            else:
+                assert residue == w % n**e, n
+        assert 6 in struck and 333 not in struck  # 333 = 3^2 * 37 is kept
 
-    @pytest.mark.parametrize("e", [1, 3, 4, 5])
-    def test_long_run(self, e):
-        assert list(w_residues(240, e)) == [(n, w % n**e) for n, w in _W.items()]
+    @pytest.mark.parametrize("lo", [1, 2, 3, 4, 48, 49, 50, 120, 121, 122, 200, 201])
+    def test_entered_anywhere(self, lo):
+        full = list(congruence._w_power_residues(1, 200, 3))
+        assert list(congruence._w_power_residues(lo, 200, 3)) == full[lo - 1 :]
 
-    def test_start_past_limit_yields_nothing(self):
-        assert list(w_residues(9, 3, 10)) == []
-        assert list(w_residues(0, 3)) == []
-
-    @pytest.mark.parametrize("start", [0, -5])
-    def test_start_below_one_raises(self, start):
+    @pytest.mark.parametrize("lo", [0, -5])
+    def test_start_below_one_raises(self, lo):
         with pytest.raises(ValueError):
-            list(w_residues(20, 3, start))
+            list(congruence._w_power_residues(lo, 20, 3))
 
 
 def _next_prime(x: int) -> int:

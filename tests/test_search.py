@@ -32,6 +32,7 @@ from wolstenholme.search import (
     run_scan,
     scan_records,
 )
+from w_oracle import w_iter
 
 
 class TestScans:
@@ -289,6 +290,14 @@ class TestRunner:
         run_scan("wilson", {"limit": 10}, buf)
         rec = buf.getvalue().splitlines()[0]
         assert list(json.loads(rec)) == ["scan", "subject", "witness", "verdict", "params_hash"]
+
+    def test_last_checkpoint_saved_once(self, tmp_path, monkeypatch):
+        # the subjects 2..29 are the ten primes; the second checkpoint falls
+        # on the last subject, so the run ends without saving it again
+        seen = _spy_calls(monkeypatch, "checkpoint_save")
+        run_scan("wilson", {"limit": 30}, io.StringIO(),
+                 checkpoint_path=str(tmp_path / "cp.json"), checkpoint_interval=5)
+        assert [args[0].last_subject for args, _ in seen] == [11, 29]
 
     def test_final_checkpoint_written(self, tmp_path):
         cpath = str(tmp_path / "cp.json")
@@ -586,6 +595,30 @@ class TestCarriedPaths:
             assert (left, right) == (res.left, res.right)
 
     @staticmethod
+    def _plain_power_scan(scan, e, limit):
+        """The unfiltered scan: w(n) mod n^e off w_iter at every n, a record
+        wherever it is 1."""
+        h = params_digest({"limit": limit})
+        out = []
+        for n, w in w_iter(limit, 2):
+            recs = []
+            if w % n**e == 1:
+                reverified = w_mod(n, n**e).value == 1
+                witness, verdict = {"modulus": str(n**e), "reverified": reverified}, "fail"
+                if scan == "jones":
+                    witness["prime"] = n >= 5 and is_prime(n)
+                    verdict = "hit" if witness["prime"] and reverified else "fail"
+                recs.append(search.ScanRecord(scan, n, witness, verdict, h))
+            out.append((n, recs))
+        return out
+
+    @pytest.mark.parametrize("limit", [120, 121, 122])
+    @pytest.mark.parametrize("scan, e", [("jones", 3), ("mod5", 5)])
+    def test_power_scans_against_plain(self, scan, e, limit):
+        # at 121 = 11^2 the largest filter prime goes from 7 to 11
+        assert _drain(scan, {"limit": limit}) == self._plain_power_scan(scan, e, limit)
+
+    @staticmethod
     def _plain_new_conjecture(params, after):
         """The ungrouped search: every q^2 against the exact w(p) - 1."""
         h = params_digest(params)
@@ -656,10 +689,10 @@ class TestCarriedPaths:
     @pytest.mark.parametrize("scan, e", [("jones", 3), ("mod5", 5)])
     def test_candidate_filter(self, monkeypatch, scan, e):
         # w = 1 (mod n) is not enough: each made-up w passes it, and a record
-        # is due only where w = 1 (mod n^e) as well.  With one subject per
-        # block the residue kernel reduces each made-up w(n) itself.
+        # is due only where w = 1 (mod n^e) as well.  With w(n) = 1 mod every
+        # small prime, no subject is struck and each made-up w(n) is reduced.
         made_up = {0: lambda n: 1 + 2 * n**e, 1: lambda n: 1 + n, 2: lambda n: 1 + n ** (e - 1)}
-        monkeypatch.setattr(congruence, "_W_BLOCK", 1)
+        monkeypatch.setattr(congruence, "_w_mod_prime", lambda q: lambda n: 1)
         monkeypatch.setattr(
             congruence, "w_at", lambda points: ((n, made_up[n % 3](n)) for n in points)
         )
@@ -669,10 +702,9 @@ class TestCarriedPaths:
 
     @pytest.mark.parametrize("scan", ["jones", "mod5"])
     def test_entered_at_every_subject(self, tmp_path, scan):
-        # the residue kernel works in blocks of 16 subjects from where it is
-        # entered; cut after each subject from 10 to 40, the first run's
-        # blocks begin at 2, 18 and 34, and every resume re-blocks from its
-        # checkpoint on, yet the stream is the uninterrupted one
+        # cut after each subject from 10 to 40, every resume enters the
+        # filter and the recurrence at its checkpoint, yet the stream is the
+        # uninterrupted one
         params = {"limit": 60}
         full = io.StringIO()
         run_scan(scan, params, full)
@@ -693,7 +725,7 @@ class TestCarriedPaths:
         assert w % n == 1
         assert w % n**2 != 1
 
-    @pytest.mark.parametrize("p", [p for p in primes_upto(60) if p >= 5])
+    @pytest.mark.parametrize("p", primes_upto(60))
     def test_w_mod_prime(self, p):
         w_mod_p = congruence._w_mod_prime(p)
         near_powers = []

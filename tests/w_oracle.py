@@ -1,6 +1,6 @@
 """The one-step recurrence for w(n) = C(2n-1, n-1), kept as the test oracle
-of congruence.w_at and congruence.w_residues, which advance it by gaps and
-by blocks."""
+of congruence.w_at, which advances it by gaps, and of the small-prime
+filter of congruence._w_power_residues."""
 
 import math
 
