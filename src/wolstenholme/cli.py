@@ -27,13 +27,6 @@ from .wpoly import construct_W, verify_W
 __all__ = ["main"]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wolstenholme",
@@ -56,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", help="write records to this file instead of stdout")
     p_scan.add_argument("--format", choices=_FORMATS, default="jsonl")
     p_scan.add_argument("--checkpoint", help="checkpoint file for resumable runs")
-    p_scan.add_argument("--checkpoint-interval", type=_positive_int, default=1000)
 
     p_wpoly = sub.add_parser("wpoly", help="construct and export W for a prime")
     p_wpoly.add_argument("p", type=int)
@@ -156,7 +148,6 @@ def _cmd_scan(args) -> int:
             sink,
             fmt=args.format,
             checkpoint_path=args.checkpoint,
-            checkpoint_interval=args.checkpoint_interval,
         )
     dt = time.perf_counter() - t0
     print(

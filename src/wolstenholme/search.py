@@ -31,6 +31,7 @@ from bisect import bisect_right, insort
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import islice
+from time import monotonic
 from typing import Callable, Iterable, Iterator
 
 from .arith import primes_in, primes_upto, valuation
@@ -79,6 +80,8 @@ Subject = int | tuple[int, int]
 
 _COLUMNS = ("scan", "subject", "witness", "verdict", "params_hash")  # in both formats
 _COMPACT = (",", ":")
+# a run saves after the first subject to end this long after its last save
+_CHECKPOINT_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -514,32 +517,31 @@ def run_scan(
     *,
     fmt: str = "jsonl",
     checkpoint_path: str | None = None,
-    checkpoint_interval: int = 1000,
     limit_subjects: int | None = None,
 ) -> ScanSummary:
     """Drive a scan: emit records to sink, checkpointing as it goes.
 
-    If checkpoint_path exists, the run resumes after its last completed
-    subject; a checkpoint of another scan or format raises ParamsMismatch
-    before sink is touched.  sink must then hold the earlier output: a file
-    opened from its path (append mode is fine) or an in-memory stream.  Its
-    first `offset` bytes must match the checkpoint's sha256, else
-    PrefixMismatch; anything after them is truncated, and the generator
-    starts after last_subject, so no earlier subject is computed again.
-    Checkpoints are written only after the records they cover, so a
-    checkpoint never claims unflushed work.  limit_subjects stops early
-    after that many subjects, computing none past them (used to exercise
-    interruption in tests); a negative value raises ValueError, as does a
-    checkpoint_interval (subjects between checkpoints) below 1.  The
-    summary counts only the subjects and records of this call: a resumed
-    run leaves out those before its checkpoint, in its ratio report too.
+    A checkpoint is saved after each subject that ends _CHECKPOINT_SECONDS or
+    more after the last save (or the start), and at the end if subjects ran
+    since then; sink is flushed first, so a checkpoint never claims
+    unflushed work.  If checkpoint_path exists, the run resumes after its
+    last completed subject; a checkpoint of another scan or format
+    (ParamsMismatch), or whose last_subject is below the scan's first
+    (CorruptFile), is rejected before sink is touched.  sink must then hold
+    the earlier output: a file opened from its path (append mode is fine) or
+    an in-memory stream.  Its first `offset` bytes must match the
+    checkpoint's sha256, else PrefixMismatch; anything after them is
+    truncated, and the generator starts after last_subject, so no earlier
+    subject is computed again.  limit_subjects stops early after that many
+    subjects, computing none past them (used to exercise interruption in
+    tests); a negative value raises ValueError.  The summary counts only the
+    subjects and records of this call: a resumed run leaves out those before
+    its checkpoint, in its ratio report too.
     """
     h = params_digest(params)
     sd = _scan_def(name, params)
     if limit_subjects is not None and limit_subjects < 0:
         raise ValueError(f"limit_subjects must be >= 0, got {limit_subjects}")
-    if checkpoint_interval < 1:
-        raise ValueError(f"checkpoint_interval must be >= 1, got {checkpoint_interval}")
 
     after: int | None = None
     already_emitted = 0
@@ -550,6 +552,9 @@ def run_scan(
             raise ParamsMismatch(
                 f"checkpoint is for scan {cp.scan!r} in {cp.fmt}, not {name!r} in {fmt}"
             )
+        if cp.last_subject < sd.bounds(params)[0]:
+            raise CorruptFile(f"checkpoint {checkpoint_path} has last_subject "
+                              f"{cp.last_subject}, below the scan's first subject")
         tally = _cut_back(sink, cp)
         after = cp.last_subject
         already_emitted = cp.records_emitted
@@ -557,10 +562,11 @@ def run_scan(
     emit = _make_writer(tally, fmt, header=after is None)
     subjects = records = hits = fails = 0
     ratio = _RatioBest()
-    last: int | None = after
-    since_checkpoint = 0
+    last = saved = after
+    saved_at = monotonic()
 
     def save() -> None:
+        _flush(sink)
         checkpoint_save(
             Checkpoint(
                 name, params, h, last, already_emitted + records,
@@ -578,14 +584,12 @@ def run_scan(
             fails += rec.verdict == "fail"
         subjects += 1
         last = subject
-        since_checkpoint += 1
-        if checkpoint_path and since_checkpoint >= checkpoint_interval:
-            _flush(sink)
+        if checkpoint_path and (now := monotonic()) - saved_at >= _CHECKPOINT_SECONDS:
             save()
-            since_checkpoint = 0
+            saved, saved_at = last, now
 
     _flush(sink)
-    if checkpoint_path and since_checkpoint:
+    if checkpoint_path and last != saved:
         save()
     return ScanSummary(name, h, subjects, records, hits, fails, ratio.report())
 

@@ -289,11 +289,8 @@ def test_criterion_12_determinism_resume(tmp_path, cut):
     run_scan("jones", params, full)
     resumed = io.StringIO()
     cpath = str(tmp_path / "cp.json")
-    run_scan(
-        "jones", params, resumed,
-        checkpoint_path=cpath, checkpoint_interval=13, limit_subjects=cut,
-    )
-    run_scan("jones", params, resumed, checkpoint_path=cpath, checkpoint_interval=13)
+    run_scan("jones", params, resumed, checkpoint_path=cpath, limit_subjects=cut)
+    run_scan("jones", params, resumed, checkpoint_path=cpath)
     ok = resumed.getvalue() == full.getvalue()
     report(12, f"resume at {cut} is byte-identical", ok)
     assert ok

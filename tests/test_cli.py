@@ -47,6 +47,9 @@ class TestVerifyCommand:
         assert r.returncode == 2
 
 
+JONES_100000_SHA256 = "b84d39077c347053cacd281540f87b36a51bfc180c2c6c053bd79911d2a0b7b9"
+
+
 class TestScanCommand:
     def test_wilson_records(self):
         r = cli("scan", "wilson", "--limit", "1000")
@@ -130,26 +133,16 @@ class TestScanCommand:
         out = tmp_path / "records.jsonl"
         cp = tmp_path / "cp.json"
         full = cli("scan", "jones", "--limit", "200").stdout
-        # interrupt by running a lower limit first? No: resume must use the
-        # same params, so emulate interruption with a tiny checkpoint interval
-        # and then rerun to completion.
-        r1 = cli(
-            "scan", "jones", "--limit", "200",
-            "--out", str(out), "--checkpoint", str(cp), "--checkpoint-interval", "10",
-        )
-        assert r1.returncode == 0
-        r2 = cli(
-            "scan", "jones", "--limit", "200",
-            "--out", str(out), "--checkpoint", str(cp), "--checkpoint-interval", "10",
-        )
-        assert r2.returncode == 0  # resume after completion appends nothing
+        args = ("scan", "jones", "--limit", "200", "--out", str(out), "--checkpoint", str(cp))
+        assert cli(*args).returncode == 0
+        assert cli(*args).returncode == 0  # resume after completion appends nothing
         assert out.read_text() == full
 
     def test_resume_onto_stdout_is_usage_error(self, tmp_path):
         out = tmp_path / "records.jsonl"
         cp = tmp_path / "cp.json"
         args = ("scan", "jones", "--limit", "200", "--checkpoint", str(cp))
-        assert cli(*args, "--out", str(out), "--checkpoint-interval", "10").returncode == 0
+        assert cli(*args, "--out", str(out)).returncode == 0
         saved = cp.read_text()
         r = cli(*args)
         assert r.returncode == 2
@@ -194,6 +187,8 @@ class TestScanCommand:
             ("last_subject", [5, 7, 11]),
             ("last_subject", [5, "7"]),
             ("last_subject", [593, 599]),  # a pair: every scan's subjects are ints
+            ("last_subject", -10),
+            ("last_subject", 1),  # below wilson's first subject, 2
             ("sha256", "00" * 31),
             ("sha256", "zz" * 32),
             ("sha256", 0),
@@ -215,26 +210,40 @@ class TestScanCommand:
         assert "checkpoint error" in err and field in err
         assert out.read_bytes() == before
 
-    @pytest.mark.parametrize("interval", ["0", "-3"])
-    def test_checkpoint_interval_below_one_is_usage_error(self, tmp_path, capsys, interval):
+    def test_last_subject_below_first_exits_two_jones(self, tmp_path, capsys):
+        out, cp = tmp_path / "records.jsonl", tmp_path / "cp.json"
+        args = ["scan", "jones", "--limit", "200", "--out", str(out), "--checkpoint", str(cp)]
+        assert cli_module.main(args) == 0
+        raw = json.loads(cp.read_text())
+        raw["last_subject"] = -10
+        cp.write_text(json.dumps(raw))
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert cli_module.main(args) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err and "last_subject" in err
+        assert out.read_bytes() == before
+
+    def test_checkpoint_interval_flag_is_usage_error(self, tmp_path, capsys):
+        # the cadence is set by elapsed time; no flag sets it
         out = tmp_path / "records.jsonl"
         with pytest.raises(SystemExit) as info:
             cli_module.main(["scan", "wilson", "--limit", "600", "--out", str(out),
-                             "--checkpoint-interval", interval])
+                             "--checkpoint-interval", "10"])
         assert info.value.code == 2
-        assert "--checkpoint-interval: must be >= 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --checkpoint-interval" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sigkill_then_rerun_is_byte_identical(self, tmp_path):
+        # jones to 10^5 runs for seconds, so it saves a checkpoint mid-run
         out = tmp_path / "records.jsonl"
         cp = tmp_path / "cp.json"
         argv = [sys.executable, "-m", "wolstenholme.cli", "scan", "jones",
-                "--limit", "6000", "--out", str(out), "--checkpoint", str(cp)]
-        full = cli("scan", "jones", "--limit", "6000").stdout
+                "--limit", "100000", "--out", str(out), "--checkpoint", str(cp)]
         proc = subprocess.Popen(argv, stderr=subprocess.DEVNULL)
         try:
             # kill once records past the checkpoint have reached the file
-            deadline = time.monotonic() + 30
+            deadline = time.monotonic() + 60
             while proc.poll() is None and time.monotonic() < deadline:
                 try:
                     offset = json.loads(cp.read_text())["offset"]
@@ -247,9 +256,12 @@ class TestScanCommand:
         finally:
             proc.wait(timeout=30)
         assert proc.returncode == -signal.SIGKILL  # interrupted, not finished
-        r = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        r = subprocess.run(argv, capture_output=True, text=True, timeout=300)
         assert r.returncode == 0
-        assert out.read_text() == full
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == JONES_100000_SHA256
+        # the rerun resumed: it ran fewer than the 99999 subjects 2..10^5
+        subjects = int(r.stderr.split(" subjects,")[0].rsplit(" ", 1)[1])
+        assert 0 < subjects < 99999
 
     def test_csv_format(self):
         r = cli("scan", "wilson", "--limit", "600", "--format", "csv")

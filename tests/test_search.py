@@ -199,14 +199,6 @@ class TestRunner:
         run_scan(name, params, buf)
         return buf.getvalue()
 
-    @pytest.mark.parametrize("interval", [0, -3])
-    def test_checkpoint_interval_below_one_rejected(self, tmp_path, interval):
-        buf = io.StringIO()
-        with pytest.raises(ValueError):
-            run_scan("wilson", {"limit": 600}, buf, checkpoint_interval=interval,
-                     checkpoint_path=str(tmp_path / "cp.json"))
-        assert buf.getvalue() == "" and os.listdir(tmp_path) == []
-
     def test_identical_runs_identical_bytes(self):
         a = self._full("jones", {"limit": 200})
         b = self._full("jones", {"limit": 200})
@@ -218,9 +210,8 @@ class TestRunner:
         full = self._full("jones", params)
         buf = io.StringIO()
         cpath = str(tmp_path / "cp.json")
-        run_scan("jones", params, buf, checkpoint_path=cpath,
-                 checkpoint_interval=7, limit_subjects=cut)
-        run_scan("jones", params, buf, checkpoint_path=cpath, checkpoint_interval=7)
+        run_scan("jones", params, buf, checkpoint_path=cpath, limit_subjects=cut)
+        run_scan("jones", params, buf, checkpoint_path=cpath)
         assert buf.getvalue() == full
 
     def test_ratio_report_covers_one_invocation(self, tmp_path):
@@ -244,8 +235,7 @@ class TestRunner:
         calls, seen = _spy_residues(monkeypatch)
         buf = io.StringIO()
         cpath = str(tmp_path / "cp.json")
-        summary = run_scan("wilson", {"limit": 100}, buf, checkpoint_path=cpath,
-                           checkpoint_interval=1, limit_subjects=0)
+        summary = run_scan("wilson", {"limit": 100}, buf, checkpoint_path=cpath, limit_subjects=0)
         assert (summary.subjects, summary.records) == (0, 0)
         assert calls == [] and seen == [] and buf.getvalue() == ""
         assert not os.path.exists(cpath)
@@ -292,12 +282,20 @@ class TestRunner:
         assert list(json.loads(rec)) == ["scan", "subject", "witness", "verdict", "params_hash"]
 
     def test_last_checkpoint_saved_once(self, tmp_path, monkeypatch):
-        # the subjects 2..29 are the ten primes; the second checkpoint falls
-        # on the last subject, so the run ends without saving it again
+        # a clock that advances 1 s per read saves after every subject, the
+        # ten primes 2..29, and the run ends without saving 29 again
+        _clock(monkeypatch, 1.0)
         seen = _spy_calls(monkeypatch, "checkpoint_save")
         run_scan("wilson", {"limit": 30}, io.StringIO(),
-                 checkpoint_path=str(tmp_path / "cp.json"), checkpoint_interval=5)
-        assert [args[0].last_subject for args, _ in seen] == [11, 29]
+                 checkpoint_path=str(tmp_path / "cp.json"))
+        assert [args[0].last_subject for args, _ in seen] == list(primes_in(2, 30))
+
+    def test_still_clock_saves_once_at_end(self, tmp_path, monkeypatch):
+        _clock(monkeypatch, 0)
+        seen = _spy_calls(monkeypatch, "checkpoint_save")
+        run_scan("jones", {"limit": 200}, io.StringIO(),
+                 checkpoint_path=str(tmp_path / "cp.json"))
+        assert [args[0].last_subject for args, _ in seen] == [200]
 
     def test_final_checkpoint_written(self, tmp_path):
         cpath = str(tmp_path / "cp.json")
@@ -314,14 +312,12 @@ class TestSeekResume:
         out = tmp_path / f"out.{fmt}"
         cpath = str(tmp_path / "cp.json")
         with open(out, "w") as sink:
-            run_scan(name, params, sink, fmt=fmt, checkpoint_path=cpath,
-                     checkpoint_interval=7, limit_subjects=cut)
+            run_scan(name, params, sink, fmt=fmt, checkpoint_path=cpath, limit_subjects=cut)
         return out, cpath
 
     def _leg2(self, out, cpath, name, params, fmt="jsonl"):
         with open(out, "a") as sink:
-            run_scan(name, params, sink, fmt=fmt, checkpoint_path=cpath,
-                     checkpoint_interval=7)
+            run_scan(name, params, sink, fmt=fmt, checkpoint_path=cpath)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_tail_after_checkpoint_is_dropped(self, tmp_path, fmt):
@@ -342,10 +338,9 @@ class TestSeekResume:
         run_scan("pairs", params, full)
         buf = io.StringIO()
         cpath = str(tmp_path / "cp.json")
-        run_scan("pairs", params, buf, checkpoint_path=cpath,
-                 checkpoint_interval=3, limit_subjects=5)
+        run_scan("pairs", params, buf, checkpoint_path=cpath, limit_subjects=5)
         buf.write("duplicated tail\n")
-        run_scan("pairs", params, buf, checkpoint_path=cpath, checkpoint_interval=3)
+        run_scan("pairs", params, buf, checkpoint_path=cpath)
         assert buf.getvalue() == full.getvalue()
 
     @pytest.mark.parametrize("where", ["flip", "short"])
@@ -446,17 +441,37 @@ class TestSeekResume:
         for k in range(len(ps) + 1):
             out, cpath = tmp_path / f"{k}.{fmt}", str(tmp_path / f"{k}.json")
             with open(out, "w") as sink:
-                run_scan("pairs", params, sink, fmt=fmt, checkpoint_path=cpath,
-                         checkpoint_interval=2, limit_subjects=k)
+                run_scan("pairs", params, sink, fmt=fmt, checkpoint_path=cpath, limit_subjects=k)
             resuming = os.path.exists(cpath)  # no subject done, no checkpoint
             assert resuming == (k > 0)
             assert not resuming or checkpoint_load(cpath).last_subject == ps[k - 1]
             seen.clear()
             with open(out, "a" if resuming else "w") as sink:
-                run_scan("pairs", params, sink, fmt=fmt, checkpoint_path=cpath,
-                         checkpoint_interval=2)
+                run_scan("pairs", params, sink, fmt=fmt, checkpoint_path=cpath)
             assert sorted({p for p, _ in seen}) == ps[k:], k
             assert out.read_text() == full.getvalue(), k
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_pairs_saves_before_its_last_subject(self, tmp_path, monkeypatch, fmt):
+        # a scan with few subjects still checkpoints mid-run once a subject
+        # outlasts the cadence: under a clock that advances 1 s per read, each
+        # of the ten primes p <= 40 is saved, and a resume from any of those
+        # checkpoints, past a torn tail, reproduces the uninterrupted stream
+        params = {"p_max": 40, "q_max": 1000}
+        full = io.StringIO()
+        run_scan("pairs", params, full, fmt=fmt)
+        _clock(monkeypatch, 1.0)
+        seen = _spy_calls(monkeypatch, "checkpoint_save")
+        run_scan("pairs", params, io.StringIO(), fmt=fmt,
+                 checkpoint_path=str(tmp_path / "cp.json"))
+        saved = [args[0] for args, _ in seen]
+        assert [cp.last_subject for cp in saved] == list(primes_in(5, 40))
+        for i, cp in enumerate(saved):
+            out, cpath = tmp_path / f"{i}.{fmt}", str(tmp_path / f"{i}.json")
+            checkpoint_save(cp, cpath)
+            out.write_text(full.getvalue()[: cp.offset + 30])
+            self._leg2(out, cpath, "pairs", params, fmt)
+            assert out.read_text() == full.getvalue(), cp.last_subject
 
     def test_resume_known_pairs(self, tmp_path, monkeypatch):
         params = {"known": True, "stretch": False}
@@ -481,6 +496,12 @@ def _spy_calls(monkeypatch, name, module=search):
 
     monkeypatch.setattr(module, name, spy)
     return seen
+
+
+def _clock(monkeypatch, step):
+    """Make search.monotonic a clock that advances step seconds per read."""
+    ticks = itertools.count(0, step)
+    monkeypatch.setattr(search, "monotonic", lambda: next(ticks))
 
 
 def _spy_residues(monkeypatch):
