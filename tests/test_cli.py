@@ -224,12 +224,13 @@ class TestScanCommand:
         assert "checkpoint error" in err and "last_subject" in err
         assert out.read_bytes() == before
 
-    def test_checkpoint_interval_flag_is_usage_error(self, tmp_path, capsys):
-        # the cadence is set by elapsed time; no flag sets it
+    @pytest.mark.parametrize("interval", ["0", "-3"])
+    def test_checkpoint_interval_below_one_is_usage_error(self, tmp_path, capsys, interval):
+        # the cadence is set by elapsed time; no flag sets it, so any value is refused
         out = tmp_path / "records.jsonl"
         with pytest.raises(SystemExit) as info:
             cli_module.main(["scan", "wilson", "--limit", "600", "--out", str(out),
-                             "--checkpoint-interval", "10"])
+                             "--checkpoint-interval", interval])
         assert info.value.code == 2
         assert "unrecognized arguments: --checkpoint-interval" in capsys.readouterr().err
         assert not out.exists()
