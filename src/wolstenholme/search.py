@@ -26,7 +26,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from bisect import bisect_right, insort
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
@@ -146,20 +145,20 @@ def params_digest(params: dict) -> str:
 
 
 def checkpoint_save(cp: Checkpoint, path: str) -> None:
-    """Atomic write: temp file in the same directory, then rename.
+    """Atomic write: the temp file path + ".tmp", then rename.
 
-    An OSError from any step names path, not the temp file.
+    The temp name is fixed by path, so a save killed before its rename
+    leaves a file that the next save truncates and renames away.  An
+    OSError from any step names path, not the temp file.
     """
     payload = asdict(cp)
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+    tmp = path + ".tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "w") as fh:
             json.dump(payload, fh)
         os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
+        if os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from exc

@@ -5,11 +5,12 @@ S(n, k) here (lowercase s reserved for Stirling numbers of the first kind)
 denotes the k-th elementary symmetric function of {1, 1/2, ..., 1/n}, and
 P(n, k) the same over {1, ..., n}.  All arithmetic is exact; there is no
 floating point anywhere in this module.  Table builders return immutable
-values and keep no module-level caches; each table object builds a
-triangle once, on first read.  Every identity check takes the table it reads
-as a required argument and never builds one: a row of the wrong n raises
-ValueError, a row of the wrong kind TypeError, and a Stirling table too
-small for the subject IndexError.
+values and keep no module-level caches; a StirlingTables builds its
+first-kind triangle once, on first read, and the second kind is read only
+along its diagonals S(j+k, j), streamed one k at a time.  Every identity
+check takes the table or row it reads as a required argument and never
+builds one: a row of the wrong n or k raises ValueError, a row of the wrong
+kind TypeError, and a first-kind table too small for the subject IndexError.
 
 The expansions of w(p) in S(n, k) (check_form, check_int_expansion,
 bayat_valuations, s_pm_mod_p) read integer rows: n!*S(n, k) = P(n, n-k),
@@ -34,11 +35,13 @@ __all__ = [
     "SymRationalTable",
     "IntSymTable",
     "StirlingTables",
+    "S2Diagonal",
     "elem_sym_table",
     "elem_sym_rows",
     "perm_sym_rows",
     "perm_sym_table",
     "stirling_tables",
+    "s2_diagonals",
     "check_form2",
     "check_sP_relation",
     "stirling1_via_form3",
@@ -54,10 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _SymRow:
-    """Row n of elementary symmetric values; 0 of the entries' type past n."""
+    """Row n of a table's values; 0 of the entries' type past n."""
 
     n: int
-    entries: tuple  # entries[k] for 0 <= k <= n; entries[0] = 1
+    entries: tuple  # entries[k] for 0 <= k <= n
 
     def __getitem__(self, k: int):
         if k < 0:
@@ -73,6 +76,11 @@ class IntSymTable(_SymRow):
     """Row n of P(n, k), over {1, ..., n}; int entries."""
 
 
+class S2Diagonal(_SymRow):
+    """Diagonal k of the second-kind Stirling numbers: entries[j] = S(j+k, j)
+    for 0 <= j <= k; int entries."""
+
+
 def _triangle(n_max: int, coeff) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n_max of T(n, k) = T(n-1, k-1) + coeff(n, k)*T(n-1, k),
     with T(0, 0) = 1 and T(n, k) = 0 outside 0 <= k <= n."""
@@ -85,9 +93,8 @@ def _triangle(n_max: int, coeff) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class StirlingTables:
-    """Triangles of both Stirling kinds up to row n_max, each built on its
-    first read: s1 the signed first kind (coefficients of the falling
-    factorial), s2 the second kind (set-partition counts)."""
+    """The triangle of the signed first-kind Stirling numbers (coefficients
+    of the falling factorial) up to row n_max, built on its first read."""
 
     n_max: int
 
@@ -95,24 +102,33 @@ class StirlingTables:
     def s1_rows(self) -> tuple[tuple[int, ...], ...]:
         return _triangle(self.n_max, lambda n, k: 1 - n)
 
-    @cached_property
-    def s2_rows(self) -> tuple[tuple[int, ...], ...]:
-        return _triangle(self.n_max, lambda n, k: k)
-
     def s1(self, n: int, k: int) -> int:
         if not 0 <= k <= n <= self.n_max:
             raise IndexError((n, k))
         return self.s1_rows[n][k]
 
-    def s2(self, n: int, k: int) -> int:
-        if not 0 <= k <= n <= self.n_max:
-            raise IndexError((n, k))
-        return self.s2_rows[n][k]
-
 
 def stirling_tables(n_max: int) -> StirlingTables:
-    """The Stirling triangles through row n_max, built as they are read."""
+    """The first-kind triangle through row n_max, built as it is read."""
     return StirlingTables(n_max)
+
+
+def s2_diagonals(k_max: int):
+    """Yield S2Diagonal(k, (S(k, 0), S(k+1, 1), ..., S(2k, k))) for
+    k = 0..k_max, nothing for k_max < 0.
+
+    With T(k)[j] = S(j+k, j), S(n, j) = j*S(n-1, j) + S(n-1, j-1) reads
+    T(k)[j] = j*T(k-1)[j] + T(k)[j-1], from T(0)[j] = 1 and T(k)[0] = 0
+    for k >= 1.  Row k reads row k-1 up to j = k, so one working row holds
+    all k_max + 1 entries and diagonal k is its first k + 1.
+    """
+    row = [1] * (k_max + 1)
+    for k in range(k_max + 1):
+        if k:
+            row[0] = 0
+            for j in range(1, k_max + 1):
+                row[j] = j * row[j] + row[j - 1]
+        yield S2Diagonal(k, tuple(row[: k + 1]))
 
 
 def _sym_rows(n_max: int, table: type, one, weight):
@@ -183,21 +199,23 @@ def check_sP_relation(n: int, perm: IntSymTable, st: StirlingTables) -> bool:
     )
 
 
-def stirling1_via_form3(n: int, k: int, st: StirlingTables) -> int:
-    """s(n, n-k) through the explicit double-binomial sum over the second kind.
+def stirling1_via_form3(n: int, k: int, row: S2Diagonal) -> int:
+    """s(n, n-k) through the explicit double-binomial sum over the second
+    kind, read from the diagonal row[j] = S(j+k, j).
 
     The j = 0 term vanishes for k >= 1 since S(k, 0) = 0; it is kept and
     asserted zero rather than skipped.
     """
     if not (n >= 1 and 0 <= k <= n - 1):
         raise ValueError(f"need n >= 1 and 0 <= k <= n-1, got ({n}, {k})")
+    row = _row(row, k, S2Diagonal)
     total = 0
     for j in range(0, k + 1):
         term = (
             (-1) ** j
             * math.comb(n + j - 1, k + j)
             * math.comb(n + k, k - j)
-            * st.s2(j + k, j)
+            * row[j]
         )
         if j == 0 and k >= 1 and term != 0:
             raise AssertionFailure("j = 0 term is nonzero", n=n, k=k, observed=term)
@@ -205,13 +223,15 @@ def stirling1_via_form3(n: int, k: int, st: StirlingTables) -> int:
     return total
 
 
-def ident_doublefact(k: int, st: StirlingTables) -> bool:
-    """(2k-1)!! equals the alternating binomial sum of S(j+k, j) over j <= k."""
+def ident_doublefact(k: int, row: S2Diagonal) -> bool:
+    """(2k-1)!! equals the alternating binomial sum of row[j] = S(j+k, j)
+    over j <= k."""
     if k < 1:
         raise ValueError("requires k >= 1")
+    row = _row(row, k, S2Diagonal)
     total = 0
     for j in range(0, k + 1):
-        total += (-1) ** (j + k) * math.comb(2 * k, k + j) * st.s2(j + k, j)
+        total += (-1) ** (j + k) * math.comb(2 * k, k + j) * row[j]
     return total == double_factorial(2 * k - 1)
 
 
@@ -304,8 +324,9 @@ def s_pm_mod_p(p: int, perm: IntSymTable) -> bool:
     return True
 
 
-def form4_eval(p: int, k: int, st: StirlingTables) -> Fraction:
-    """S(p, p-k) for odd k via the explicit formula.
+def form4_eval(p: int, k: int, row: S2Diagonal) -> Fraction:
+    """S(p, p-k) for odd k via the explicit formula, read from the diagonal
+    row[j] = S(j+k, j) of the second kind.
 
     S(p, p-k) = (p+1)/((2k)!(p-k)!) * sum over j of
     (-1)^(j+1) * C(2k, k+j) * prod(p+2..p+1+k omitting p+1+j) * S(j+k, j).
@@ -316,8 +337,9 @@ def form4_eval(p: int, k: int, st: StirlingTables) -> Fraction:
     """
     if k % 2 == 0 or not 1 <= k <= p - 2:
         raise ValueError(f"need odd 1 <= k <= p-2, got ({p}, {k})")
-    if st.s2(k, 0) != 0:
-        raise AssertionFailure("S2(k, 0) is nonzero", k=k, observed=st.s2(k, 0))
+    row = _row(row, k, S2Diagonal)
+    if row[0] != 0:
+        raise AssertionFailure("S2(k, 0) is nonzero", k=k, observed=row[0])
     cpk = math.prod(range(p + 2, p + k + 2))
     total = 0
     for j in range(1, k + 1):
@@ -325,7 +347,7 @@ def form4_eval(p: int, k: int, st: StirlingTables) -> Fraction:
             (-1) ** (j + 1)
             * math.comb(2 * k, k + j)
             * (cpk // (p + 1 + j))
-            * st.s2(j + k, j)
+            * row[j]
         )
     return Fraction(
         (p + 1) * total, math.factorial(2 * k) * math.factorial(p - k)

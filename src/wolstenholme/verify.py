@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator
 
 from .arith import factor_completely, primes_upto
@@ -31,6 +32,7 @@ from .symmetric import (
     form4_eval,
     ident_doublefact,
     perm_sym_rows,
+    s2_diagonals,
     s_pm_mod_p,
     stirling1_via_form3,
     stirling_tables,
@@ -100,29 +102,29 @@ def _suite_form2(bound: int) -> Iterator[SuiteResult]:
 
 
 def _suite_form3(bound: int) -> Iterator[SuiteResult]:
-    st = stirling_tables(max(2 * (bound - 1), 1))
+    st = stirling_tables(bound)
+    rows = list(s2_diagonals(bound - 1))
     for n in range(1, bound + 1):
         ok = all(
-            stirling1_via_form3(n, k, st=st) == st.s1(n, n - k) for k in range(n)
+            stirling1_via_form3(n, k, rows[k]) == st.s1(n, n - k) for k in range(n)
         )
         yield SuiteResult("form3", n, ok)
 
 
 def _suite_form4(bound: int) -> Iterator[SuiteResult]:
-    st = stirling_tables(max(2 * (bound - 2), 1))
+    rows = list(s2_diagonals(bound - 2))
     for p, tab in _prime_rows(bound, 0):
         # form4_eval gives S(p, p-k), and p!*S(p, p-k) = P(p, k)
         pfact = math.factorial(p)
         ok = all(
-            form4_eval(p, k, st=st) * pfact == tab[k] for k in range(1, p - 1, 2)
+            form4_eval(p, k, rows[k]) * pfact == tab[k] for k in range(1, p - 1, 2)
         )
         yield SuiteResult("form4", p, ok)
 
 
 def _suite_ident(bound: int) -> Iterator[SuiteResult]:
-    st = stirling_tables(2 * bound)
-    for k in range(1, bound + 1):
-        yield SuiteResult("ident", k, ident_doublefact(k, st=st))
+    for row in islice(s2_diagonals(bound), 1, None):
+        yield SuiteResult("ident", row.n, ident_doublefact(row.n, row))
 
 
 def _suite_bands(bound: int) -> Iterator[SuiteResult]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .arith import _check_prime_ge5, double_factorial, is_prime, primes_in
@@ -26,7 +27,7 @@ from .errors import (
     InexactDivision,
     NotApplicable,
 )
-from .symmetric import StirlingTables, stirling_tables
+from .symmetric import S2Diagonal, _row, s2_diagonals
 
 __all__ = [
     "IntPoly",
@@ -109,8 +110,9 @@ def _check_W(p: int, w_poly: IntPoly) -> None:
         )
 
 
-def _inner(k: int, st: StirlingTables) -> list[int]:
-    """I_k = sum_j c_j basis(k, j), c_j = (-1)^(j+k) C(2k, k+j) S(j+k, j).
+def _inner(k: int, row: S2Diagonal) -> list[int]:
+    """I_k = sum_j c_j basis(k, j), c_j = (-1)^(j+k) C(2k, k+j) S(j+k, j),
+    with S(j+k, j) = row[j] read from the k-th second-kind diagonal.
 
     basis(k, j) = R_k prod_(i != j) (x + 1 + i) with R_k = prod_(u<k) (x - u),
     so I_k = R_k M_k, where M_k = sum_j c_j prod_(i != j) (x + 1 + i) has
@@ -120,10 +122,11 @@ def _inner(k: int, st: StirlingTables) -> list[int]:
     coefficients.  Horner on the basis prod_(i<=m) (x + 1 + i), then the k-1
     factors of R_k, multiply big integers by machine-size ones only.
     """
+    row = _row(row, k, S2Diagonal)
     y = [
         (-1) ** (k - 1)  # (-1)^(j+k) (-1)^(j-1)
         * math.comb(2 * k, k + j)
-        * st.s2(j + k, j)
+        * row[j]
         * math.factorial(j - 1)
         * math.factorial(k - j)
         for j in range(1, k + 1)
@@ -152,13 +155,13 @@ def w_polys(p_max: int) -> Iterator[tuple[int, IntPoly]]:
 
     V_1 = I_1 and V_k = x^2 (2k-3)(2k-2)(2k-1)(2k) V_(k-2) + I_k for odd k,
     where I_k = sum_j (-1)^(j+k) C(2k, k+j) S(j+k, j) basis(k, j), built in
-    Newton form by _inner, does not depend on p; W(p) = V_(p-2)/x, checked
-    against the exact w(p).
+    Newton form by _inner from the odd diagonals of s2_diagonals, does not
+    depend on p; W(p) = V_(p-2)/x, checked against the exact w(p).
     """
-    st = stirling_tables(2 * p_max - 4)
     v: list[int] = []
-    for k in range(1, p_max - 1, 2):
-        inner = _inner(k, st)
+    for row in islice(s2_diagonals(p_max - 2), 1, None, 2):
+        k = row.n
+        inner = _inner(k, row)
         ratio = (2 * k - 3) * (2 * k - 2) * (2 * k - 1) * (2 * k)
         for i, a in enumerate(v):
             inner[i + 2] += ratio * a

@@ -47,6 +47,29 @@ class TestVerifyCommand:
         assert r.returncode == 2
 
 
+# argv: module.function to die in, the call k to die at, then the CLI argv
+_KILL_IN_SAVE = """
+import itertools, json, os, sys
+from wolstenholme import search
+from wolstenholme.cli import main
+
+clock = itertools.count(0, 2)
+search.monotonic = lambda: next(clock)
+module, name = sys.argv[1].split(".")
+module, k = {"json": json, "os": os}[module], int(sys.argv[2])
+real, calls = getattr(module, name), itertools.count(1)
+
+
+def dying(*args, **kwargs):
+    if next(calls) == k:
+        os._exit(137)
+    return real(*args, **kwargs)
+
+
+setattr(module, name, dying)
+sys.exit(main(sys.argv[3:]))
+"""
+
 JONES_100000_SHA256 = "b84d39077c347053cacd281540f87b36a51bfc180c2c6c053bd79911d2a0b7b9"
 
 
@@ -234,6 +257,31 @@ class TestScanCommand:
         assert info.value.code == 2
         assert "unrecognized arguments: --checkpoint-interval" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("where", ["json.dump", "os.replace"])
+    def test_kill_inside_checkpoint_save_leaves_no_temp_file(self, tmp_path, fmt, where, k):
+        # under a clock that advances 2 s per read, wilson saves after every
+        # prime; the child dies at the k-th call of where inside that save,
+        # and a plain rerun finishes the scan
+        def argv(directory):
+            return ["scan", "wilson", "--limit", "200", "--format", fmt,
+                    "--out", str(directory / f"out.{fmt}"),
+                    "--checkpoint", str(directory / "cp.json")]
+
+        whole = tmp_path / "whole"
+        whole.mkdir()
+        assert cli_module.main(argv(whole)) == 0
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        r = subprocess.run([sys.executable, "-c", _KILL_IN_SAVE, where, str(k), *argv(cut)],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 137, r.stderr
+        assert cli(*argv(cut)).returncode == 0
+        assert sorted(os.listdir(cut)) == sorted(os.listdir(whole)) == ["cp.json", f"out.{fmt}"]
+        for name in os.listdir(whole):
+            assert (cut / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_sigkill_then_rerun_is_byte_identical(self, tmp_path):
         # jones to 10^5 runs for seconds, so it saves a checkpoint mid-run

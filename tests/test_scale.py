@@ -10,13 +10,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import wolstenholme
-from wolstenholme import search
+from wolstenholme import search, verify
 from wolstenholme.search import checkpoint_load, run_scan
+from wolstenholme.wpoly import construct_W
 
 SRC = Path(wolstenholme.__file__).resolve().parents[1]
 
@@ -136,10 +138,37 @@ def test_report_new_conjecture_100000_under_32_mib():
 
 @needs_vmhwm
 def test_verify_ident_under_40_mib():
-    # ident reads only the second-kind Stirling triangle, to row 400
+    # ident streams the second-kind diagonals, one working row of 201 entries
     out = _fresh(_VERIFY_IDENT)
     assert out["code"] == 0
     assert out["peak_kib"] < 40 * 1024, out["peak_kib"]
+
+
+def _traced_peak_mib(fn):
+    """Peak of the memory Python allocates while fn runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_ident_suite_traced_peak_under_1_mib():
+    # one working row of 201 diagonal entries; the triangle to row 400 that
+    # ident read before peaked at 12.2 MiB
+    results = []
+    peak = _traced_peak_mib(lambda: results.extend(verify.run_suite("ident")))
+    assert len(results) == 200 and all(r.ok for r in results)
+    assert peak < 1, peak
+
+
+def test_construct_W_151_traced_peak_under_2_mib():
+    # the diagonals up to k = 149; the triangle to row 298 peaked at 5.6 MiB
+    w_poly = []
+    peak = _traced_peak_mib(lambda: w_poly.append(construct_W(151)))
+    assert w_poly[0].degree == 2 * 151 - 7
+    assert peak < 2, peak
 
 
 @pytest.mark.parametrize("name, limit", [("jones", 10000), ("wilson-cube", 20000)])

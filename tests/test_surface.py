@@ -171,18 +171,13 @@ def test_no_bare_assert(path):
 _FORGED_FORM4 = """
 import sys
 from wolstenholme.errors import AssertionFailure
-from wolstenholme.symmetric import StirlingTables, form4_eval, stirling_tables
+from wolstenholme.symmetric import S2Diagonal, form4_eval, s2_diagonals
 
-s2 = list(stirling_tables(6).s2_rows)
-s2[3] = (1,) + s2[3][1:]  # forged S2(3, 0) = 1
-
-
-class Forged(StirlingTables):
-    s2_rows = tuple(s2)
-
+row = list(s2_diagonals(3))[3]
+forged = S2Diagonal(3, (1,) + row.entries[1:])  # forged S2(3, 0) = 1
 
 try:
-    form4_eval(5, 3, Forged(6))
+    form4_eval(5, 3, forged)
 except AssertionFailure as exc:
     print(sys.flags.optimize, exc.clause)
 """

@@ -1,17 +1,19 @@
 import hashlib
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
-from wolstenholme import verify, wpoly
+from stirling_oracle import s2_diagonal_by_loop, stirling_rows_by_loop
+from wolstenholme import symmetric, verify, wpoly
 from wolstenholme.arith import num_valuation, primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme.errors import AssertionFailure, DenominatorNotCoprime, ZeroNumerator
 from wolstenholme.symmetric import (
     BayatReport,
     IntSymTable,
+    S2Diagonal,
     bayat_valuations,
     check_form,
     check_form2,
@@ -23,6 +25,7 @@ from wolstenholme.symmetric import (
     ident_doublefact,
     perm_sym_rows,
     perm_sym_table,
+    s2_diagonals,
     s_pm_mod_p,
     stirling1_via_form3,
     stirling_tables,
@@ -66,23 +69,6 @@ def _perm_row_by_loop(n):
         for k in range(len(row) - 2, 0, -1):
             row[k] += row[k - 1] * i
     return IntSymTable(n, tuple(row))
-
-
-def _stirling_rows_by_loop(n_max):
-    """Both triangles through row n_max by one double loop, as
-    stirling_tables once built them together."""
-    s1_rows, s2_rows = [(1,)], [(1,)]
-    for n in range(1, n_max + 1):
-        prev1, prev2 = s1_rows[-1], s2_rows[-1]
-        row1, row2 = [0] * (n + 1), [0] * (n + 1)
-        for k in range(1, n + 1):
-            above1 = prev1[k] if k < n else 0
-            above2 = prev2[k] if k < n else 0
-            row1[k] = prev1[k - 1] - (n - 1) * above1
-            row2[k] = prev2[k - 1] + k * above2
-        s1_rows.append(tuple(row1))
-        s2_rows.append(tuple(row2))
-    return tuple(s1_rows), tuple(s2_rows)
 
 
 # The four S-expansion checks as they read the Fraction rows S(n, .) before
@@ -177,7 +163,8 @@ class TestElementarySymmetric:
 class TestStirling:
     def test_examples(self):
         assert stirling_tables(4).s1(4, 2) == 11
-        assert stirling_tables(6).s2(6, 3) == 90
+        # S(6, 3) = 90 is entry 3 of diagonal 3
+        assert stirling_rows_by_loop(6)[1][6][3] == 90 == list(s2_diagonals(3))[3][3]
         assert stirling_tables(7).s1(7, 7) == 1
         assert stirling_tables(6).s1(6, 3) == -225
 
@@ -194,24 +181,43 @@ class TestStirling:
                 assert st.s1(n, k) == coeffs[k], (n, k)
 
     def test_second_kind_vs_partition_count(self):
+        s2_rows = stirling_rows_by_loop(9)[1]
         for n in range(0, 10):
             for k in range(0, n + 1):
-                assert stirling_tables(n).s2(n, k) == brute_partitions(n, k), (n, k)
+                assert s2_rows[n][k] == brute_partitions(n, k), (n, k)
 
     def test_rows_match_double_loop(self):
         for n_max in (0, 1, 2, 7, 120):
-            st = stirling_tables(n_max)
-            assert (st.s1_rows, st.s2_rows) == _stirling_rows_by_loop(n_max)
+            assert stirling_tables(n_max).s1_rows == stirling_rows_by_loop(n_max)[0]
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 7, 60])
+    def test_diagonals_match_double_loop(self, k_max):
+        rows = list(s2_diagonals(k_max))
+        assert [row.n for row in rows] == list(range(k_max + 1))
+        assert all(type(row) is S2Diagonal for row in rows)
+        for row in rows:
+            assert row.entries == s2_diagonal_by_loop(row.n, 2 * k_max), row.n
+
+    def test_diagonals_vs_partition_count(self):
+        for row in s2_diagonals(5):
+            k = row.n
+            for j in range(k + 1):
+                assert row[j] == brute_partitions(j + k, j), (k, j)
+            assert row[k + 1] == 0  # past the diagonal, as every _SymRow
+
+    def test_diagonals_empty_below_zero(self):
+        for k_max in (-1, -5):
+            assert list(s2_diagonals(k_max)) == []
 
     def test_characterizations_at_integer_points(self):
         # n! C(x, n) = sum s(n,k) x^k and x^n = sum k! C(x,k) S(n,k)
-        st = stirling_tables(20)
+        st, s2_rows = stirling_tables(20), stirling_rows_by_loop(20)[1]
         for n in range(0, 21):
             for x in range(0, n + 1):
                 falling = math.factorial(n) * math.comb(x, n)
                 assert falling == sum(st.s1(n, k) * x**k for k in range(n + 1))
                 assert x**n == sum(
-                    math.factorial(k) * math.comb(x, k) * st.s2(n, k)
+                    math.factorial(k) * math.comb(x, k) * s2_rows[n][k]
                     for k in range(n + 1)
                 )
 
@@ -233,29 +239,28 @@ class TestIdentities:
         assert perm_sym_table(3)[3] == 6 == -stirling_tables(4).s1(4, 1)
 
     def test_form3_examples(self):
-        st = stirling_tables(6)
-        assert stirling1_via_form3(4, 2, st) == 11
-        assert stirling1_via_form3(9, 0, st) == 1
-        assert stirling1_via_form3(6, 3, st) == -225
+        rows = list(s2_diagonals(3))
+        assert stirling1_via_form3(4, 2, rows[2]) == 11
+        assert stirling1_via_form3(9, 0, rows[0]) == 1
+        assert stirling1_via_form3(6, 3, rows[3]) == -225
 
     def test_form3_cross_check(self):
-        st = stirling_tables(80)
+        st, rows = stirling_tables(40), list(s2_diagonals(39))
         for n in range(1, 41):
             for k in range(0, n):
-                assert stirling1_via_form3(n, k, st=st) == st.s1(n, n - k), (n, k)
+                assert stirling1_via_form3(n, k, rows[k]) == st.s1(n, n - k), (n, k)
 
     def test_ident_examples(self):
         # k=2: -4*S(3,1) + S(4,2) = -4 + 7 = 3 = 3!!
         # k=3: 15*S(4,1) - 6*S(5,2) + S(6,3) = 15 - 90 + 90 = 15 = 5!!
-        st = stirling_tables(6)
-        assert ident_doublefact(1, st)
-        assert ident_doublefact(2, st)
-        assert ident_doublefact(3, st)
+        rows = list(s2_diagonals(3))
+        assert ident_doublefact(1, rows[1])
+        assert ident_doublefact(2, rows[2])
+        assert ident_doublefact(3, rows[3])
 
     def test_ident_sweep(self):
-        st = stirling_tables(120)
-        for k in range(1, 61):
-            assert ident_doublefact(k, st=st)
+        for row in islice(s2_diagonals(60), 1, None):
+            assert ident_doublefact(row.n, row)
 
     def test_form_examples(self):
         # p=3: 1 + 3*(3/2) + 9*(1/2) = 10 = w(3)
@@ -327,29 +332,29 @@ class TestValuationPatterns:
             assert s_pm_mod_p(p, perm_sym_table(p))
 
     def test_form4_examples(self):
-        st = stirling_tables(10)
-        assert form4_eval(5, 3, st) == Fraction(15, 8)
-        assert form4_eval(5, 1, st) == elem_sym_table(5)[4] == Fraction(1, 8)
-        assert form4_eval(7, 5, st) == elem_sym_table(7)[2]
+        rows = list(s2_diagonals(5))
+        assert form4_eval(5, 3, rows[3]) == Fraction(15, 8)
+        assert form4_eval(5, 1, rows[1]) == elem_sym_table(5)[4] == Fraction(1, 8)
+        assert form4_eval(7, 5, rows[5]) == elem_sym_table(7)[2]
 
     def test_form4_cross_check(self):
-        st = stirling_tables(60)
+        rows = list(s2_diagonals(21))
         for p in (5, 7, 11, 13, 17, 19, 23):
             tab = elem_sym_table(p)
             for k in range(1, p - 1, 2):
-                assert form4_eval(p, k, st=st) == tab[p - k], (p, k)
+                assert form4_eval(p, k, rows[k]) == tab[p - k], (p, k)
 
     def test_form4_times_factorial_is_perm_row(self):
         # the form4 suite's comparison: p!*S(p, p-k) = P(p, k)
-        st = stirling_tables(60)
+        rows = list(s2_diagonals(29))
         for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
             perm = perm_sym_table(p)
             for k in range(1, p - 1, 2):
-                assert form4_eval(p, k, st=st) * math.factorial(p) == perm[k], (p, k)
+                assert form4_eval(p, k, rows[k]) * math.factorial(p) == perm[k], (p, k)
 
     def test_form4_rejects_even_k(self):
         with pytest.raises(ValueError):
-            form4_eval(7, 2, stirling_tables(4))
+            form4_eval(7, 2, list(s2_diagonals(2))[2])
 
 
 class TestTablesAreRequired:
@@ -388,14 +393,42 @@ class TestTablesAreRequired:
                 call()
 
     def test_stirling_checks_reject_small_tables(self):
+        # a first-kind table too small for the subject; a diagonal of the
+        # second kind for another k
         with pytest.raises(IndexError):
             check_sP_relation(6, perm_sym_table(6), stirling_tables(6))
-        with pytest.raises(IndexError):
-            stirling1_via_form3(9, 4, stirling_tables(7))
-        with pytest.raises(IndexError):
-            ident_doublefact(4, stirling_tables(7))
-        with pytest.raises(IndexError):
-            form4_eval(11, 5, stirling_tables(9))
+        rows = list(s2_diagonals(5))
+        with pytest.raises(ValueError):
+            stirling1_via_form3(9, 4, rows[3])
+        with pytest.raises(ValueError):
+            ident_doublefact(4, rows[3])
+        with pytest.raises(ValueError):
+            form4_eval(11, 5, rows[4])
+
+    # each reader of a second-kind diagonal, called at k = 5
+    _DIAGONAL_READERS = {
+        "form3": lambda row: stirling1_via_form3(9, 5, row),
+        "ident": lambda row: ident_doublefact(5, row),
+        "form4": lambda row: form4_eval(11, 5, row),
+        "wpoly": lambda row: wpoly._inner(5, row),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(_DIAGONAL_READERS))
+    def test_diagonal_readers_reject_wrong_k(self, reader):
+        call = self._DIAGONAL_READERS[reader]
+        rows = list(s2_diagonals(6))
+        call(rows[5])  # the right row is read
+        for k in (4, 6):
+            with pytest.raises(ValueError, match=f"need row 5, got row {k}"):
+                call(rows[k])
+
+    @pytest.mark.parametrize("reader", sorted(_DIAGONAL_READERS))
+    def test_diagonal_readers_reject_wrong_kind(self, reader):
+        call = self._DIAGONAL_READERS[reader]
+        row = list(s2_diagonals(5))[5]
+        for wrong in (IntSymTable(5, row.entries), row.entries, stirling_tables(10)):
+            with pytest.raises(TypeError):
+                call(wrong)
 
 
 class TestIntegerRowsMatchFractionRows:
@@ -449,47 +482,46 @@ def _shifted_row():
 
 
 class TestStirlingKindsBuilt:
-    """A check that reads one Stirling kind never builds the other."""
+    """Only the first kind is built as a triangle, and only by the suites
+    that read it; the second kind is streamed by diagonal."""
+
+    # coeff(2, 1) of each kind's triangle recurrence: 1 - n, or k
+    _KIND = {-1: "s1_rows", 1: "s2_rows"}
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The kinds built by the tables that verify and wpoly ask for."""
-        tables = []
+        """(kind, n_max) of every Stirling triangle built meanwhile."""
+        triangles = set()
+        real = symmetric._triangle
 
-        def spy(n_max):
-            tables.append(stirling_tables(n_max))
-            return tables[-1]
+        def spy(n_max, coeff):
+            triangles.add((self._KIND[coeff(2, 1)], n_max))
+            return real(n_max, coeff)
 
-        for module in (verify, wpoly):
-            monkeypatch.setattr(module, "stirling_tables", spy)
-
-        def kinds():
-            assert tables
-            return {k for st in tables for k in ("s1_rows", "s2_rows") if k in vars(st)}
-
-        return kinds
+        monkeypatch.setattr(symmetric, "_triangle", spy)
+        return triangles
 
     @pytest.mark.parametrize(
         "suite, bound, kinds",
         [
-            ("ident", 40, {"s2_rows"}),
-            ("form4", 31, {"s2_rows"}),
-            ("wpoly", 23, {"s2_rows"}),
-            ("form2", 40, {"s1_rows"}),
-            ("form3", 12, {"s1_rows", "s2_rows"}),
+            ("ident", 40, set()),
+            ("form4", 31, set()),
+            ("wpoly", 23, set()),
+            ("form2", 40, {("s1_rows", 41)}),
+            ("form3", 12, {("s1_rows", 12)}),
         ],
     )
     def test_suites(self, built, suite, bound, kinds):
         assert all(r.ok for r in verify.run_suite(suite, bound))
-        assert built() == kinds
+        assert built == kinds
 
     def test_construct_W(self, built):
         wpoly.construct_W(13)
-        assert built() == {"s2_rows"}
+        assert built == set()
 
 
-# sha256 of repr([(subject, ok, detail), ...]) of each suite that reads a
-# Stirling triangle, at its default bound, taken before the triangles were
+# sha256 of repr([(subject, ok, detail), ...]) of each suite that reads
+# Stirling numbers, at its default bound, taken before the triangles were
 # built on first read
 SUITE_DIGESTS = {
     "form2": "d2898b4f9d77380f3f8a5eb534bb1e62c28a94ce6096f8b6c1b1dfa3439a21f5",

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from stirling_oracle import s2_diagonal_by_loop
 from wolstenholme.arith import double_factorial, is_prime, primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme.errors import (
@@ -11,7 +12,7 @@ from wolstenholme.errors import (
     InexactDivision,
     NotApplicable,
 )
-from wolstenholme.symmetric import stirling_tables
+from wolstenholme.symmetric import S2Diagonal
 from wolstenholme.wpoly import (
     IntPoly,
     _inner,
@@ -65,16 +66,21 @@ def term_basis(k, j):
     return IntPoly(tuple(_div_linear(_base(k), 1 + j)))
 
 
+# the oracle triangle's rows: S(j+k, j) for every odd k <= 99 the tests read
+_ORACLE_ROWS = 2 * 99
+
+
 @functools.cache
 def _inner_by_terms(k):
     """I_k as the per-j sum of (-1)^(j+k) C(2k, k+j) S(j+k, j) basis(k, j).
 
-    The reference that the Newton-form I_k of w_polys is checked against.
+    The reference that the Newton-form I_k of w_polys is checked against;
+    S(j+k, j) comes from the double-loop triangle of the test oracle.
     """
-    st = stirling_tables(2 * k)
+    s2 = s2_diagonal_by_loop(k, _ORACLE_ROWS)
     inner = [0] * (2 * k - 1)
     for j in range(1, k + 1):
-        c = (-1) ** (j + k) * math.comb(2 * k, k + j) * st.s2(j + k, j)
+        c = (-1) ** (j + k) * math.comb(2 * k, k + j) * s2[j]
         for i, b in enumerate(term_basis(k, j).coeffs):
             inner[i] += c * b
     return tuple(inner)
@@ -223,9 +229,9 @@ class TestConstructW:
 
 class TestWPolys:
     def test_newton_inner_matches_per_term_sum_to_99(self):
-        st = stirling_tables(2 * 99)
         for k in range(1, 100, 2):
-            assert tuple(_inner(k, st)) == _inner_by_terms(k), k
+            row = S2Diagonal(k, s2_diagonal_by_loop(k, _ORACLE_ROWS))
+            assert tuple(_inner(k, row)) == _inner_by_terms(k), k
 
     def test_pass_matches_scaled_sum_to_61(self):
         got = list(w_polys(61))
