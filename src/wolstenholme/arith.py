@@ -9,6 +9,7 @@ big integers are plain ``int``, exact rationals are ``fractions.Fraction``
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,10 +126,10 @@ def _sieve(left: int, right: int, base):
     return compress(range(left, right + 1), flags)
 
 
-_PRIMES = [2]  # every prime up to the largest bound asked for yet
+_PRIMES = array("I", [2])  # every prime up to the largest bound asked for yet
 
 
-def _small_primes_upto(n: int) -> list[int]:
+def _small_primes_upto(n: int) -> array:
     """The primes <= n, read from one table that grows as bounds rise."""
     if n > _PRIMES[-1]:
         base = _small_primes_upto(isqrt(n))  # may itself extend the table

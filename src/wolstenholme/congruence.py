@@ -3,8 +3,9 @@
 The one module that computes w(n), with one kernel per job: exactly
 (w_exact), by the recurrence over gaps (w_at), modulo m (w_mod), modulo a
 prime by Lucas' theorem (_w_mod_prime), modulo n^e at the n no small
-prime rules out (_w_power_residues), and modulo p^3 from factorial
-residues (_w_from_factorials).  Also Wilson-type factorial residues,
+prime rules out (_w_power_residues), modulo p^3 from factorial residues
+(_w_from_factorials), and the primes q | w(p) - 1 of a primorial
+(_w_minus_one_gcds).  Also Wilson-type factorial residues,
 Wolstenholme/Babbage/Jones checks, the modified binomial w'(n) and its
 divisor-product relation, the two-prime pair criterion, and the parity
 classification of large prime factors.
@@ -28,6 +29,7 @@ from .arith import (
     is_prime,
     primes_in,
     primes_upto,
+    valuation,
 )
 from .errors import BudgetExceeded, AssertionFailure, PreconditionViolated
 
@@ -207,6 +209,15 @@ def _w_power_residues(lo: int, hi: int, e: int):
     ws = w_at(compress(range(lo, hi + 1), left))
     for n, kept in zip(range(lo, hi + 1), left):
         yield n, next(ws)[1] % n**e if kept else None
+
+
+def _w_minus_one_gcds(points, primorial: int):
+    """Yield (p, m, gcd(m, primorial)) for each p of w_at(points), with
+    m = (w(p) - 1) / p^v; a prime q != p of the primorial divides the gcd
+    exactly when w(p) = 1 (mod q)."""
+    for p, w in w_at(points):
+        m = (w - 1) // p ** valuation(w - 1, p)
+        yield p, m, math.gcd(m, primorial)
 
 
 def wprime_exact(n: int) -> Fraction:

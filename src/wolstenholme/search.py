@@ -39,6 +39,7 @@ from .congruence import (
     _factorial_residues,
     _prod_tree,
     _w_from_factorials,
+    _w_minus_one_gcds,
     _w_mod_prime,
     _w_power_residues,
     pair_direct_check,
@@ -301,14 +302,6 @@ def _gen_mod5(params: dict, lo: int, hi: int):
         yield n, found
 
 
-def _square_divisors(m: int, primorial: int) -> int:
-    """The product of the primes q | primorial with q^2 | m, for a squarefree
-    primorial: g1 = gcd(m, primorial) takes each q | m once, so m // g1
-    keeps q exactly when q^2 | m."""
-    g1 = math.gcd(m, primorial)
-    return math.gcd(m // g1, g1)
-
-
 def _new_conjecture_record(p: int, q: int, m: int) -> tuple[int, dict, str]:
     """The record of q^2 | m = (w(p) - 1) / p^v, reverified mod q^2."""
     reverified = w_mod(p, q * q).value == 1
@@ -323,22 +316,15 @@ def _new_conjecture_record(p: int, q: int, m: int) -> tuple[int, dict, str]:
 
 def _gen_new_conjecture(params: dict, lo: int, hi: int):
     qs = primes_upto(params["q_max"])
-    primorial = _prod_tree(qs)
-    for p, w in w_at(primes_in(lo, hi)):
-        # w(p) - 1, to be scanned for square prime divisors q != p; with p's
-        # power divided out, q = p never divides it
-        m = w - 1
-        m //= p ** valuation(m, p)
-        squares = _square_divisors(m, primorial)
+    for p, m, g in _w_minus_one_gcds(primes_in(lo, hi), _prod_tree(qs)):
+        squares = math.gcd(m // g, g)  # g takes each q | m once: q^2 | m leaves q in m // g
         found = []
         if squares > 1:  # at few p: 6 of the 301 primes up to 2000
             found = [_new_conjecture_record(p, q, m) for q in qs if squares % q == 0]
         yield p, found
 
 
-def _pair_record(
-    p: int, q: int, left: bool, right: bool, always: bool
-) -> list[tuple]:
+def _pair_record(p: int, q: int, left: bool, right: bool, always: bool) -> list[tuple]:
     """The pairs record for p < q from the criterion's two halves at level 1:
     left is w(p) = 1 (mod q), right is w(q) = 1 (mod p)."""
     combined = left and right
@@ -357,22 +343,23 @@ def _pair_record(
 
 
 def _gen_pairs(params: dict, lo: int, hi: int | None):
-    # each prime p carries its pairs (p, q), q > p, in q order; with {"known":
-    # True}, the published pairs, expected hits, so a miss is emitted as a fail
+    # each prime p carries its pairs (p, q), q > p, in q order, at the q whose
+    # left half w(p) = 1 (mod q) holds, q | g; with {"known": True}, the
+    # published pairs, expected hits, so a miss is emitted as a fail
     known = bool(params.get("known"))
     if known:
         q_of = dict(KNOWN_PAIRS if params.get("stretch") else KNOWN_PAIRS[:2])
         ps = [p for p in q_of if p >= lo]
+        qs = list(q_of.values())
     else:
         qs = primes_upto(params["q_max"])
         # a p at or above q_max has no q > p to pair with
         ps = primes_in(lo, min(hi, params["q_max"]))
-    for p, w in w_at(ps):
-        w_mod_p = _w_mod_prime(p)
-        found = []
-        for q in [q_of[p]] if known else qs[bisect_right(qs, p):]:
-            found += _pair_record(p, q, w % q == 1, w_mod_p(q) == 1, always=known)
-        yield p, found
+    for p, _, g in _w_minus_one_gcds(ps, _prod_tree(qs)):
+        above = qs[bisect_right(qs, p) : bisect_right(qs, g)]  # a q | g is at most g
+        qs_p = [q_of[p]] if known else [q for q in above if g % q == 0]
+        w_mod_p = _w_mod_prime(p) if qs_p else None
+        yield p, [r for q in qs_p for r in _pair_record(p, q, g % q == 0, w_mod_p(q) == 1, known)]
 
 
 @dataclass(frozen=True)

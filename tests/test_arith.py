@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -107,7 +108,7 @@ class TestPrimeStream:
     def test_small_primes_upto(self):
         primes = [n for n in range(401) if trial_division_is_prime(n)]
         for n in range(401):
-            assert arith._small_primes_upto(n) == [p for p in primes if p <= n], n
+            assert list(arith._small_primes_upto(n)) == [p for p in primes if p <= n], n
 
     @pytest.mark.parametrize("lo", [0, 1, 2, 3])
     def test_low_starts(self, lo):
@@ -359,12 +360,12 @@ class TestFactorization:
     def test_table_grows_only_as_the_cofactor_needs(self, monkeypatch):
         # 997^4 is split by the first primes; sizing the table by isqrt(997^4)
         # once built every prime below 10^6 for it
-        monkeypatch.setattr(arith, "_PRIMES", [2])
+        monkeypatch.setattr(arith, "_PRIMES", array("I", [2]))
         assert factor_completely(997**4) == {997: 4}
         assert arith._PRIMES[-1] < 2 * 997
         # factors on both sides of each doubling of the table, from a fresh one
         for m in (1021 * 1031, 2039**2 * 2053, 4093 * 4099 * 8191, 65521 * 65537, 999983**2):
-            monkeypatch.setattr(arith, "_PRIMES", [2])
+            monkeypatch.setattr(arith, "_PRIMES", array("I", [2]))
             assert factor_completely(m) == self._plain(m, 10**6), m
         assert len(arith._PRIMES) == 78498  # all of them, for 999983^2
 

@@ -143,6 +143,55 @@ class TestWPowerResidues:
             list(congruence._w_power_residues(lo, 20, 3))
 
 
+class TestWMinusOneGcds:
+    """The kernel both pairs and new-conjecture read, against pair_criterion,
+    the oracle of the left half w(p) = 1 (mod q)."""
+
+    PS = list(primes_in(3, 60))
+    QS = primes_upto(600)
+
+    def _gcds(self, primorial):
+        return list(congruence._w_minus_one_gcds(self.PS, primorial))
+
+    def test_m_has_no_power_of_p(self):
+        primorial = math.prod(self.QS)
+        for p, m, g in self._gcds(primorial):
+            power, rest = divmod(w_exact(p) - 1, m)
+            assert rest == 0 and m % p and power in {p**v for v in range(8)}, p
+            assert g == math.gcd(m, primorial), p
+
+    def test_left_halves_against_criterion(self):
+        lefts = 0
+        for p, _, g in self._gcds(math.prod(self.QS)):
+            for q in self.QS[1:]:  # pair_criterion takes primes >= 3
+                if q != p:
+                    left = pair_criterion(p, q, 1).left
+                    assert (g % q == 0) == left, (p, q)
+                    lefts += left
+        assert lefts == 18
+
+    def test_dropped_prime_changes_its_halves(self):
+        # with q left out of P the kernel misses exactly q: every left half
+        # that held at q now reads false, and g loses q and nothing else
+        full = self._gcds(math.prod(self.QS))
+        dropped_qs = sorted({q for p, _, g in full for q in self.QS if q != p and g % q == 0})
+        assert len(dropped_qs) == 13  # 3, 5, 13, ..., 433
+        for q in dropped_qs:
+            for (p, _, g), (_, _, g_dropped) in zip(full, self._gcds(math.prod(self.QS) // q)):
+                assert g_dropped == g // math.gcd(g, q), (p, q)
+                if g % q == 0:
+                    assert (g_dropped % q == 0) != pair_criterion(p, q, 1).left, (p, q)
+
+    def test_squares_against_plain(self):
+        # new-conjecture's squares gcd(m // g, g) are the q != p with q^2 | w(p) - 1
+        squares = {}
+        for p, m, g in self._gcds(math.prod(self.QS)):
+            plain = math.prod(q for q in self.QS if q != p and (w_exact(p) - 1) % (q * q) == 0)
+            assert math.gcd(m // g, g) == plain, p
+            squares[p] = plain
+        assert squares[13] == 3 and squares[5] == 1
+
+
 def _next_prime(x: int) -> int:
     x += 1
     while not is_prime(x):

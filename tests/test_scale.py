@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -217,3 +218,27 @@ def test_pairs_500_by_100000(tmp_path, monkeypatch, fmt):
     assert (summary.subjects, summary.hits, summary.fails) == (93, 1, 0)
     assert saves == sorted(set(saves)) and saves[-1] == 499
     assert checkpoint_load(cpath).last_subject == 499
+
+
+# sha256 of scan pairs --p-max 69239 --q-max 231433 (jsonl): 6874 subjects p,
+# whose only records are the three published pairs
+_PAIRS_TO_69239_SHA256 = "fd1841e39532e7e0f21f8cf437eeef6005915466a92f8e7e59b9c8cffd651f14"
+
+
+@pytest.mark.stretch
+def test_pairs_range_finds_third_published_pair(tmp_path):
+    # about three minutes, nearly all in the gcd of each w(p) - 1 with the
+    # product of the primes up to 231433; the range records are those of
+    # --known --stretch but for their params hash
+    out = tmp_path / "out.jsonl"
+    with open(out, "w") as sink:
+        summary = run_scan("pairs", {"p_max": 69239, "q_max": 231433}, sink)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PAIRS_TO_69239_SHA256
+    assert (summary.subjects, summary.hits, summary.fails) == (6874, 3, 0)
+    known = search.scan_records("pairs", {"known": True, "stretch": True})
+    with open(out) as fh:
+        ranged = list(search.read_records(fh, "jsonl"))
+    assert [r.subject for r in known] == list(search.KNOWN_PAIRS)
+    assert [replace(r, params_hash="") for r in ranged] == [
+        replace(r, params_hash="") for r in known
+    ]

@@ -437,6 +437,7 @@ class TestSeekResume:
         full = io.StringIO()
         run_scan("pairs", params, full, fmt=fmt)
         ps = list(primes_in(5, p_max))
+        gcds = _spy_yields(monkeypatch, "_w_minus_one_gcds")
         seen = self._spy(monkeypatch, "_pair_record")
         for k in range(len(ps) + 1):
             out, cpath = tmp_path / f"{k}.{fmt}", str(tmp_path / f"{k}.json")
@@ -445,10 +446,14 @@ class TestSeekResume:
             resuming = os.path.exists(cpath)  # no subject done, no checkpoint
             assert resuming == (k > 0)
             assert not resuming or checkpoint_load(cpath).last_subject == ps[k - 1]
+            gcds.clear()
             seen.clear()
             with open(out, "a" if resuming else "w") as sink:
                 run_scan("pairs", params, sink, fmt=fmt, checkpoint_path=cpath)
-            assert sorted({p for p, _ in seen}) == ps[k:], k
+            # the kernel yields each p from the next on, and only the pairs
+            # of those p are checked
+            assert [p for p, _, _ in gcds] == ps[k:], k
+            assert {p for p, _ in seen} <= set(ps[k:]), k
             assert out.read_text() == full.getvalue(), k
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -482,6 +487,20 @@ class TestSeekResume:
         self._leg2(out, cpath, "pairs", params)
         assert seen == [(787, 2543)]
         assert out.read_text() == full.getvalue()
+
+
+def _spy_yields(monkeypatch, name, module=search):
+    """Record each item the generator module.<name> yields while a scan runs."""
+    seen = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        for item in real(*args, **kwargs):
+            seen.append(item)
+            yield item
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
 
 
 def _spy_calls(monkeypatch, name, module=search):
@@ -600,15 +619,28 @@ class TestCarriedPaths:
         "after", [None, 5, 7, 37], ids=["None", "after1", "after2", "after3"]
     )
     def test_pairs_sieve_and_halves(self, monkeypatch, after):
-        # the scan's q list and its halves, w(p) read off the recurrence,
-        # against primes_in per p and the validated pair_criterion; the
-        # published pairs take the same halves
+        # the kernel yields every p of the scan; the q it leaves for the
+        # right half are exactly the q > p whose left half the validated
+        # pair_criterion finds true, and only those p build a Lucas table.
+        # The published pairs take both halves at every pair
         start = 5 if after is None else after + 1
+        gcds = _spy_yields(monkeypatch, "_w_minus_one_gcds")
+        tables = _spy_calls(monkeypatch, "_w_mod_prime")
         seen = _spy_calls(monkeypatch, "_pair_record")
         _drain("pairs", {"p_max": 40, "q_max": 400}, after)
         _drain("pairs", {"known": True, "stretch": True}, after)
-        expected = [(p, q) for p in primes_in(start, 40) for q in primes_in(p + 1, 400)]
-        expected += [pq for pq in search.KNOWN_PAIRS if pq[0] >= start]
+        ps = list(primes_in(start, 40))
+        known = [pq for pq in search.KNOWN_PAIRS if pq[0] >= start]
+        assert [p for p, _, _ in gcds] == ps + [p for p, _ in known]
+        expected = [
+            (p, q) for p in ps for q in primes_in(p + 1, 400) if pair_criterion(p, q, 1).left
+        ]
+        if after is None:  # the left halves of (11, 53), (13, 263), (17, 53), (37, 109)
+            assert len(expected) == 4
+        assert [args[0] for args, _ in tables] == sorted({p for p, _ in expected}) + [
+            p for p, _ in known
+        ]
+        expected += known
         assert [args[:2] for args, _ in seen] == expected
         for args, _ in seen:
             p, q, left, right = args[:4]
@@ -696,7 +728,7 @@ class TestCarriedPaths:
     @pytest.mark.parametrize(
         "m, expected",
         [
-            (7 * 11, 1),  # g1 = 77 > 1, but no square
+            (7 * 11, 1),  # g = 77 > 1, but no square
             (7**2 * 11, 7),
             (7**3, 7),
             (7**2 * 11**2 * 13, 7 * 11),
@@ -704,8 +736,13 @@ class TestCarriedPaths:
             (1, 1),
         ],
     )
-    def test_square_divisors(self, m, expected):
-        assert search._square_divisors(m, math.prod(primes_upto(100))) == expected
+    def test_square_divisors(self, monkeypatch, m, expected):
+        # new-conjecture's squares gcd(m // g, g), g = gcd(m, P), at a made-up
+        # w(103) = 1 + m * 103^3: 103 is past P's primes and divides no m
+        monkeypatch.setattr(congruence, "w_at", lambda points: ((p, 1 + m * p**3) for p in points))
+        ((p, found),) = search._gen_new_conjecture({"q_max": 100}, 103, 103)
+        assert p == 103
+        assert math.prod(int(w["q"]) for _, w, _ in found) == expected
 
     @pytest.mark.parametrize("scan, e", [("jones", 3), ("mod5", 5)])
     def test_candidate_filter(self, monkeypatch, scan, e):
