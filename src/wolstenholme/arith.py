@@ -329,8 +329,7 @@ def binomial_mod(n: int, k: int, m: int) -> ResidueClass:
         factors = factor_completely(m)
     except FactoringBudgetExceeded:
         if n <= _EXACT_FALLBACK_LIMIT:
-            exact = math.factorial(n) // (math.factorial(k) * math.factorial(n - k))
-            return ResidueClass(exact % m, m)
+            return ResidueClass(binomial_exact(n, k) % m, m)
         raise
     parts = [
         (binomial_mod_prime_power(n, k, q, a).value, q**a)

@@ -113,19 +113,17 @@ def _flags(names) -> str:
 
 def _scan_params(args) -> dict:
     sd = _SCANS[args.scan]
-    known = sd.known and args.known
-    taken = ("known", "stretch") if known else sd.required
     # a flag not given reads None (a number) or False (a switch)
-    extra = [
-        k for k in ("limit", "p_max", "q_max", "known", "stretch")
-        if k not in taken and getattr(args, k) is not None and getattr(args, k) is not False
-    ]
-    if extra:
-        raise _Usage(f"scan {args.scan} does not take {_flags(extra)}")
-    if known:
-        return {"known": True, "stretch": args.stretch}
-    params = {k: getattr(args, k) for k in sd.required}
-    if sd.missing(params):
+    params = {
+        k: v for k in ("limit", "p_max", "q_max", "known", "stretch")
+        if (v := getattr(args, k)) is not None and v is not False
+    }
+    if sd.known and args.known:
+        params["stretch"] = args.stretch  # the published form names it, given or not
+    missing, unread = sd.check(params)
+    if unread:
+        raise _Usage(f"scan {args.scan} does not take {_flags(unread)}")
+    if missing:
         either = "--known or " if sd.known else ""
         raise _Usage(f"scan {args.scan} requires {either}{_flags(sd.required)}")
     return params

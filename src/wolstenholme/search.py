@@ -364,46 +364,42 @@ def _gen_pairs(params: dict, lo: int, hi: int | None):
 
 @dataclass(frozen=True)
 class _ScanDef:
-    """The one definition of a scan: its name, generator, subject bounds and params."""
+    """The one definition of a scan: its name, generator, first subject and
+    params.  A scan reads exactly its required params, the first of which
+    bounds its subjects; with known, it also reads the published form
+    {"known": True, "stretch": bool}, whose subjects have no bound."""
 
     name: str
     generate: Callable
-    bounds: Callable[[dict], tuple[int, int | None]]
+    first: int
     required: tuple[str, ...]
     known: bool = False  # {"known": True} checks published subjects instead
 
-    def missing(self, params: dict) -> list[str]:
-        if self.known and params.get("known"):
-            return []
-        return [k for k in self.required if params.get(k) is None]
+    def check(self, params: dict) -> tuple[list[str], list[str]]:
+        """The params this scan reads but params lacks (or holds as None),
+        and the params it does not read."""
+        published = self.known and params.get("known") is True
+        keys = ("known", "stretch") if published else self.required
+        return [k for k in keys if params.get(k) is None], [k for k in params if k not in keys]
 
     def stream(self, params: dict, h: str, after: int | None = None) -> Iterator:
         """The scan's (subject, records) stream, entered just after `after`,
         each record stamped with the scan's name and params hash h."""
-        lo, hi = self.bounds(params)
-        if after is not None:
-            lo = after + 1
-        for subject, found in self.generate(params, lo, hi):
+        lo = self.first if after is None else after + 1
+        for subject, found in self.generate(params, lo, params.get(self.required[0])):
             yield subject, [ScanRecord(self.name, s, w, v, h) for s, w, v in found]
 
 
 _SCANS = {
     sd.name: sd
     for sd in (
-        _ScanDef("wilson", _gen_wilson, lambda p: (2, p["limit"]), ("limit",)),
-        _ScanDef("wilson-cube", _gen_wilson_cube, lambda p: (2, p["limit"]), ("limit",)),
-        _ScanDef("jones", _gen_jones, lambda p: (2, p["limit"]), ("limit",)),
-        _ScanDef(
-            "wolstenholme-primes", _gen_wolstenholme, lambda p: (5, p["limit"]), ("limit",)
-        ),
-        _ScanDef("mod5", _gen_mod5, lambda p: (2, p["limit"]), ("limit",)),
-        _ScanDef(
-            "new-conjecture", _gen_new_conjecture, lambda p: (5, p["p_max"]), ("p_max", "q_max")
-        ),
-        _ScanDef(
-            "pairs", _gen_pairs, lambda p: (5, p.get("p_max")), ("p_max", "q_max"),
-            known=True,
-        ),
+        _ScanDef("wilson", _gen_wilson, 2, ("limit",)),
+        _ScanDef("wilson-cube", _gen_wilson_cube, 2, ("limit",)),
+        _ScanDef("jones", _gen_jones, 2, ("limit",)),
+        _ScanDef("wolstenholme-primes", _gen_wolstenholme, 5, ("limit",)),
+        _ScanDef("mod5", _gen_mod5, 2, ("limit",)),
+        _ScanDef("new-conjecture", _gen_new_conjecture, 5, ("p_max", "q_max")),
+        _ScanDef("pairs", _gen_pairs, 5, ("p_max", "q_max"), known=True),
     )
 }
 
@@ -433,9 +429,9 @@ def _scan_def(name: str, params: dict) -> _ScanDef:
     if name not in _SCANS:
         raise ValueError(f"unknown scan {name!r}; choose from {scan_names()}")
     sd = _SCANS[name]
-    missing = sd.missing(params)
-    if missing:
-        raise ValueError(f"scan {name} missing params {missing}")
+    missing, unread = sd.check(params)
+    if missing or unread:
+        raise ValueError(f"scan {name} params {params}: missing {missing}, unread {unread}")
     return sd
 
 
@@ -507,6 +503,10 @@ def run_scan(
 ) -> ScanSummary:
     """Drive a scan: emit records to sink, checkpointing as it goes.
 
+    params holds exactly the keys the scan reads: its required keys, or for
+    pairs the published form {"known": True, "stretch": bool}; a missing key
+    (or one held as None) or an unread one raises ValueError before sink or
+    the checkpoint is touched, so the same records carry one params hash.
     A checkpoint is saved after each subject that ends _CHECKPOINT_SECONDS or
     more after the last save (or the start), and at the end if subjects ran
     since then; sink is flushed first, so a checkpoint never claims
@@ -538,7 +538,7 @@ def run_scan(
             raise ParamsMismatch(
                 f"checkpoint is for scan {cp.scan!r} in {cp.fmt}, not {name!r} in {fmt}"
             )
-        if cp.last_subject < sd.bounds(params)[0]:
+        if cp.last_subject < sd.first:
             raise CorruptFile(f"checkpoint {checkpoint_path} has last_subject "
                               f"{cp.last_subject}, below the scan's first subject")
         tally = _cut_back(sink, cp)
@@ -716,7 +716,8 @@ def check_stream(fh, fmt: str) -> dict:
 
 def scan_records(name: str, params: dict) -> list[ScanRecord]:
     """Every record of scan `name` under `params`, in stream order: the
-    records run_scan would write, as a list and without a checkpoint."""
+    records run_scan would write, as a list and without a checkpoint.
+    params is checked as run_scan checks it."""
     out: list[ScanRecord] = []
     for _, recs in _scan_def(name, params).stream(params, params_digest(params)):
         out.extend(recs)

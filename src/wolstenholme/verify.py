@@ -188,10 +188,10 @@ def suite_names() -> list[str]:
 
 
 def _resolve(name: str) -> str:
-    name = _ALIASES.get(name.lower(), name.lower())
-    if name not in _SUITES:
-        raise KeyError(name)
-    return name
+    key = _ALIASES.get(name.lower(), name.lower())
+    if key not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted([*_SUITES, *_ALIASES])}")
+    return key
 
 
 def default_bound(name: str) -> int:

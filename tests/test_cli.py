@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -12,7 +13,8 @@ import pytest
 
 from wolstenholme import cli as cli_module
 from wolstenholme.cli import _build_parser, _scan_params
-from wolstenholme.search import params_digest
+from wolstenholme.search import _SCANS, params_digest
+from wolstenholme.verify import default_bound, run_suite
 from wolstenholme.wpoly import construct_W
 
 
@@ -45,6 +47,12 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_two(self):
         r = cli("verify", "nosuch")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("call", [run_suite, default_bound])
+    def test_unknown_suite_is_value_error(self, call):
+        # the library names the suites, as run_scan names the scans
+        with pytest.raises(ValueError, match="unknown suite 'nonesuch'; choose from .*'equ'"):
+            call("nonesuch")
 
 
 # argv: module.function to die in, the call k to die at, then the CLI argv
@@ -139,6 +147,17 @@ class TestScanCommand:
         assert cli_module.main(["scan", *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"usage error: scan {argv[0]} does not take {flags}\n"
         assert not out.exists()
+
+    def test_scan_flags_are_the_table_keys(self):
+        # a flag for each param some scan reads, and none for a param no scan reads
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = sub.choices["scan"]._actions
+        numeric = {a.dest for a in actions if a.type is int}
+        switches = {a.dest for a in actions if isinstance(a, argparse._StoreTrueAction)}
+        assert numeric == {k for sd in _SCANS.values() for k in sd.required}
+        published = any(sd.known for sd in _SCANS.values())
+        assert switches == ({"known", "stretch"} if published else set())
 
     def test_stdout_deterministic(self):
         a = cli("scan", "new-conjecture", "--p-max", "50", "--q-max", "500")

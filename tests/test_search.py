@@ -268,6 +268,27 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_scan(name, params, io.StringIO())
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("wilson", {"limit": 30, "q_max": 7}),
+            ("pairs", {"known": True, "p_max": 10}),
+            ("pairs", {"known": True}),
+            ("pairs", {"known": False, "p_max": 30, "q_max": 1000}),
+        ],
+        ids=["wilson-q_max", "known-p_max", "known-no-stretch", "range-known-false"],
+    )
+    def test_params_not_the_scans_keys(self, tmp_path, name, params):
+        # a key the scan does not read would change the params hash of the
+        # same records, so the scan refuses it before writing anything
+        sink, cpath = io.StringIO(), str(tmp_path / "cp.json")
+        with pytest.raises(ValueError):
+            run_scan(name, params, sink, checkpoint_path=cpath)
+        with pytest.raises(ValueError):
+            scan_records(name, params)
+        assert sink.getvalue() == ""
+        assert os.listdir(tmp_path) == []
+
     def test_csv_roundtrip(self):
         buf = io.StringIO()
         run_scan("wilson", {"limit": 600}, buf, fmt="csv")
