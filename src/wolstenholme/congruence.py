@@ -14,10 +14,11 @@ classification of large prime factors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Callable
 
 from .arith import (
@@ -344,28 +345,44 @@ def _w_from_factorials(p: int, low: int, high: int) -> int:
 
 def _wprime_parts(n_max: int):
     """Yield (d, divisors of d, num, den) for d = 1..n_max, where
-    w'(d) = num/den in lowest terms, from its definition: before reduction
-    num is the product of the j in [d, 2d) and den of the k in [1, d] that
-    are coprime to d.
+    w'(d) = num/den in lowest terms: the product of the j in [d, 2d) over
+    the k in [1, d], both coprime to d, read off its prime exponents.
 
-    Those integers are read off a bytearray mask with every multiple of
-    each prime divisor of d cleared; the divisor lists come from one sieve.
+    With C(x) the count of t in [1, x] coprime to d, a prime r not dividing
+    d has the exponent e_r = sum over r^i <= 2d-1 of C((2d-1) // r^i) -
+    C((d-1) // r^i) - C(d // r^i), by Legendre's formula, as r^i t is
+    coprime to d exactly when t is; e_r = 1 for r in (d, 2d).  num
+    multiplies r^e over e > 0 and den r^-e over e < 0, so no gcd is needed.
+    C is the prefix count of a bytearray mask cleared at the multiples of
+    d's prime divisors.  Nothing here reads w(n), a binomial or a
+    factorial, so rel's w(n) = prod of w'(d) stays a check.
     """
     divs: list[list[int]] = [[] for _ in range(n_max + 1)]
     for d in range(1, n_max + 1):
         for m in range(d, n_max + 1, d):
             divs[m].append(d)
-    primes = set(primes_upto(n_max))
+    primes = primes_upto(2 * n_max - 1)
     for d in range(1, n_max + 1):
-        mask = bytearray(b"\x01") * (d + 1)  # mask[k] for k = 0..d
+        mask = bytearray(b"\x01") * (d + 1)  # mask[t] for t = 0..d
         mask[0] = 0
-        for q in divs[d]:
-            if q in primes:
+        for q in divs[d][1:]:
+            if mask[q]:  # no smaller divisor struck q, so q is prime
                 mask[::q] = bytes(d // q + 1)
-        den = _prod_tree(list(compress(range(d + 1), mask)))
-        num = _prod_tree(list(compress(range(2 * d, d - 1, -1), mask)))  # 2d - k
-        g = math.gcd(num, den)
-        yield d, divs[d], num // g, den // g
+        count = list(accumulate(mask))  # count[x] = C(x)
+        top, below = 2 * d - 1, bisect_right(primes, d)
+        nums, dens = primes[below : bisect_right(primes, top)], []
+        for r in primes[:below]:
+            if not mask[r]:
+                continue
+            e, q = 0, r
+            while q <= top:
+                e += count[top // q] - count[(d - 1) // q] - count[d // q]
+                q *= r
+            if e > 0:
+                nums.append(r**e)
+            elif e < 0:
+                dens.append(r**-e)
+        yield d, divs[d], _prod_tree(nums), _prod_tree(dens)
 
 
 def divisor_product_checks(n_max: int):

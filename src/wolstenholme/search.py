@@ -377,9 +377,18 @@ class _ScanDef:
 
     def check(self, params: dict) -> tuple[list[str], list[str]]:
         """The params this scan reads but params lacks (or holds as None),
-        and the params it does not read."""
+        and the params it does not read.  A bound it reads that is not an
+        int, or a published-form switch that is not a bool, is a ValueError:
+        it would stamp the same records with another params hash, or fail
+        mid-scan."""
         published = self.known and params.get("known") is True
         keys = ("known", "stretch") if published else self.required
+        for k in keys:
+            v = params.get(k)
+            # a bool is an int too, so a bool bound fails the first test
+            if v is not None and not (isinstance(v, bool) == published and isinstance(v, int)):
+                kind = "a bool" if published else "an int"
+                raise ValueError(f"scan {self.name} param {k}={v!r} is not {kind}")
         return [k for k in keys if params.get(k) is None], [k for k in params if k not in keys]
 
     def stream(self, params: dict, h: str, after: int | None = None) -> Iterator:

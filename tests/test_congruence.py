@@ -32,6 +32,7 @@ from wolstenholme.congruence import (
 )
 from wolstenholme.errors import BudgetExceeded, PreconditionViolated
 from w_oracle import w_iter
+from wprime_oracle import wprime_parts_by_masks
 
 
 class _CarriedFactorial:
@@ -304,6 +305,27 @@ class TestDivisorProductChecks:
             wd = wprime_exact(d)
             assert (num, den) == (wd.numerator, wd.denominator), d
             assert divisors == _divisors(d), d
+
+    def test_wprime_parts_match_mask_oracle_to_2000(self):
+        assert list(_wprime_parts(2000)) == list(wprime_parts_by_masks(2000))
+
+    def test_wprime_parts_read_neither_w_nor_factorials(self, monkeypatch):
+        # rel checks w(n) = prod of w'(d); a w'(d) built from w(n), a
+        # binomial or a factorial would make that check a tautology
+        def refuse(*args):
+            raise AssertionError("_wprime_parts must not read w(n) or factorials")
+
+        oracle = list(wprime_parts_by_masks(600))
+        monkeypatch.setattr(congruence, "w_at", refuse)
+        monkeypatch.setattr(congruence, "w_exact", refuse)
+        monkeypatch.setattr(math, "comb", refuse)
+        monkeypatch.setattr(math, "factorial", refuse)
+        assert list(_wprime_parts(600)) == oracle
+
+    @pytest.mark.stretch
+    def test_wprime_parts_and_relation_to_6000(self):
+        assert list(_wprime_parts(6000)) == list(wprime_parts_by_masks(6000))
+        assert [n for n, ok in divisor_product_checks(6000) if not ok] == []
 
     def test_reads_w_from_the_recurrence(self, monkeypatch):
         # a w(n) off by one at a single n must fail there and nowhere else

@@ -289,6 +289,29 @@ class TestRunner:
         assert sink.getvalue() == ""
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("pairs", {"known": True, "stretch": 0}),
+            ("wilson", {"limit": 30.0}),
+            ("wilson", {"limit": "30"}),
+            ("wilson", {"limit": True}),
+            ("new-conjecture", {"p_max": 30, "q_max": 1000.0}),
+        ],
+        ids=["stretch-int", "limit-float", "limit-str", "limit-bool", "q_max-float"],
+    )
+    def test_params_of_another_type(self, tmp_path, name, params):
+        # stretch 0 would stamp the stretch False records with another
+        # params hash, and a bound that is not an int fails mid-scan, so
+        # the table refuses both before anything is written
+        sink, cpath = io.StringIO(), str(tmp_path / "cp.json")
+        with pytest.raises(ValueError, match="is not a"):
+            run_scan(name, params, sink, checkpoint_path=cpath)
+        with pytest.raises(ValueError, match="is not a"):
+            scan_records(name, params)
+        assert sink.getvalue() == ""
+        assert os.listdir(tmp_path) == []
+
     def test_csv_roundtrip(self):
         buf = io.StringIO()
         run_scan("wilson", {"limit": 600}, buf, fmt="csv")
