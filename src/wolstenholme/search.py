@@ -42,6 +42,7 @@ from .congruence import (
     _w_minus_one_gcds,
     _w_mod_prime,
     _w_power_residues,
+    pair_criterion,
     pair_direct_check,
     w_at,
     w_mod,
@@ -343,23 +344,24 @@ def _pair_record(p: int, q: int, left: bool, right: bool, always: bool) -> list[
 
 
 def _gen_pairs(params: dict, lo: int, hi: int | None):
+    # with {"known": True}, the published pairs, expected hits, so a miss is
+    # emitted as a fail; each takes both halves from pair_criterion, which
+    # reduces w(p) mod q without the exact w(p)
+    if params.get("known"):
+        for p, q in KNOWN_PAIRS if params.get("stretch") else KNOWN_PAIRS[:2]:
+            if p >= lo:
+                r = pair_criterion(p, q, 1)
+                yield p, _pair_record(p, q, r.left, r.right, True)
+        return
     # each prime p carries its pairs (p, q), q > p, in q order, at the q whose
-    # left half w(p) = 1 (mod q) holds, q | g; with {"known": True}, the
-    # published pairs, expected hits, so a miss is emitted as a fail
-    known = bool(params.get("known"))
-    if known:
-        q_of = dict(KNOWN_PAIRS if params.get("stretch") else KNOWN_PAIRS[:2])
-        ps = [p for p in q_of if p >= lo]
-        qs = list(q_of.values())
-    else:
-        qs = primes_upto(params["q_max"])
-        # a p at or above q_max has no q > p to pair with
-        ps = primes_in(lo, min(hi, params["q_max"]))
-    for p, _, g in _w_minus_one_gcds(ps, _prod_tree(qs)):
+    # left half w(p) = 1 (mod q) holds, q | g; a p at or above q_max has no
+    # q > p to pair with
+    qs = primes_upto(params["q_max"])
+    for p, _, g in _w_minus_one_gcds(primes_in(lo, min(hi, params["q_max"])), _prod_tree(qs)):
         above = qs[bisect_right(qs, p) : bisect_right(qs, g)]  # a q | g is at most g
-        qs_p = [q_of[p]] if known else [q for q in above if g % q == 0]
+        qs_p = [q for q in above if g % q == 0]
         w_mod_p = _w_mod_prime(p) if qs_p else None
-        yield p, [r for q in qs_p for r in _pair_record(p, q, g % q == 0, w_mod_p(q) == 1, known)]
+        yield p, [r for q in qs_p for r in _pair_record(p, q, True, w_mod_p(q) == 1, False)]
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,11 @@ S(n, k) here (lowercase s reserved for Stirling numbers of the first kind)
 denotes the k-th elementary symmetric function of {1, 1/2, ..., 1/n}, and
 P(n, k) the same over {1, ..., n}.  All arithmetic is exact; there is no
 floating point anywhere in this module.  Table builders return immutable
-values and keep no module-level caches; a StirlingTables builds its
-first-kind triangle once, on first read, and the second kind is read only
-along its diagonals S(j+k, j), streamed one k at a time.  Every identity
-check takes the table or row it reads as a required argument and never
-builds one: a row of the wrong n or k raises ValueError, a row of the wrong
-kind TypeError, and a first-kind table too small for the subject IndexError.
+values and keep no module-level caches; the first-kind Stirling numbers
+are streamed one row s(n, .) at a time, and the second kind along its
+diagonals S(j+k, j), one k at a time.  Every identity check takes the row
+it reads as a required argument and never builds one: a row of the wrong n
+or k raises ValueError, and a row of the wrong kind TypeError.
 
 The expansions of w(p) in S(n, k) (check_form, check_int_expansion,
 bayat_valuations, s_pm_mod_p) read integer rows: n!*S(n, k) = P(n, n-k),
@@ -25,7 +24,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .arith import double_factorial, valuation
 from .congruence import w_exact
@@ -34,7 +32,7 @@ from .errors import AssertionFailure, DenominatorNotCoprime, ZeroNumerator
 __all__ = [
     "SymRationalTable",
     "IntSymTable",
-    "StirlingTables",
+    "S1Row",
     "S2Diagonal",
     "elem_sym_table",
     "elem_sym_rows",
@@ -81,36 +79,27 @@ class S2Diagonal(_SymRow):
     for 0 <= j <= k; int entries."""
 
 
-def _triangle(n_max: int, coeff) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..n_max of T(n, k) = T(n-1, k-1) + coeff(n, k)*T(n-1, k),
-    with T(0, 0) = 1 and T(n, k) = 0 outside 0 <= k <= n."""
-    rows = [(1,)]
-    for n in range(1, n_max + 1):
-        prev = rows[-1] + (0,)
-        rows.append((0, *(prev[k - 1] + coeff(n, k) * prev[k] for k in range(1, n + 1))))
-    return tuple(rows)
+class S1Row(_SymRow):
+    """Row n of the signed first-kind Stirling numbers, the coefficients of
+    the falling factorial: entries[k] = s(n, k); int entries."""
 
 
-@dataclass(frozen=True)
-class StirlingTables:
-    """The triangle of the signed first-kind Stirling numbers (coefficients
-    of the falling factorial) up to row n_max, built on its first read."""
+def stirling_tables(n_max: int):
+    """Yield S1Row(n, (s(n, 0), ..., s(n, n))) for n = 0..n_max, nothing
+    for n_max < 0.
 
-    n_max: int
-
-    @cached_property
-    def s1_rows(self) -> tuple[tuple[int, ...], ...]:
-        return _triangle(self.n_max, lambda n, k: 1 - n)
-
-    def s1(self, n: int, k: int) -> int:
-        if not 0 <= k <= n <= self.n_max:
-            raise IndexError((n, k))
-        return self.s1_rows[n][k]
-
-
-def stirling_tables(n_max: int) -> StirlingTables:
-    """The first-kind triangle through row n_max, built as it is read."""
-    return StirlingTables(n_max)
+    One working row is updated in place from k = n down by
+    s(n, k) = s(n-1, k-1) - (n-1)*s(n-1, k), from s(0, 0) = 1; s(n, 0) = 0
+    for n >= 1.
+    """
+    row = [1]
+    for n in range(n_max + 1):
+        if n:
+            row.append(0)
+            for k in range(n, 0, -1):
+                row[k] = row[k - 1] - (n - 1) * row[k]
+            row[0] = 0
+        yield S1Row(n, tuple(row))
 
 
 def s2_diagonals(k_max: int):
@@ -191,12 +180,11 @@ def check_form2(n: int, sym: SymRationalTable, perm: IntSymTable) -> bool:
     return all(sym[n - k] * nfact == perm[k] for k in range(n + 1))
 
 
-def check_sP_relation(n: int, perm: IntSymTable, st: StirlingTables) -> bool:
-    """P(n, k) = (-1)^k s(n+1, n+1-k) for all 0 <= k <= n."""
-    perm = _row(perm, n)
-    return all(
-        perm[k] == (-1) ** k * st.s1(n + 1, n + 1 - k) for k in range(n + 1)
-    )
+def check_sP_relation(n: int, perm: IntSymTable, s1: S1Row) -> bool:
+    """P(n, k) = (-1)^k s(n+1, n+1-k) for all 0 <= k <= n, read from the
+    first-kind row s1 = s(n+1, .)."""
+    perm, s1 = _row(perm, n), _row(s1, n + 1, S1Row)
+    return all(perm[k] == (-1) ** k * s1[n + 1 - k] for k in range(n + 1))
 
 
 def stirling1_via_form3(n: int, k: int, row: S2Diagonal) -> int:

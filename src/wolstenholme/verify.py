@@ -91,23 +91,19 @@ def _suite_fra(bound: int) -> Iterator[SuiteResult]:
 
 
 def _suite_form2(bound: int) -> Iterator[SuiteResult]:
-    st = stirling_tables(bound + 1)
-    for tab, perm in zip(elem_sym_rows(bound), perm_sym_rows(bound)):
+    s1_rows = islice(stirling_tables(bound + 1), 1, None)  # s(n+1, .) beside row n
+    for tab, perm, s1 in zip(elem_sym_rows(bound), perm_sym_rows(bound), s1_rows):
         n = tab.n
         if n >= 1:
-            ok = check_form2(n, sym=tab, perm=perm) and check_sP_relation(
-                n, perm=perm, st=st
-            )
+            ok = check_form2(n, sym=tab, perm=perm) and check_sP_relation(n, perm=perm, s1=s1)
             yield SuiteResult("form2", n, ok)
 
 
 def _suite_form3(bound: int) -> Iterator[SuiteResult]:
-    st = stirling_tables(bound)
     rows = list(s2_diagonals(bound - 1))
-    for n in range(1, bound + 1):
-        ok = all(
-            stirling1_via_form3(n, k, rows[k]) == st.s1(n, n - k) for k in range(n)
-        )
+    for s1 in islice(stirling_tables(bound), 1, None):
+        n = s1.n
+        ok = all(stirling1_via_form3(n, k, rows[k]) == s1[n - k] for k in range(n))
         yield SuiteResult("form3", n, ok)
 
 

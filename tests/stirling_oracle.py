@@ -1,6 +1,7 @@
 """Both Stirling triangles by one double loop, kept as the test oracle of
-symmetric.StirlingTables (the first kind) and of symmetric.s2_diagonals
-(the second kind, read along its diagonals S(j+k, j))."""
+symmetric.stirling_tables (the first kind, streamed by row) and of
+symmetric.s2_diagonals (the second kind, read along its diagonals
+S(j+k, j))."""
 
 import functools
 

@@ -172,6 +172,16 @@ def test_construct_W_151_traced_peak_under_2_mib():
     assert peak < 2, peak
 
 
+def test_form2_suite_traced_peak_under_2_mib():
+    # one first-kind row at a time beside the two symmetric-function rows;
+    # the first-kind triangle to row 401 that form2 read before peaked at
+    # 15.0 MiB
+    results = []
+    peak = _traced_peak_mib(lambda: results.extend(verify.run_suite("form2", 400)))
+    assert len(results) == 400 and all(r.ok for r in results)
+    assert peak < 2, peak
+
+
 @pytest.mark.parametrize("name, limit", [("jones", 10000), ("wilson-cube", 20000)])
 def test_resume_from_90_percent(tmp_path, name, limit):
     # a resume enters the remainder trees at the checkpoint, far above 2

@@ -665,31 +665,47 @@ class TestCarriedPaths:
     def test_pairs_sieve_and_halves(self, monkeypatch, after):
         # the kernel yields every p of the scan; the q it leaves for the
         # right half are exactly the q > p whose left half the validated
-        # pair_criterion finds true, and only those p build a Lucas table.
-        # The published pairs take both halves at every pair
+        # pair_criterion finds true, and only those p build a Lucas table
         start = 5 if after is None else after + 1
         gcds = _spy_yields(monkeypatch, "_w_minus_one_gcds")
         tables = _spy_calls(monkeypatch, "_w_mod_prime")
         seen = _spy_calls(monkeypatch, "_pair_record")
         _drain("pairs", {"p_max": 40, "q_max": 400}, after)
-        _drain("pairs", {"known": True, "stretch": True}, after)
         ps = list(primes_in(start, 40))
-        known = [pq for pq in search.KNOWN_PAIRS if pq[0] >= start]
-        assert [p for p, _, _ in gcds] == ps + [p for p, _ in known]
+        assert [p for p, _, _ in gcds] == ps
         expected = [
             (p, q) for p in ps for q in primes_in(p + 1, 400) if pair_criterion(p, q, 1).left
         ]
         if after is None:  # the left halves of (11, 53), (13, 263), (17, 53), (37, 109)
             assert len(expected) == 4
-        assert [args[0] for args, _ in tables] == sorted({p for p, _ in expected}) + [
-            p for p, _ in known
-        ]
-        expected += known
+        assert [args[0] for args, _ in tables] == sorted({p for p, _ in expected})
         assert [args[:2] for args, _ in seen] == expected
         for args, _ in seen:
             p, q, left, right = args[:4]
             res = pair_criterion(p, q, 1)
             assert (left, right) == (res.left, res.right)
+
+        # the published pairs take both halves from pair_criterion, which
+        # reduces w(p) mod q: no exact w(p), no gcd kernel, no Lucas table
+        def refuse(*args, **kwargs):
+            raise AssertionError("the published form read a range kernel")
+
+        for module, name in [(search, "w_at"), (congruence, "w_at"),
+                             (search, "_w_minus_one_gcds"), (search, "_w_mod_prime")]:
+            monkeypatch.setattr(module, name, refuse)
+        seen.clear()
+        params = {"known": True, "stretch": True}
+        stream = _drain("pairs", params, after)
+        assert [args[:2] for args, _ in seen] == [pq for pq in search.KNOWN_PAIRS if pq[0] >= start]
+        for args, _ in seen:
+            p, q, left, right, always = args
+            res = pair_criterion(p, q, 1)
+            assert (left, right, always) == (res.left, res.right, True)
+        # a resume after each published p carries on with the pairs after it
+        full = _drain("pairs", params)
+        assert stream == [item for item in full if item[0] >= start]
+        for p, _ in search.KNOWN_PAIRS:
+            assert _drain("pairs", params, p) == [item for item in full if item[0] > p]
 
     @staticmethod
     def _plain_power_scan(scan, e, limit):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -13,6 +14,7 @@ from wolstenholme.errors import AssertionFailure, DenominatorNotCoprime, ZeroNum
 from wolstenholme.symmetric import (
     BayatReport,
     IntSymTable,
+    S1Row,
     S2Diagonal,
     bayat_valuations,
     check_form,
@@ -30,6 +32,11 @@ from wolstenholme.symmetric import (
     stirling1_via_form3,
     stirling_tables,
 )
+
+
+def s1_row(n):
+    """The first-kind row s(n, 0..n), the last that stirling_tables(n) yields."""
+    return deque(stirling_tables(n), maxlen=1)[0]
 
 
 def brute_elem_sym(values, k):
@@ -162,23 +169,23 @@ class TestElementarySymmetric:
 
 class TestStirling:
     def test_examples(self):
-        assert stirling_tables(4).s1(4, 2) == 11
+        assert s1_row(4)[2] == 11
         # S(6, 3) = 90 is entry 3 of diagonal 3
         assert stirling_rows_by_loop(6)[1][6][3] == 90 == list(s2_diagonals(3))[3][3]
-        assert stirling_tables(7).s1(7, 7) == 1
-        assert stirling_tables(6).s1(6, 3) == -225
+        assert s1_row(7)[7] == 1
+        assert s1_row(6)[3] == -225
 
     def test_first_kind_vs_falling_factorial(self):
         # sum_k s(n,k) x^k = x(x-1)...(x-n+1)
-        for n in range(0, 15):
+        for n, row in enumerate(stirling_tables(14)):
             coeffs = [1]
             for i in range(n):
                 coeffs = [0] + coeffs
                 coeffs = [coeffs[j] - i * (coeffs[j + 1] if j + 1 < len(coeffs) else 0)
                           for j in range(len(coeffs))]
-            st = stirling_tables(n)
+            assert row.n == n
             for k in range(n + 1):
-                assert st.s1(n, k) == coeffs[k], (n, k)
+                assert row[k] == coeffs[k], (n, k)
 
     def test_second_kind_vs_partition_count(self):
         s2_rows = stirling_rows_by_loop(9)[1]
@@ -188,7 +195,15 @@ class TestStirling:
 
     def test_rows_match_double_loop(self):
         for n_max in (0, 1, 2, 7, 120):
-            assert stirling_tables(n_max).s1_rows == stirling_rows_by_loop(n_max)[0]
+            rows = list(stirling_tables(n_max))
+            assert [row.n for row in rows] == list(range(n_max + 1))
+            assert all(type(row) is S1Row for row in rows)
+            assert tuple(row.entries for row in rows) == stirling_rows_by_loop(n_max)[0]
+            assert rows[-1][n_max + 1] == 0  # past the row, as every _SymRow
+
+    def test_rows_empty_below_zero(self):
+        for n_max in (-1, -5):
+            assert list(stirling_tables(n_max)) == []
 
     @pytest.mark.parametrize("k_max", [0, 1, 2, 7, 60])
     def test_diagonals_match_double_loop(self, k_max):
@@ -211,11 +226,11 @@ class TestStirling:
 
     def test_characterizations_at_integer_points(self):
         # n! C(x, n) = sum s(n,k) x^k and x^n = sum k! C(x,k) S(n,k)
-        st, s2_rows = stirling_tables(20), stirling_rows_by_loop(20)[1]
+        s1_rows, s2_rows = list(stirling_tables(20)), stirling_rows_by_loop(20)[1]
         for n in range(0, 21):
             for x in range(0, n + 1):
                 falling = math.factorial(n) * math.comb(x, n)
-                assert falling == sum(st.s1(n, k) * x**k for k in range(n + 1))
+                assert falling == sum(s1_rows[n][k] * x**k for k in range(n + 1))
                 assert x**n == sum(
                     math.factorial(k) * math.comb(x, k) * s2_rows[n][k]
                     for k in range(n + 1)
@@ -228,15 +243,15 @@ class TestIdentities:
             assert check_form2(n, elem_sym_table(n), perm_sym_table(n))
 
     def test_form2_and_sP_sweep(self):
-        st = stirling_tables(61)
+        s1_rows = list(stirling_tables(61))
         for n in range(1, 61):
             perm = perm_sym_table(n)
             assert check_form2(n, elem_sym_table(n), perm)
-            assert check_sP_relation(n, perm=perm, st=st)
+            assert check_sP_relation(n, perm=perm, s1=s1_rows[n + 1])
 
     def test_sP_examples(self):
-        assert perm_sym_table(3)[2] == 11 == stirling_tables(4).s1(4, 2)
-        assert perm_sym_table(3)[3] == 6 == -stirling_tables(4).s1(4, 1)
+        assert perm_sym_table(3)[2] == 11 == s1_row(4)[2]
+        assert perm_sym_table(3)[3] == 6 == -s1_row(4)[1]
 
     def test_form3_examples(self):
         rows = list(s2_diagonals(3))
@@ -245,10 +260,10 @@ class TestIdentities:
         assert stirling1_via_form3(6, 3, rows[3]) == -225
 
     def test_form3_cross_check(self):
-        st, rows = stirling_tables(40), list(s2_diagonals(39))
+        s1_rows, rows = list(stirling_tables(40)), list(s2_diagonals(39))
         for n in range(1, 41):
             for k in range(0, n):
-                assert stirling1_via_form3(n, k, rows[k]) == st.s1(n, n - k), (n, k)
+                assert stirling1_via_form3(n, k, rows[k]) == s1_rows[n][n - k], (n, k)
 
     def test_ident_examples(self):
         # k=2: -4*S(3,1) + S(4,2) = -4 + 7 = 3 = 3!!
@@ -364,11 +379,11 @@ class TestTablesAreRequired:
     def test_row_checks_reject_wrong_n(self):
         sym6, sym7 = elem_sym_table(6), elem_sym_table(7)
         perm6, perm7 = perm_sym_table(6), perm_sym_table(7)
-        st = stirling_tables(20)
+        s1_7 = s1_row(7)
         calls = [
             lambda: check_form2(6, sym7, perm6),
             lambda: check_form2(6, sym6, perm7),
-            lambda: check_sP_relation(6, perm7, st),
+            lambda: check_sP_relation(6, perm7, s1_7),
             lambda: check_form(7, perm7),
             lambda: check_int_expansion(7, perm6),
             lambda: bayat_valuations(7, perm7),
@@ -379,10 +394,16 @@ class TestTablesAreRequired:
                 call()
 
     def test_row_checks_reject_wrong_kind(self):
-        # a Fraction row where an integer row is read, or the reverse
+        # a Fraction row where an integer row is read, or the reverse; any
+        # row but a first-kind one where s(n+1, .) is read
         sym6, sym7, perm6 = elem_sym_table(6), elem_sym_table(7), perm_sym_table(6)
+        s1_7 = s1_row(7)
         calls = [
             lambda: check_form2(6, perm6, perm6),
+            lambda: check_sP_relation(6, sym6, s1_7),
+            lambda: check_sP_relation(6, perm6, IntSymTable(7, s1_7.entries)),
+            lambda: check_sP_relation(6, perm6, list(s2_diagonals(7))[7]),
+            lambda: check_sP_relation(6, perm6, stirling_tables(7)),
             lambda: check_form(7, sym6),
             lambda: check_int_expansion(7, sym7),
             lambda: bayat_valuations(7, sym6),
@@ -393,10 +414,10 @@ class TestTablesAreRequired:
                 call()
 
     def test_stirling_checks_reject_small_tables(self):
-        # a first-kind table too small for the subject; a diagonal of the
-        # second kind for another k
-        with pytest.raises(IndexError):
-            check_sP_relation(6, perm_sym_table(6), stirling_tables(6))
+        # a first-kind row one short of the subject's s(n+1, .); a diagonal
+        # of the second kind for another k
+        with pytest.raises(ValueError, match="need row 7, got row 6"):
+            check_sP_relation(6, perm_sym_table(6), s1_row(6))
         rows = list(s2_diagonals(5))
         with pytest.raises(ValueError):
             stirling1_via_form3(9, 4, rows[3])
@@ -426,7 +447,7 @@ class TestTablesAreRequired:
     def test_diagonal_readers_reject_wrong_kind(self, reader):
         call = self._DIAGONAL_READERS[reader]
         row = list(s2_diagonals(5))[5]
-        for wrong in (IntSymTable(5, row.entries), row.entries, stirling_tables(10)):
+        for wrong in (IntSymTable(5, row.entries), row.entries, S1Row(5, row.entries)):
             with pytest.raises(TypeError):
                 call(wrong)
 
@@ -482,33 +503,35 @@ def _shifted_row():
 
 
 class TestStirlingKindsBuilt:
-    """Only the first kind is built as a triangle, and only by the suites
-    that read it; the second kind is streamed by diagonal."""
-
-    # coeff(2, 1) of each kind's triangle recurrence: 1 - n, or k
-    _KIND = {-1: "s1_rows", 1: "s2_rows"}
+    """Only form2 and form3 read the first kind, each as one stream of rows
+    read once and in order; the second kind is streamed by diagonal."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """(kind, n_max) of every Stirling triangle built meanwhile."""
-        triangles = set()
-        real = symmetric._triangle
+        """(n_max, the n of each row yielded) of every first-kind stream read
+        meanwhile."""
+        streams = []
+        real = symmetric.stirling_tables
 
-        def spy(n_max, coeff):
-            triangles.add((self._KIND[coeff(2, 1)], n_max))
-            return real(n_max, coeff)
+        def spy(n_max):
+            read = []
+            streams.append((n_max, read))
+            for row in real(n_max):
+                read.append(row.n)
+                yield row
 
-        monkeypatch.setattr(symmetric, "_triangle", spy)
-        return triangles
+        for module in (symmetric, verify):
+            monkeypatch.setattr(module, "stirling_tables", spy)
+        return streams
 
     @pytest.mark.parametrize(
         "suite, bound, kinds",
         [
-            ("ident", 40, set()),
-            ("form4", 31, set()),
-            ("wpoly", 23, set()),
-            ("form2", 40, {("s1_rows", 41)}),
-            ("form3", 12, {("s1_rows", 12)}),
+            ("ident", 40, []),
+            ("form4", 31, []),
+            ("wpoly", 23, []),
+            ("form2", 40, [(41, list(range(42)))]),
+            ("form3", 12, [(12, list(range(13)))]),
         ],
     )
     def test_suites(self, built, suite, bound, kinds):
@@ -517,12 +540,12 @@ class TestStirlingKindsBuilt:
 
     def test_construct_W(self, built):
         wpoly.construct_W(13)
-        assert built == set()
+        assert built == []
 
 
 # sha256 of repr([(subject, ok, detail), ...]) of each suite that reads
 # Stirling numbers, at its default bound, taken before the triangles were
-# built on first read
+# built on first read and before either kind was streamed
 SUITE_DIGESTS = {
     "form2": "d2898b4f9d77380f3f8a5eb534bb1e62c28a94ce6096f8b6c1b1dfa3439a21f5",
     "form3": "82e9a13b2d138111c77c7a8109736ab4e6b93c487d51e647f4fc68bc6bca49a6",
