@@ -120,6 +120,29 @@ def s2_diagonals(k_max: int):
         yield S2Diagonal(k, tuple(row[: k + 1]))
 
 
+def _s2_diagonals_down(k_max: int):
+    """Yield the diagonals of s2_diagonals(k_max) in reverse, k = k_max down
+    to 0, from one working row.
+
+    The recurrence read backwards, T(k-1)[j] = (T(k)[j] - T(k)[j-1])/j,
+    divides exactly, so a reader that walks k downward holds one diagonal
+    rather than all k_max + 1 of them.
+    """
+    top = None
+    for top in s2_diagonals(k_max):
+        pass
+    if top is None:
+        return
+    row = list(top.entries)
+    for k in range(k_max, -1, -1):
+        if k < k_max:
+            row.pop()
+            for j in range(k, 0, -1):
+                row[j] = (row[j] - row[j - 1]) // j
+            row[0] = int(k == 0)
+        yield S2Diagonal(k, tuple(row))
+
+
 def _sym_rows(n_max: int, table: type, one, weight):
     """Yield table(n, row) for n = 0..n_max, nothing for n_max < 0, where
     row[k] = E(n, k) = E(n-1, k) + weight(n)*E(n-1, k-1) and E(0, 0) = one."""

@@ -5,11 +5,14 @@ W(p) is the degree 2p-7 integer polynomial with
 basis polynomials D(x+1, k)/((x+1+j) * x * (x+1)) where D(n, k) is the
 product (n-k)(n-k+1)...(n+k); one term per odd k <= p-2, weighted by
 alternating binomial sums of second-kind Stirling numbers.  The weighted
-sum over j is built in Newton form: it factors as R_k M_k with
-R_k = (x-1)...(x-(k-1)), and M_k, of degree k-1, is interpolated from its
-values at the consecutive nodes -2, ..., -(k+1), so every product is a big
-integer times a machine-size one.  The module also carries the
-Taylor-shift/Hensel divisibility toolkit built on top of W.
+sum over j factors as R_k M_k with R_k = (x-1)...(x-(k-1)), and M_k, of
+degree k-1, is interpolated in Newton form from its values at the
+consecutive nodes -2, ..., -(k+1), so building M_k multiplies big integers
+by machine-size ones only.  Two routes read M_k: w_polys, one upward pass that
+yields W at every prime (the wpoly suite reads it), and construct_W, which
+nests the same recurrence from the top for one prime, so each R_k costs one
+multiply by a quadratic.  The module also carries the Taylor-shift/Hensel
+divisibility toolkit built on top of W.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     InexactDivision,
     NotApplicable,
 )
-from .symmetric import S2Diagonal, _row, s2_diagonals
+from .symmetric import S2Diagonal, _row, _s2_diagonals_down, s2_diagonals
 
 __all__ = [
     "IntPoly",
@@ -110,17 +113,15 @@ def _check_W(p: int, w_poly: IntPoly) -> None:
         )
 
 
-def _inner(k: int, row: S2Diagonal) -> list[int]:
-    """I_k = sum_j c_j basis(k, j), c_j = (-1)^(j+k) C(2k, k+j) S(j+k, j),
-    with S(j+k, j) = row[j] read from the k-th second-kind diagonal.
+def _newton_M(k: int, row: S2Diagonal) -> list[int]:
+    """M_k = sum_j c_j prod_(i != j) (x + 1 + i), c_j = (-1)^(j+k) C(2k, k+j)
+    S(j+k, j), with S(j+k, j) = row[j] read from the k-th second-kind diagonal.
 
-    basis(k, j) = R_k prod_(i != j) (x + 1 + i) with R_k = prod_(u<k) (x - u),
-    so I_k = R_k M_k, where M_k = sum_j c_j prod_(i != j) (x + 1 + i) has
-    degree k-1 and y_j = M_k(-1-j) = c_j (-1)^(j-1) (j-1)! (k-j)!.  At the
-    consecutive nodes -2, -3, ..., -(k+1) the Newton coefficients of M_k are
+    M_k has degree k-1 and y_j = M_k(-1-j) = c_j (-1)^(j-1) (j-1)! (k-j)!.  At
+    the consecutive nodes -2, -3, ..., -(k+1) its Newton coefficients are
     d_m = (-1)^m (Delta^m y)_1 / m!, exact because M_k has integer
-    coefficients.  Horner on the basis prod_(i<=m) (x + 1 + i), then the k-1
-    factors of R_k, multiply big integers by machine-size ones only.
+    coefficients; Horner on the basis prod_(i<=m) (x + 1 + i) then gives the
+    coefficients, multiplying big integers by machine-size ones only.
     """
     row = _row(row, k, S2Diagonal)
     y = [
@@ -145,9 +146,35 @@ def _inner(k: int, row: S2Diagonal) -> list[int]:
     for m in range(k - 2, -1, -1):  # acc * (x + m + 2) + d_m
         acc = [(m + 2) * a + b for a, b in zip(acc + [0], [0] + acc)]
         acc[0] += d[m]
+    return acc
+
+
+def _inner(k: int, row: S2Diagonal) -> list[int]:
+    """I_k = sum_j c_j basis(k, j) = R_k M_k, with R_k = prod_(u<k) (x - u):
+    basis(k, j) = R_k prod_(i != j) (x + 1 + i), so the sum over j is the
+    M_k of _newton_M, times the k-1 linear factors of R_k one at a time.
+    """
+    acc = _newton_M(k, row)
     for u in range(1, k):  # acc * (x - u)
         acc = [b - u * a for a, b in zip(acc + [0], [0] + acc)]
     return acc
+
+
+def _checked_W(p: int, v: list[int]) -> IntPoly:
+    """W(p) = V_(p-2)/x, after checking the constant term, the degree and
+    the evaluation identity against the exact w(p)."""
+    if v[0] != 0:
+        raise ConstructionAssertFailure(f"nonzero constant term at p={p}")
+    w_poly = IntPoly(tuple(v[1:]))
+    if w_poly.degree != 2 * p - 7:
+        raise ConstructionAssertFailure(
+            f"degree {w_poly.degree} != 2p-7 = {2 * p - 7} at p={p}"
+        )
+    lhs = poly_eval(w_poly, p) * (p + 1) * p**3
+    rhs = (w_exact(p) - 1) * math.factorial(2 * p - 4) * math.factorial(p - 1)
+    if lhs != rhs:
+        raise ConstructionAssertFailure(f"evaluation identity failed at p={p}")
+    return w_poly
 
 
 def w_polys(p_max: int) -> Iterator[tuple[int, IntPoly]]:
@@ -156,7 +183,9 @@ def w_polys(p_max: int) -> Iterator[tuple[int, IntPoly]]:
     V_1 = I_1 and V_k = x^2 (2k-3)(2k-2)(2k-1)(2k) V_(k-2) + I_k for odd k,
     where I_k = sum_j (-1)^(j+k) C(2k, k+j) S(j+k, j) basis(k, j), built in
     Newton form by _inner from the odd diagonals of s2_diagonals, does not
-    depend on p; W(p) = V_(p-2)/x, checked against the exact w(p).
+    depend on p; W(p) = V_(p-2)/x, checked against the exact w(p).  The pass
+    serves the wpoly suite, which reads W at every prime; for one prime,
+    construct_W is faster.
     """
     v: list[int] = []
     for row in islice(s2_diagonals(p_max - 2), 1, None, 2):
@@ -167,28 +196,37 @@ def w_polys(p_max: int) -> Iterator[tuple[int, IntPoly]]:
             inner[i + 2] += ratio * a
         v = inner
         p = k + 2
-        if p < 5 or not is_prime(p):
-            continue
-        if v[0] != 0:
-            raise ConstructionAssertFailure(f"nonzero constant term at p={p}")
-        w_poly = IntPoly(tuple(v[1:]))
-        if w_poly.degree != 2 * p - 7:
-            raise ConstructionAssertFailure(
-                f"degree {w_poly.degree} != 2p-7 = {2 * p - 7} at p={p}"
-            )
-        lhs = poly_eval(w_poly, p) * (p + 1) * p**3
-        rhs = (w_exact(p) - 1) * math.factorial(2 * p - 4) * math.factorial(p - 1)
-        if lhs != rhs:
-            raise ConstructionAssertFailure(f"evaluation identity failed at p={p}")
-        yield p, w_poly
+        if p >= 5 and is_prime(p):
+            yield p, _checked_W(p, v)
 
 
 def construct_W(p: int) -> IntPoly:
-    """W for the prime p >= 5: the element of w_polys(p) at p."""
+    """W for the prime p >= 5, by the recurrence of w_polys nested from the top.
+
+    With K = p-2, unrolled V_K = sum_k alpha_k x^(K-k) R_k M_k over odd k,
+    alpha_k = prod rho_j over odd j, k < j <= K, rho_j = (2j-3)(2j-2)(2j-1)(2j).
+    R_(k+2) = R_k (x-k)(x-k-1), so S_K = M_K and
+    S_k = alpha_k x^(K-k) M_k + (x-k)(x-k-1) S_(k+2) give V_K = S_1: each R_k
+    costs one multiply by a monic quadratic, not k-1 linear factors.  The
+    diagonals are read downward, so one M_k is held at a time.  Checked
+    against the exact w(p) as w_polys is.
+    """
     _check_prime_ge5(p)
-    for _, w_poly in w_polys(p):
-        pass
-    return w_poly
+    top = p - 2
+    rows = islice(_s2_diagonals_down(top), 0, None, 2)  # odd k, from the top
+    s = _newton_M(top, next(rows))
+    alpha = 1
+    for row in rows:
+        k = row.n
+        alpha *= (2 * k + 1) * (2 * k + 2) * (2 * k + 3) * (2 * k + 4)
+        b, c = 2 * k + 1, k * (k + 1)  # (x-k)(x-k-1) = x^2 - b x + c
+        s = [
+            c * a0 - b * a1 + a2
+            for a0, a1, a2 in zip(s + [0, 0], [0] + s + [0], [0, 0] + s)
+        ]
+        for i, m in enumerate(_newton_M(k, row), top - k):
+            s[i] += alpha * m
+    return _checked_W(p, s)
 
 
 @dataclass(frozen=True)

@@ -164,12 +164,13 @@ def test_ident_suite_traced_peak_under_1_mib():
     assert peak < 1, peak
 
 
-def test_construct_W_151_traced_peak_under_2_mib():
-    # the diagonals up to k = 149; the triangle to row 298 peaked at 5.6 MiB
+def test_construct_W_151_traced_peak_under_half_mib():
+    # one diagonal and one M_k at a time, read downward (0.20 MiB); holding
+    # every M_k peaked at 0.91 MiB, and the triangle to row 298 at 5.6 MiB
     w_poly = []
     peak = _traced_peak_mib(lambda: w_poly.append(construct_W(151)))
     assert w_poly[0].degree == 2 * 151 - 7
-    assert peak < 2, peak
+    assert peak < 0.5, peak
 
 
 def test_form2_suite_traced_peak_under_2_mib():

@@ -224,6 +224,14 @@ class TestStirling:
         for k_max in (-1, -5):
             assert list(s2_diagonals(k_max)) == []
 
+    @pytest.mark.parametrize("k_max", [-1, 0, 1, 2, 7, 60])
+    def test_diagonals_down_are_the_stream_reversed(self, k_max):
+        rows = list(symmetric._s2_diagonals_down(k_max))
+        assert all(type(row) is S2Diagonal for row in rows)
+        assert rows == list(s2_diagonals(k_max))[::-1]
+        for row in rows:
+            assert row.entries == s2_diagonal_by_loop(row.n, 2 * k_max), row.n
+
     def test_characterizations_at_integer_points(self):
         # n! C(x, n) = sum s(n,k) x^k and x^n = sum k! C(x,k) S(n,k)
         s1_rows, s2_rows = list(stirling_tables(20)), stirling_rows_by_loop(20)[1]

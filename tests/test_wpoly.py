@@ -1,14 +1,17 @@
 import functools
 import math
 import random
+from collections import deque
 
 import pytest
 
 from stirling_oracle import s2_diagonal_by_loop
 from wolstenholme.arith import double_factorial, is_prime, primes_upto
 from wolstenholme.congruence import w_exact
+from wolstenholme import wpoly
 from wolstenholme.errors import (
     AssertionFailure,
+    ConstructionAssertFailure,
     InexactDivision,
     NotApplicable,
 )
@@ -223,8 +226,23 @@ class TestConstructW:
             verify_W(5, bad)
 
     def test_rejects_nonprime(self):
-        with pytest.raises(ValueError):
-            construct_W(9)
+        for p in (-7, 0, 4, 9):
+            with pytest.raises(ValueError):
+                construct_W(p)
+
+    @pytest.mark.parametrize("build", [construct_W, lambda p: dict(w_polys(p))[p]])
+    def test_perturbed_M_k_is_caught(self, monkeypatch, build):
+        newton_M = wpoly._newton_M
+
+        def perturbed(k, row):
+            m = newton_M(k, row)
+            if k == 7:
+                m[2] += 1
+            return m
+
+        monkeypatch.setattr(wpoly, "_newton_M", perturbed)
+        with pytest.raises(ConstructionAssertFailure):
+            build(13)
 
 
 class TestWPolys:
@@ -240,10 +258,17 @@ class TestWPolys:
             assert w_poly == _w_by_scaled_sum(p), p
         assert got[0][1].coeffs == W5_COEFFS
 
-    def test_construct_W_is_the_pass_element(self):
-        by_p = dict(w_polys(37))
-        for p in (5, 7, 11, 29, 37):
-            assert construct_W(p) == by_p[p]
+    def test_construct_W_matches_the_pass_to_200(self):
+        by_p = dict(w_polys(200))
+        assert list(by_p) == [p for p in primes_upto(200) if p >= 5]
+        for p, w_poly in by_p.items():
+            assert construct_W(p) == w_poly, p
+        assert by_p[5].coeffs == W5_COEFFS
+
+    @pytest.mark.stretch
+    def test_construct_W_matches_the_pass_at_601(self):
+        (p, w_poly), = deque(w_polys(601), maxlen=1)
+        assert p == 601 and construct_W(601) == w_poly
 
     def test_no_primes_below_5(self):
         for bound in range(-1, 5):
