@@ -24,6 +24,7 @@ from typing import Callable
 from .arith import (
     ResidueClass,
     _check_prime_ge5,
+    _prod_tree,
     binomial_exact,
     binomial_mod,
     factor_completely,
@@ -109,7 +110,10 @@ class FactorBand:
 
 @lru_cache(maxsize=512)
 def w_exact(n: int) -> int:
-    """w(n) = C(2n-1, n-1), exactly; equals half of C(2n, n)."""
+    """w(n) = C(2n-1, n-1), exactly; equals half of C(2n, n).
+
+    Read from binomial_exact: by math.comb below n = 902, from the prime
+    exponents of w(n) above.  Cached for the 512 most recent n."""
     if n < 1:
         raise ValueError("w(n) requires n >= 1")
     return binomial_exact(2 * n - 1, n - 1)
@@ -118,16 +122,18 @@ def w_exact(n: int) -> int:
 def w_at(points):
     """Yield (n, w(n)) for each n of points, strictly increasing, n >= 1.
 
-    Enters at the first point by math.comb, then crosses each gap n < m
-    in one step: w(m) = w(n) * prod 2(2j-1) // prod j over n < j <= m, an
-    exact division.  Nothing is computed before the first next().
+    Enters at the first point by binomial_exact, which builds a large w
+    from its prime exponents, and not by w_exact, whose cache would keep
+    it; then crosses each gap n < m in one step: w(m) = w(n) *
+    prod 2(2j-1) // prod j over n < j <= m, an exact division.  Nothing
+    is computed before the first next().
     """
     n = w = None
     for m in points:
         if n is None:
             if m < 1:
                 raise ValueError("w(n) requires n >= 1")
-            w = math.comb(2 * m - 1, m - 1)
+            w = binomial_exact(2 * m - 1, m - 1)
         else:
             if m <= n:
                 raise ValueError(f"points must increase, got {m} after {n}")
@@ -277,15 +283,6 @@ def divisor_product_check(n: int) -> bool:
         num *= wd.numerator
         den *= wd.denominator
     return num == w_exact(n) * den
-
-
-def _prod_tree(xs: list[int]) -> int:
-    """Product of xs by a balanced tree; math.prod multiplies a long run of
-    small factors into one growing value, which is quadratic."""
-    if len(xs) <= 64:
-        return math.prod(xs)
-    mid = len(xs) // 2
-    return _prod_tree(xs[:mid]) * _prod_tree(xs[mid:])
 
 
 _LEAF_EVENTS = 32  # events per leaf block of _factorial_residues

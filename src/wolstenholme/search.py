@@ -33,11 +33,10 @@ from itertools import islice
 from time import monotonic
 from typing import Callable, Iterable, Iterator
 
-from .arith import primes_in, primes_upto, valuation
+from .arith import _prod_tree, primes_in, primes_upto, valuation
 from .congruence import (
     PAIR_DIRECT_BUDGET,
     _factorial_residues,
-    _prod_tree,
     _w_from_factorials,
     _w_minus_one_gcds,
     _w_mod_prime,

@@ -55,7 +55,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _SymRow:
-    """Row n of a table's values; 0 of the entries' type past n."""
+    """Row n of a table's values; 0 of the entries' type past n.  Iteration
+    and len() cover the entries only, as row[k] never raises past n."""
 
     n: int
     entries: tuple  # entries[k] for 0 <= k <= n
@@ -64,6 +65,12 @@ class _SymRow:
         if k < 0:
             raise IndexError(k)
         return self.entries[k] if k <= self.n else self.entries[0] * 0
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
 
 class SymRationalTable(_SymRow):

@@ -208,6 +208,56 @@ class TestBinomials:
         assert binomial_exact(21, 10) == 352716
         assert binomial_exact(5, 9) == 0
 
+    @staticmethod
+    def _comb(n, k):
+        return math.comb(n, k) if 0 <= k <= n else 0
+
+    def test_exact_vs_comb_to_300(self):
+        for n in range(0, 301):
+            for k in (-1, 0, 1, n // 2, n - 1, n, n + 1):
+                assert binomial_exact(n, k) == self._comb(n, k), (n, k)
+
+    def test_route_by_primes_vs_comb_to_120(self, monkeypatch):
+        # with the crossover at 0 every binomial, k = 0 and n = 0 too, is
+        # built from its prime exponents
+        monkeypatch.setattr(arith, "_COMB_CROSSOVER", 0)
+        for n in range(0, 121):
+            for k in range(-1, n + 2):
+                assert binomial_exact(n, k) == self._comb(n, k), (n, k)
+
+    def test_exact_vs_comb_random(self):
+        rng = random.Random(20261020)
+        for i in range(40):
+            n = rng.randrange(2, 50_001)
+            k = rng.randrange(0, n // 2) if i % 2 else rng.randrange(n // 2, n + 1)
+            assert binomial_exact(n, k) == math.comb(n, k), (n, k)
+
+    @pytest.mark.parametrize("n", [2003, 5000, 20011, 99991, 400000])
+    def test_exact_at_crossover(self, monkeypatch, n):
+        # the smallest min(k, n-k) that leaves math.comb, and one either side
+        k0 = math.isqrt(arith._COMB_CROSSOVER * n - 1) + 1
+        assert (k0 - 1) ** 2 < arith._COMB_CROSSOVER * n <= k0**2 and 2 * k0 + 2 <= n
+        real, calls = math.comb, []
+
+        def spy(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(math, "comb", spy)
+        for k in (k0 - 1, k0, k0 + 1):
+            for kk in (k, n - k):
+                assert binomial_exact(n, kk) == real(n, kk), (n, kk)
+        assert calls == [(n, k0 - 1)] * 2
+
+    @pytest.mark.parametrize("n, k", [(1999, 999), (5003, 2500), (12000, 3000), (30001, 15000)])
+    def test_exponents_are_carry_counts(self, n, k):
+        rest = binomial_exact(n, k)
+        for r in primes_in(2, n):
+            e = carry_count(k, n - k, r)
+            assert rest % r**e == 0 and (rest // r**e) % r, (n, k, r)
+            rest //= r**e
+        assert rest == 1
+
     def test_carry_count_is_kummer_valuation(self):
         for n in range(0, 120):
             for k in range(0, n + 1):

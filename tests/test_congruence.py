@@ -79,6 +79,12 @@ class TestWExact:
         for n in range(1, 60):
             assert 2 * w_exact(n) == math.comb(2 * n, n)
 
+    @pytest.mark.stretch
+    def test_w_exact_at_a_million(self):
+        # about 40 s in math.comb, the oracle, and 0.4 s from the primes
+        m = 10**6
+        assert w_exact(m) == math.comb(2 * m - 1, m - 1)
+
     def test_iter_matches_exact(self):
         full = list(w_iter(200))
         for n, w in full:
@@ -109,6 +115,12 @@ class TestWAt:
 
     def test_no_points(self):
         assert list(w_at([])) == []
+
+    @pytest.mark.parametrize("start", [902, 2601, 17001])
+    def test_entered_above_crossover(self, start):
+        # the first point's w is built from its prime exponents
+        points = [start, start + 1, start + 4]
+        assert list(w_at(points)) == [(m, math.comb(2 * m - 1, m - 1)) for m in points]
 
     @pytest.mark.parametrize("points", [[0, 3], [-2], [5, 5], [7, 4]])
     def test_bad_points_raise(self, points):
@@ -351,6 +363,7 @@ class TestDivisorProductChecks:
         xs = list(range(1, 300))
         for n in range(len(xs) + 1):
             assert _prod_tree(xs[:n]) == math.prod(xs[:n]), n
+            assert _prod_tree(xs[:n], 2) == math.prod(xs[:n]), n
 
 
 def _factorials_mod(points, moduli):

@@ -18,6 +18,7 @@ import pytest
 
 import wolstenholme
 from wolstenholme import search, verify
+from wolstenholme.arith import binomial_exact
 from wolstenholme.search import checkpoint_load, run_scan
 from wolstenholme.wpoly import construct_W
 
@@ -170,6 +171,15 @@ def test_construct_W_151_traced_peak_under_half_mib():
     w_poly = []
     peak = _traced_peak_mib(lambda: w_poly.append(construct_W(151)))
     assert w_poly[0].degree == 2 * 151 - 7
+    assert peak < 0.5, peak
+
+
+def test_binomial_exact_399999_traced_peak_under_half_mib():
+    # runs of 64 prime powers, multiplied as they stream (0.37 MiB);
+    # math.comb peaked at 0.47 MiB, one run of all of them at 1.20 MiB
+    c = []
+    peak = _traced_peak_mib(lambda: c.append(binomial_exact(399999, 199999)))
+    assert c[0] % 399989 == 0 and c[0].bit_length() == 399990
     assert peak < 0.5, peak
 
 

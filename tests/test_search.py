@@ -457,6 +457,29 @@ class TestSeekResume:
         monkeypatch.setattr(search, name, spy)
         return seen
 
+    @pytest.mark.parametrize("name", ["jones", "mod5", "wolstenholme-primes"])
+    def test_resume_above_binomial_crossover(self, tmp_path, monkeypatch, name):
+        # the resumed leg enters w_at after subject 2600, where w(n) is built
+        # from its prime exponents and not by math.comb
+        params = {"limit": 3000}
+        full = io.StringIO()
+        run_scan(name, params, full)
+        primes = name == "wolstenholme-primes"  # the subjects 5, 7, 11, ...
+        cut = len(primes_upto(2600)) - 2 if primes else 2599
+        out, cpath = self._leg1(tmp_path, name, params, cut=cut)
+        assert checkpoint_load(cpath).last_subject == (2593 if primes else 2600)
+        real, calls = math.comb, []
+
+        def spy(n, k):
+            calls.append((n, k))
+            return real(n, k)
+
+        monkeypatch.setattr(math, "comb", spy)
+        self._leg2(out, cpath, name, params)
+        assert calls == []
+        assert out.read_bytes() == full.getvalue().encode()
+        assert checkpoint_load(cpath).last_subject == (2999 if primes else 3000)
+
     def test_resume_computes_no_earlier_subject(self, tmp_path, monkeypatch):
         params = {"limit": 400}
         out, cpath = self._leg1(tmp_path, "wilson", params, cut=30)

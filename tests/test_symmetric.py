@@ -201,6 +201,25 @@ class TestStirling:
             assert tuple(row.entries for row in rows) == stirling_rows_by_loop(n_max)[0]
             assert rows[-1][n_max + 1] == 0  # past the row, as every _SymRow
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            lambda: elem_sym_rows(6),
+            lambda: perm_sym_rows(6),
+            lambda: stirling_tables(6),
+            lambda: s2_diagonals(6),
+        ],
+        ids=["SymRationalTable", "IntSymTable", "S1Row", "S2Diagonal"],
+    )
+    def test_rows_iterate_their_entries(self, rows):
+        # row[k] is 0 past n and never raises, so iteration and len() must
+        # come from the entries or list(row) would never end
+        for row in rows():
+            assert list(islice(row, row.n + 2)) == list(row.entries)  # ends
+            assert list(row) == list(row.entries) and tuple(row) == row.entries
+            assert len(row) == row.n + 1
+            assert row[row.n + 5] == 0
+
     def test_rows_empty_below_zero(self):
         for n_max in (-1, -5):
             assert list(stirling_tables(n_max)) == []
