@@ -13,6 +13,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, islice
 from math import isqrt
 
@@ -130,10 +131,12 @@ _PRIMES = array("I", [2])  # every prime up to the largest bound asked for yet
 
 
 def _small_primes_upto(n: int) -> array:
-    """The primes <= n, read from one table that grows as bounds rise."""
+    """The primes <= n, read from one table that grows as bounds rise, one
+    sieve segment at a time."""
     if n > _PRIMES[-1]:
         base = _small_primes_upto(isqrt(n))  # may itself extend the table
-        _PRIMES.extend(_sieve(_PRIMES[-1] + 1, n, base))
+        for left in range(_PRIMES[-1] + 1, n + 1, _SEGMENT):
+            _PRIMES.extend(_sieve(left, min(left + _SEGMENT - 1, n), base))
     return _PRIMES[: bisect_right(_PRIMES, n)]
 
 
@@ -324,31 +327,55 @@ def binomial_mod_prime_power(n: int, k: int, q: int, e: int) -> ResidueClass:
 
 _TRIAL_LIMIT = 10**6
 _EXACT_FALLBACK_LIMIT = 200_000
+_TRIAL_FIRST = 1 << 10  # factor_completely tries the primes below it one by one
+_TRIAL_RUN = 128  # table primes per run product
+
+
+@lru_cache(maxsize=1)
+def _trial_runs(limit: int) -> tuple[int, ...]:
+    """The product of each run of _TRIAL_RUN consecutive primes <= limit."""
+    table = _small_primes_upto(limit)
+    return tuple(math.prod(table[i : i + _TRIAL_RUN]) for i in range(0, len(table), _TRIAL_RUN))
+
+
+def _divide_out(rest: int, primes, factors: dict[int, int]) -> int:
+    """rest with the ascending primes divided out while p^2 <= rest, each
+    counted in factors."""
+    for p in primes:
+        if p * p > rest:
+            break
+        while rest % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            rest //= p
+    return rest
 
 
 def factor_completely(m: int) -> dict[int, int]:
     """Factor m by trial division up to 10^6 plus one primality check.
 
-    Moduli in this package are built from known primes, so this nearly always
-    completes; raises FactoringBudgetExceeded (with the partial factorization)
-    when a composite cofactor survives.
+    The primes below 2^10 are tried one by one.  Past them, while p^2 <= rest
+    may still hold, rest takes one gcd with each product of 128 consecutive
+    primes up to 10^6 (built once) and is divided only by the primes of the
+    runs whose gcd exceeds 1.  Moduli in this package are built from known
+    primes, so this nearly always completes; raises FactoringBudgetExceeded
+    (with the partial factorization) when a composite cofactor survives.
     """
     if m < 1:
         raise ValueError("factorization requires m >= 1")
     factors: dict[int, int] = {}
-    rest = m
-    tried = 1  # every prime <= tried is divided out of rest
-    # the prime table grows by doubling, only while p^2 <= rest may still hold
-    while tried < min(_TRIAL_LIMIT, isqrt(rest)):
-        top = min(_TRIAL_LIMIT, isqrt(rest), max(2 * tried, 1 << 10))
-        table = _small_primes_upto(top)
-        for p in islice(table, bisect_right(table, tried), None):
-            if p * p > rest:
+    first = min(_TRIAL_FIRST, _TRIAL_LIMIT)
+    rest = _divide_out(m, _small_primes_upto(min(isqrt(m), first)), factors)
+    if isqrt(rest) > first:
+        runs = _trial_runs(_TRIAL_LIMIT)
+        table = _small_primes_upto(_TRIAL_LIMIT)
+        for i, run in enumerate(runs):
+            lo = i * _TRIAL_RUN
+            if table[lo] ** 2 > rest:
                 break
-            while rest % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                rest //= p
-        tried = top
+            g = math.gcd(rest, run)
+            if g > 1:
+                primes = (p for p in table[lo : lo + _TRIAL_RUN] if g % p == 0)
+                rest = _divide_out(rest, primes, factors)
     if rest > 1:
         if rest <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(rest):
             factors[rest] = factors.get(rest, 0) + 1

@@ -204,10 +204,15 @@ def _row(table, n: int, kind: type = IntSymTable):
 
 
 def check_form2(n: int, sym: SymRationalTable, perm: IntSymTable) -> bool:
-    """S(n, n-k) = P(n, k)/n! for all 0 <= k <= n."""
+    """S(n, n-k) = P(n, k)/n! for all 0 <= k <= n, each as numerator * n! =
+    P(n, k) * denominator, so no Fraction is built."""
     sym, perm = _row(sym, n, SymRationalTable), _row(perm, n)
     nfact = math.factorial(n)
-    return all(sym[n - k] * nfact == perm[k] for k in range(n + 1))
+    for k in range(n + 1):
+        s = sym[n - k]
+        if s.numerator * nfact != perm[k] * s.denominator:
+            return False
+    return True
 
 
 def check_sP_relation(n: int, perm: IntSymTable, s1: S1Row) -> bool:
@@ -221,35 +226,36 @@ def stirling1_via_form3(n: int, k: int, row: S2Diagonal) -> int:
     """s(n, n-k) through the explicit double-binomial sum over the second
     kind, read from the diagonal row[j] = S(j+k, j).
 
-    The j = 0 term vanishes for k >= 1 since S(k, 0) = 0; it is kept and
+    The weight C(n+j-1, k+j) C(n+k, k-j) is stepped from j to j+1 by one
+    exact multiply by (n+j)(k-j) and divide by (k+j+1)(n+j+1).  The j = 0
+    term vanishes for k >= 1 since S(k, 0) = 0; it is kept and
     asserted zero rather than skipped.
     """
     if not (n >= 1 and 0 <= k <= n - 1):
         raise ValueError(f"need n >= 1 and 0 <= k <= n-1, got ({n}, {k})")
     row = _row(row, k, S2Diagonal)
     total = 0
+    c = math.comb(n - 1, k) * math.comb(n + k, k)
     for j in range(0, k + 1):
-        term = (
-            (-1) ** j
-            * math.comb(n + j - 1, k + j)
-            * math.comb(n + k, k - j)
-            * row[j]
-        )
+        term = c * row[j]
         if j == 0 and k >= 1 and term != 0:
             raise AssertionFailure("j = 0 term is nonzero", n=n, k=k, observed=term)
-        total += term
+        total = total - term if j % 2 else total + term
+        c = c * (n + j) * (k - j) // ((k + j + 1) * (n + j + 1))
     return total
 
 
 def ident_doublefact(k: int, row: S2Diagonal) -> bool:
     """(2k-1)!! equals the alternating binomial sum of row[j] = S(j+k, j)
-    over j <= k."""
+    over j <= k, with C(2k, k+j) stepped exactly by (k-j)/(k+j+1)."""
     if k < 1:
         raise ValueError("requires k >= 1")
     row = _row(row, k, S2Diagonal)
     total = 0
+    c = math.comb(2 * k, k)
     for j in range(0, k + 1):
-        total += (-1) ** (j + k) * math.comb(2 * k, k + j) * row[j]
+        total = total - c * row[j] if (j + k) % 2 else total + c * row[j]
+        c = c * (k - j) // (k + j + 1)
     return total == double_factorial(2 * k - 1)
 
 
@@ -351,22 +357,20 @@ def form4_eval(p: int, k: int, row: S2Diagonal) -> Fraction:
 
     The j = 0 term vanishes (S(k, 0) = 0 for k >= 1) and is skipped after
     asserting so; this also avoids the p+1+j factor missing from the
-    product at j = 0.
+    product at j = 0.  The weight C(2k, k+j) times the product is stepped
+    from j to j+1 by one exact multiply by (k-j)(p+1+j) and divide by
+    (k+j+1)(p+2+j).
     """
     if k % 2 == 0 or not 1 <= k <= p - 2:
         raise ValueError(f"need odd 1 <= k <= p-2, got ({p}, {k})")
     row = _row(row, k, S2Diagonal)
     if row[0] != 0:
         raise AssertionFailure("S2(k, 0) is nonzero", k=k, observed=row[0])
-    cpk = math.prod(range(p + 2, p + k + 2))
+    c = math.comb(2 * k, k + 1) * math.prod(range(p + 3, p + k + 2))
     total = 0
     for j in range(1, k + 1):
-        total += (
-            (-1) ** (j + 1)
-            * math.comb(2 * k, k + j)
-            * (cpk // (p + 1 + j))
-            * row[j]
-        )
+        total = total - c * row[j] if j % 2 == 0 else total + c * row[j]
+        c = c * (k - j) * (p + 1 + j) // ((k + j + 1) * (p + 2 + j))
     return Fraction(
         (p + 1) * total, math.factorial(2 * k) * math.factorial(p - k)
     )

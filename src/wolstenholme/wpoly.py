@@ -117,21 +117,20 @@ def _newton_M(k: int, row: S2Diagonal) -> list[int]:
     """M_k = sum_j c_j prod_(i != j) (x + 1 + i), c_j = (-1)^(j+k) C(2k, k+j)
     S(j+k, j), with S(j+k, j) = row[j] read from the k-th second-kind diagonal.
 
-    M_k has degree k-1 and y_j = M_k(-1-j) = c_j (-1)^(j-1) (j-1)! (k-j)!.  At
+    M_k has degree k-1 and y_j = M_k(-1-j) = c_j (-1)^(j-1) (j-1)! (k-j)!,
+    whose weight (2k)! (j-1)!/(k+j)! is stepped exactly by j/(k+j+1).  At
     the consecutive nodes -2, -3, ..., -(k+1) its Newton coefficients are
     d_m = (-1)^m (Delta^m y)_1 / m!, exact because M_k has integer
     coefficients; Horner on the basis prod_(i<=m) (x + 1 + i) then gives the
     coefficients, multiplying big integers by machine-size ones only.
     """
     row = _row(row, k, S2Diagonal)
-    y = [
-        (-1) ** (k - 1)  # (-1)^(j+k) (-1)^(j-1)
-        * math.comb(2 * k, k + j)
-        * row[j]
-        * math.factorial(j - 1)
-        * math.factorial(k - j)
-        for j in range(1, k + 1)
-    ]
+    # (-1)^(k-1) = (-1)^(j+k) (-1)^(j-1); (2k)!/(k+1)! at j = 1
+    weight = (-1) ** (k - 1) * math.prod(range(k + 2, 2 * k + 1))
+    y = []
+    for j in range(1, k + 1):
+        y.append(weight * row[j])
+        weight = weight * j // (k + j + 1)
     d = []
     m_fact = 1
     for m in range(k):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from factor_oracle import factor_by_each_prime
 from wolstenholme import arith
 from wolstenholme.arith import (
     ResidueClass,
@@ -413,7 +414,8 @@ class TestFactorization:
         monkeypatch.setattr(arith, "_PRIMES", array("I", [2]))
         assert factor_completely(997**4) == {997: 4}
         assert arith._PRIMES[-1] < 2 * 997
-        # factors on both sides of each doubling of the table, from a fresh one
+        # factors on both sides of 2^10, where the run gcds take over, and of
+        # the doublings by which the table once grew, from a fresh one
         for m in (1021 * 1031, 2039**2 * 2053, 4093 * 4099 * 8191, 65521 * 65537, 999983**2):
             monkeypatch.setattr(arith, "_PRIMES", array("I", [2]))
             assert factor_completely(m) == self._plain(m, 10**6), m
@@ -432,6 +434,27 @@ class TestFactorization:
         assert [len(rows), sum(row[1] == "budget" for row in rows)] == [16, 4]
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "db01d9b09f8f72f1485bfa2243a6989d6013123fc17a7b4dda26ce7f2fa7080c"
+
+    def test_runs_match_each_prime_oracle(self):
+        # the gcds with the runs of 128 table primes against dividing by each
+        # prime: the same factors in the same order, and the same partial
+        # factorization and cofactor where the budget runs out
+        rng = random.Random(33)
+        ms = [
+            *((math.comb(2 * p - 1, p - 1) - 1) // p**3 for p in primes_in(5, 61)),
+            *(rng.randrange(2**120) for _ in range(12)),
+            997**4, 2**40, 999983 * 1000003, 1,
+        ]
+
+        def outcome(factor, m):
+            try:
+                return list(factor(m).items())
+            except FactoringBudgetExceeded as exc:
+                return "budget", exc.n, list(exc.partial.items()), exc.cofactor
+
+        got = [outcome(factor_completely, m) for m in ms]
+        assert got == [outcome(factor_by_each_prime, m) for m in ms]
+        assert sum(isinstance(g, tuple) for g in got) >= 4  # the budget outcomes
 
 
 class TestNumValuation:

@@ -11,14 +11,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import wolstenholme
-from wolstenholme import search, verify
-from wolstenholme.arith import binomial_exact
+from wolstenholme import arith, search, verify
+from wolstenholme.arith import binomial_exact, factor_completely
 from wolstenholme.search import checkpoint_load, run_scan
 from wolstenholme.wpoly import construct_W
 
@@ -181,6 +182,29 @@ def test_binomial_exact_399999_traced_peak_under_half_mib():
     peak = _traced_peak_mib(lambda: c.append(binomial_exact(399999, 199999)))
     assert c[0] % 399989 == 0 and c[0].bit_length() == 399990
     assert peak < 0.5, peak
+
+
+def test_trial_runs_traced_peak_under_1_mib(monkeypatch):
+    # from a cold table, 2^61 - 1 takes every run: the primes to 10^6
+    # (0.31 MiB) and the 614 run products (0.20 MiB) come to 0.81 MiB, the
+    # table grown one sieve segment at a time; grown by one sieve of 10^6
+    # flags it peaked at 1.91 MiB, and the doubling before the runs at 1.24
+    monkeypatch.setattr(arith, "_PRIMES", array("I", [2]))
+    arith._trial_runs.cache_clear()
+    got = []
+    peak = _traced_peak_mib(lambda: got.append(factor_completely(2**61 - 1)))
+    assert got == [{2**61 - 1: 1}]
+    assert len(arith._trial_runs(10**6)) == 614 and len(arith._PRIMES) == 78498
+    assert peak < 1, peak
+
+
+def test_small_modulus_builds_no_runs(monkeypatch):
+    # 997^4 is split by the primes below 2^10, which the table already holds
+    monkeypatch.setattr(arith, "_PRIMES", array("I", arith._small_primes_upto(1 << 10)))
+    arith._trial_runs.cache_clear()
+    assert factor_completely(997**4) == {997: 4}
+    assert arith._trial_runs.cache_info().misses == 0
+    assert len(arith._PRIMES) == 172
 
 
 def test_form2_suite_traced_peak_under_2_mib():

@@ -7,8 +7,9 @@ from itertools import combinations, islice
 import pytest
 
 from stirling_oracle import s2_diagonal_by_loop, stirling_rows_by_loop
+from weight_oracle import form4_by_comb, ident_sum_by_comb, stirling1_by_comb
 from wolstenholme import symmetric, verify, wpoly
-from wolstenholme.arith import num_valuation, primes_upto
+from wolstenholme.arith import double_factorial, num_valuation, primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme.errors import AssertionFailure, DenominatorNotCoprime, ZeroNumerator
 from wolstenholme.symmetric import (
@@ -16,6 +17,7 @@ from wolstenholme.symmetric import (
     IntSymTable,
     S1Row,
     S2Diagonal,
+    SymRationalTable,
     bayat_valuations,
     check_form,
     check_form2,
@@ -303,6 +305,79 @@ class TestIdentities:
     def test_ident_sweep(self):
         for row in islice(s2_diagonals(60), 1, None):
             assert ident_doublefact(row.n, row)
+
+
+def _bumped(row, j):
+    """row with entry j raised by 1."""
+    entries = list(row.entries)
+    entries[j] += 1
+    return type(row)(row.n, tuple(entries))
+
+
+class TestSteppedWeights:
+    """The weights stepped by exact ratios against the same sums with each
+    weight built by math.comb and math.factorial, and forged rows that the
+    checks must see."""
+
+    def test_ident_matches_comb_oracle_to_200(self):
+        for row in islice(s2_diagonals(200), 1, None):
+            k = row.n
+            for r in (row, _bumped(row, k // 2)):
+                want = ident_sum_by_comb(k, r) == double_factorial(2 * k - 1)
+                assert ident_doublefact(k, r) == want, (k, r is row)
+
+    def test_form3_matches_comb_oracle_to_60(self):
+        rows = list(s2_diagonals(59))
+        for n in range(1, 61):
+            for k in range(n):
+                assert stirling1_via_form3(n, k, rows[k]) == stirling1_by_comb(n, k, rows[k]), (n, k)
+
+    def test_form4_matches_comb_oracle_to_61(self):
+        rows = list(s2_diagonals(59))
+        for p in primes_upto(61):
+            for k in range(1, p - 1, 2):
+                assert form4_eval(p, k, rows[k]) == form4_by_comb(p, k, rows[k]), (p, k)
+
+    @pytest.mark.parametrize("k, j", [(1, 1), (2, 1), (5, 1), (5, 3), (5, 5), (12, 7)])
+    def test_bumped_entry_breaks_ident(self, k, j):
+        row = list(s2_diagonals(k))[k]
+        assert ident_doublefact(k, row)
+        assert not ident_doublefact(k, _bumped(row, j))
+
+    @pytest.mark.parametrize("k, j", [(1, 1), (2, 1), (5, 1), (5, 3), (5, 5), (12, 7)])
+    def test_bumped_entry_moves_form3(self, k, j):
+        row = list(s2_diagonals(k))[k]
+        n = k + 4
+        # the term moves by (-1)^j C(n+j-1, k+j) C(n+k, k-j)
+        moved = (-1) ** j * math.comb(n + j - 1, k + j) * math.comb(n + k, k - j)
+        got = stirling1_via_form3(n, k, _bumped(row, j))
+        assert got - stirling1_via_form3(n, k, row) == moved != 0
+
+    @pytest.mark.parametrize("k, j", [(1, 1), (5, 1), (5, 4), (5, 5), (11, 6)])
+    def test_bumped_entry_moves_form4(self, k, j):
+        row, p = list(s2_diagonals(k))[k], 13
+        assert form4_eval(p, k, _bumped(row, j)) != form4_eval(p, k, row)
+        assert form4_eval(p, k, _bumped(row, j)) == form4_by_comb(p, k, _bumped(row, j))
+
+    def test_bumped_zero_entry_is_caught(self):
+        row = list(s2_diagonals(5))[5]
+        assert not ident_doublefact(5, _bumped(row, 0))
+        with pytest.raises(AssertionFailure, match="j = 0 term"):
+            stirling1_via_form3(9, 5, _bumped(row, 0))
+        with pytest.raises(AssertionFailure, match="S2\\(k, 0\\)"):
+            form4_eval(13, 5, _bumped(row, 0))
+
+    @pytest.mark.parametrize("n, k, q", [(6, 2, 7), (6, 0, 7), (10, 5, 11), (10, 10, 2**11)])
+    def test_form2_rejects_a_denominator_not_dividing_n_factorial(self, n, k, q):
+        # S(n, n-k) + 1/q has a denominator that does not divide n!, so
+        # n! * S is no integer, whatever P(n, k) is
+        sym, perm = elem_sym_table(n), perm_sym_table(n)
+        entries = list(sym.entries)
+        entries[n - k] += Fraction(1, q)
+        forged = SymRationalTable(n, tuple(entries))
+        assert math.factorial(n) % forged[n - k].denominator
+        assert check_form2(n, sym, perm)
+        assert not check_form2(n, forged, perm)
 
     def test_form_examples(self):
         # p=3: 1 + 3*(3/2) + 9*(1/2) = 10 = w(3)

@@ -2,10 +2,12 @@ import functools
 import math
 import random
 from collections import deque
+from itertools import islice
 
 import pytest
 
 from stirling_oracle import s2_diagonal_by_loop
+from weight_oracle import newton_M_by_factorials
 from wolstenholme.arith import double_factorial, is_prime, primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme import wpoly
@@ -15,7 +17,7 @@ from wolstenholme.errors import (
     InexactDivision,
     NotApplicable,
 )
-from wolstenholme.symmetric import S2Diagonal
+from wolstenholme.symmetric import S2Diagonal, s2_diagonals
 from wolstenholme.wpoly import (
     IntPoly,
     _inner,
@@ -250,6 +252,11 @@ class TestWPolys:
         for k in range(1, 100, 2):
             row = S2Diagonal(k, s2_diagonal_by_loop(k, _ORACLE_ROWS))
             assert tuple(_inner(k, row)) == _inner_by_terms(k), k
+
+    def test_newton_M_matches_factorial_oracle_to_149(self):
+        # the weights stepped by j/(k+j+1) against each built by factorials
+        for row in islice(s2_diagonals(149), 1, None, 2):
+            assert wpoly._newton_M(row.n, row) == newton_M_by_factorials(row.n, row), row.n
 
     def test_pass_matches_scaled_sum_to_61(self):
         got = list(w_polys(61))
