@@ -306,6 +306,23 @@ class TestIdentities:
         for row in islice(s2_diagonals(60), 1, None):
             assert ident_doublefact(row.n, row)
 
+    def test_form_examples(self):
+        # p=3: 1 + 3*(3/2) + 9*(1/2) = 10 = w(3)
+        for p in (3, 5, 7):
+            assert check_form(p, perm_sym_table(p - 1))
+        assert w_exact(7) == 1716
+
+    def test_int_expansion_examples(self):
+        # p=5: (15/8)/5 + 5*(1/8) = 1 = (126-1)/125
+        for p in (5, 7, 11):
+            assert check_int_expansion(p, perm_sym_table(p))
+        assert (w_exact(11) - 1) % 11**3 == 0
+
+    def test_int_expansion_needs_p_cubed(self):
+        # 3^3 does not divide w(3) - 1 = 9: a claim, not a bare assert
+        with pytest.raises(AssertionFailure, match="p\\^3 does not divide"):
+            check_int_expansion(3, perm_sym_table(3))
+
 
 def _bumped(row, j):
     """row with entry j raised by 1."""
@@ -378,23 +395,6 @@ class TestSteppedWeights:
         assert math.factorial(n) % forged[n - k].denominator
         assert check_form2(n, sym, perm)
         assert not check_form2(n, forged, perm)
-
-    def test_form_examples(self):
-        # p=3: 1 + 3*(3/2) + 9*(1/2) = 10 = w(3)
-        for p in (3, 5, 7):
-            assert check_form(p, perm_sym_table(p - 1))
-        assert w_exact(7) == 1716
-
-    def test_int_expansion_examples(self):
-        # p=5: (15/8)/5 + 5*(1/8) = 1 = (126-1)/125
-        for p in (5, 7, 11):
-            assert check_int_expansion(p, perm_sym_table(p))
-        assert (w_exact(11) - 1) % 11**3 == 0
-
-    def test_int_expansion_needs_p_cubed(self):
-        # 3^3 does not divide w(3) - 1 = 9: a claim, not a bare assert
-        with pytest.raises(AssertionFailure, match="p\\^3 does not divide"):
-            check_int_expansion(3, perm_sym_table(3))
 
 
 class TestValuationPatterns:
