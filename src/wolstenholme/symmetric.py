@@ -15,7 +15,9 @@ The expansions of w(p) in S(n, k) (check_form, check_int_expansion,
 bayat_valuations, s_pm_mod_p) read integer rows: n!*S(n, k) = P(n, n-k),
 so each claim is checked, multiplied through by a factorial, on an
 IntSymTable.  Only check_form2, which checks that very relation, reads
-the Fraction rows of elem_sym_rows.
+the rows of elem_sym_rows, which hold each S(n, k) as an integer
+numerator over a denominator D(n, k) known in advance; below k = n/2,
+D(n, k) is not n!, so those rows are not P's rows rescaled.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .arith import double_factorial, valuation
 from .congruence import w_exact
@@ -73,8 +77,31 @@ class _SymRow:
         return len(self.entries)
 
 
-class SymRationalTable(_SymRow):
-    """Row n of S(n, k), over {1, 1/2, ..., 1/n}; Fraction entries."""
+@dataclass(frozen=True)
+class SymRationalTable:
+    """Row n of S(n, k), over {1, 1/2, ..., 1/n}, held as integer pairs:
+    S(n, k) = nums[k]/dens[k] for 0 <= k <= n, not reduced.  row[k],
+    iteration and entries give each entry as a Fraction in lowest terms,
+    built when it is read; row[k] is 0 past n, as in the other row types."""
+
+    n: int
+    nums: tuple
+    dens: tuple
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(self)
+
+    def __getitem__(self, k: int) -> Fraction:
+        if k < 0:
+            raise IndexError(k)
+        return Fraction(self.nums[k], self.dens[k]) if k <= self.n else Fraction(0)
+
+    def __iter__(self):
+        return map(Fraction, self.nums, self.dens)
+
+    def __len__(self) -> int:
+        return len(self.nums)
 
 
 class IntSymTable(_SymRow):
@@ -150,23 +177,47 @@ def _s2_diagonals_down(k_max: int):
         yield S2Diagonal(k, tuple(row))
 
 
-def _sym_rows(n_max: int, table: type, one, weight):
-    """Yield table(n, row) for n = 0..n_max, nothing for n_max < 0, where
-    row[k] = E(n, k) = E(n-1, k) + weight(n)*E(n-1, k-1) and E(0, 0) = one."""
-    row = [one]
-    for n in range(n_max + 1):
-        if n:
-            w = weight(n)
-            row.append(row[-1] * w)
-            for k in range(n - 1, 0, -1):
-                row[k] += row[k - 1] * w
-        yield table(n, tuple(row))
+def _lcm_table(n_max: int) -> list[int]:
+    """L(m) = lcm(1, ..., m) for m = 0..n_max, with L(0) = 1."""
+    return list(accumulate(range(1, n_max + 1), math.lcm, initial=1))
 
 
 def elem_sym_rows(n_max: int):
-    """Yield SymRationalTable for n = 0..n_max, built by the row recurrence
-    S(n, k) = S(n-1, k) + S(n-1, k-1)/n; nothing for n_max < 0."""
-    return _sym_rows(n_max, SymRationalTable, Fraction(1), lambda n: Fraction(1, n))
+    """Yield SymRationalTable for n = 0..n_max, nothing for n_max < 0.
+
+    Row n holds N(n, k) = S(n, k)*D(n, k) over D(n, k), the product of
+    L(n // j) over j <= k, with L(m) = lcm(1, ..., m): among k distinct
+    i <= n, the j-th largest power of a prime dividing one of them has j
+    multiples at most n, so it divides L(n // j).  D(n, n) = n! (Legendre).
+    S(n, k) = S(n-1, k) + S(n-1, k-1)/n reads
+    N(n, k) = a*N(n-1, k) + b*N(n-1, k-1) with a = D(n, k)/D(n-1, k) =
+    n/g(k+1) and b = D(n, k)/(n*D(n-1, k-1)) = L(n // k)/g(k), where g(k)
+    is the product of L(d)/L(d-1) over the divisors d <= n/k of n.  That
+    ratio is r for d a power of the prime r, else 1, so g(k) divides both
+    n (the product over all d) and L(n // k): no entry takes a gcd or
+    builds a Fraction.
+
+    For k >= n // 2, D(n, k) = n!, and for k > n/2 a = n and b = 1: there
+    the route takes the steps of perm_sym_rows, from values near k = n/2
+    that it reaches its own way, over denominators other than n!.
+    """
+    lcm = _lcm_table(n_max)
+    row = [1]
+    for n in range(n_max + 1):
+        h = n // 2
+        if n:
+            row.append(0)
+            for k in range(n, h, -1):
+                row[k] = n * row[k] + row[k - 1]
+            g = 1  # g(h+1): the one divisor d < 2 of n is 1, with L(1)/L(0) = 1
+            for k in range(h, 0, -1):
+                q = n // k
+                gk = g * (lcm[q] // lcm[q - 1]) if q * k == n else g
+                row[k] = n // g * row[k] + lcm[q] // gk * row[k - 1]
+                g = gk
+        dens = list(accumulate(map(lcm.__getitem__, map(n.__floordiv__, range(1, h + 1))), mul, initial=1))
+        dens += [dens[h]] * (n - h)  # D(n, k) = n! for k >= h
+        yield SymRationalTable(n, tuple(row), tuple(dens))
 
 
 def elem_sym_table(n: int) -> SymRationalTable:
@@ -179,7 +230,13 @@ def elem_sym_table(n: int) -> SymRationalTable:
 def perm_sym_rows(n_max: int):
     """Yield IntSymTable for n = 0..n_max, built by the row recurrence
     P(n, k) = P(n-1, k) + n*P(n-1, k-1); nothing for n_max < 0."""
-    return _sym_rows(n_max, IntSymTable, 1, lambda n: n)
+    row = [1]
+    for n in range(n_max + 1):
+        if n:
+            row.append(row[-1] * n)
+            for k in range(n - 1, 0, -1):
+                row[k] += row[k - 1] * n
+        yield IntSymTable(n, tuple(row))
 
 
 def perm_sym_table(n: int) -> IntSymTable:
@@ -205,12 +262,12 @@ def _row(table, n: int, kind: type = IntSymTable):
 
 def check_form2(n: int, sym: SymRationalTable, perm: IntSymTable) -> bool:
     """S(n, n-k) = P(n, k)/n! for all 0 <= k <= n, each as numerator * n! =
-    P(n, k) * denominator, so no Fraction is built."""
+    P(n, k) * denominator on the row's integer pairs, whether reduced or
+    not, so no Fraction is built and no gcd taken."""
     sym, perm = _row(sym, n, SymRationalTable), _row(perm, n)
     nfact = math.factorial(n)
-    for k in range(n + 1):
-        s = sym[n - k]
-        if s.numerator * nfact != perm[k] * s.denominator:
+    for num, den, p in zip(reversed(sym.nums), reversed(sym.dens), perm.entries):
+        if num * nfact != p * den:
             return False
     return True
 

@@ -195,7 +195,12 @@ def default_bound(name: str) -> int:
 
 
 def run_suite(name: str, bound: int | None = None) -> Iterator[SuiteResult]:
-    """Run the named suite up to bound (suite default if omitted)."""
+    """Run the named suite up to bound (suite default if omitted).  A bound
+    that is not an int, or is a bool, is a ValueError before anything runs."""
     key = _resolve(name)
     fn, default = _SUITES[key]
-    return fn(bound if bound is not None else default)
+    if bound is None:
+        bound = default
+    elif isinstance(bound, bool) or not isinstance(bound, int):
+        raise ValueError(f"suite {key} bound {bound!r} is not an int")
+    return fn(bound)

@@ -54,6 +54,13 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="unknown suite 'nonesuch'; choose from .*'equ'"):
             call("nonesuch")
 
+    @pytest.mark.parametrize("bound", [True, False, 2.5, "200"])
+    def test_bound_not_an_int_is_value_error(self, bound):
+        # a bool bound once ran as 1 and a float one died inside the suite
+        # with a bare TypeError; both are refused before anything runs
+        with pytest.raises(ValueError, match=f"suite form2 bound {bound!r} is not an int"):
+            run_suite("form2", bound)
+
 
 # argv: module.function to die in, the call k to die at, then the CLI argv
 _KILL_IN_SAVE = """

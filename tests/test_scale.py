@@ -217,6 +217,13 @@ def test_form2_suite_traced_peak_under_2_mib():
     assert peak < 2, peak
 
 
+def test_form2_suite_passes_at_500():
+    # the Fraction rows took 3.1 s to this bound; the integer pairs a fraction of that
+    results = list(verify.run_suite("form2", 500))
+    assert [r.subject for r in results] == list(range(1, 501))
+    assert all(r.ok for r in results)
+
+
 @pytest.mark.parametrize("name, limit", [("jones", 10000), ("wilson-cube", 20000)])
 def test_resume_from_90_percent(tmp_path, name, limit):
     # a resume enters the remainder trees at the checkpoint, far above 2

@@ -6,6 +6,7 @@ from itertools import combinations, islice
 
 import pytest
 
+from elem_sym_oracle import elem_sym_rows_by_fractions
 from stirling_oracle import s2_diagonal_by_loop, stirling_rows_by_loop
 from weight_oracle import form4_by_comb, ident_sum_by_comb, stirling1_by_comb
 from wolstenholme import symmetric, verify, wpoly
@@ -48,6 +49,13 @@ def brute_elem_sym(values, k):
         (math.prod(c, start=Fraction(1)) for c in combinations(values, k)),
         start=Fraction(0),
     )
+
+
+def _sym_row(n, entries):
+    """The SymRationalTable of row n with the given Fraction entries, each
+    held over its reduced denominator."""
+    nums, dens = zip(*((e.numerator, e.denominator) for e in entries))
+    return SymRationalTable(n, nums, dens)
 
 
 def brute_partitions(n, k):
@@ -167,6 +175,107 @@ class TestElementarySymmetric:
         for bound in (-1, 0):
             assert list(run_suite("form2", bound)) == []
         assert list(run_suite("form2", 1)) == [SuiteResult("form2", 1, True)]
+
+
+def _oracle_rows(n_max):
+    """The Fraction oracle's rows, each entry over its reduced denominator."""
+    for n, row in enumerate(elem_sym_rows_by_fractions(n_max)):
+        yield _sym_row(n, row)
+
+
+def _lcms(m_max):
+    """lcm(1, ..., m) for m = 0..m_max, as the product over the primes r <= m
+    of the largest power of r at most m."""
+    out = []
+    for m in range(m_max + 1):
+        total = 1
+        for r in primes_upto(m):
+            q = r
+            while q * r <= m:
+                q *= r
+            total *= q
+        out.append(total)
+    return out
+
+
+class TestElemSymPairs:
+    """elem_sym_rows carries S(n, k) as N(n, k) over D(n, k), the product of
+    L(n // j) over j <= k, with L(m) = lcm(1, ..., m)."""
+
+    N_MAX = 200
+
+    @pytest.fixture(scope="class")
+    def lcm(self):
+        return _lcms(self.N_MAX)
+
+    @pytest.fixture(scope="class")
+    def dens(self, lcm):
+        """D(n, k) for 0 <= k <= n + 1 and n <= N_MAX."""
+        out = []
+        for n in range(self.N_MAX + 1):
+            d = [1]
+            for j in range(1, n + 2):
+                d.append(d[-1] * lcm[n // j])
+            out.append(d)
+        return out
+
+    def test_rows_match_fraction_oracle(self):
+        rows = list(zip(elem_sym_rows(self.N_MAX), elem_sym_rows_by_fractions(self.N_MAX)))
+        assert len(rows) == self.N_MAX + 1
+        for n, (row, ref) in enumerate(rows):
+            assert row.n == n and len(row) == len(ref) == n + 1
+            assert tuple(row) == ref, n
+
+    def test_row_denominators(self, dens):
+        for row in elem_sym_rows(self.N_MAX):
+            n, nfact = row.n, math.factorial(row.n)
+            assert row.dens == tuple(dens[n][: n + 1])
+            assert row.dens[n] == nfact
+            # n! from k = n // 2 up, and below it another denominator, so
+            # the numerators there are not P's
+            assert all((d == nfact) == (k >= n // 2) for k, d in enumerate(row.dens))
+
+    def test_multipliers_are_exact(self, lcm, dens):
+        for n in range(1, self.N_MAX + 1):
+            alpha = 1  # alpha(n, k-1)
+            for k in range(1, n + 1):
+                d, above, diag = dens[n][k], dens[n - 1][k], n * dens[n - 1][k - 1]
+                beta, rest = divmod(lcm[n // k] * alpha, n)
+                if n % k == 0:
+                    alpha *= lcm[n // k] // lcm[n // k - 1]
+                assert d % above == 0 and d // above == alpha, (n, k)
+                assert rest == 0 and d % diag == 0 and d // diag == beta, (n, k)
+
+    def test_bumped_numerator_fails_form2(self):
+        for sym, perm in zip(elem_sym_rows(self.N_MAX), perm_sym_rows(self.N_MAX)):
+            n = sym.n
+            assert check_form2(n, sym, perm)
+            for k in ((n - 1) // 2, (n + 1) // 2):  # below n/2, then from n/2
+                nums = list(sym.nums)
+                nums[k] += 1
+                assert not check_form2(n, SymRationalTable(n, tuple(nums), sym.dens), perm)
+
+    @pytest.mark.parametrize("m, r", [(4, 2), (7, 7), (9, 3), (25, 5), (32, 2)])
+    def test_lcm_missing_a_prime_fails_form2(self, monkeypatch, m, r):
+        # L(m) without one factor r, at a power m of r: every b = L(n // k)/g(k)
+        # with n // k = m loses that r, and row m is the first to read L(m)
+        real = symmetric._lcm_table
+
+        def patched(n_max):
+            table = real(n_max)
+            table[m] //= r
+            return table
+
+        monkeypatch.setattr(symmetric, "_lcm_table", patched)
+        results = list(verify.run_suite("form2", 60))
+        assert [res.subject for res in results if not res.ok][0] == m
+
+    @pytest.mark.parametrize("bound", [1, 5, 50, 300])
+    def test_form2_suite_matches_oracle_route(self, monkeypatch, bound):
+        got = [(res.subject, res.ok) for res in verify.run_suite("form2", bound)]
+        monkeypatch.setattr(verify, "elem_sym_rows", _oracle_rows)
+        want = [(res.subject, res.ok) for res in verify.run_suite("form2", bound)]
+        assert got == want and len(got) == bound
 
 
 class TestStirling:
@@ -391,7 +500,7 @@ class TestSteppedWeights:
         sym, perm = elem_sym_table(n), perm_sym_table(n)
         entries = list(sym.entries)
         entries[n - k] += Fraction(1, q)
-        forged = SymRationalTable(n, tuple(entries))
+        forged = _sym_row(n, entries)
         assert math.factorial(n) % forged[n - k].denominator
         assert check_form2(n, sym, perm)
         assert not check_form2(n, forged, perm)
@@ -422,7 +531,7 @@ class TestValuationPatterns:
         sym = elem_sym_table(6)
         entries = list(sym.entries)
         entries[1] += Fraction(1, math.factorial(6))
-        shifted = type(sym)(6, tuple(entries))
+        shifted = _sym_row(6, entries)
         assert check_form2(6, shifted, _shifted_row())
         assert _bayat_valuations_by_fractions(7, shifted).val(1) == 0
 
