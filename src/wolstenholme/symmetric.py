@@ -198,8 +198,8 @@ def elem_sym_rows(n_max: int):
     builds a Fraction.
 
     For k >= n // 2, D(n, k) = n!, and for k > n/2 a = n and b = 1: there
-    the route takes the steps of perm_sym_rows, from values near k = n/2
-    that it reaches its own way, over denominators other than n!.
+    the route takes the steps of perm_sym_rows.  Below n // 2, D(n, k) is
+    not n!, so the values those steps start from are reached its own way.
     """
     lcm = _lcm_table(n_max)
     row = [1]
@@ -215,7 +215,8 @@ def elem_sym_rows(n_max: int):
                 gk = g * (lcm[q] // lcm[q - 1]) if q * k == n else g
                 row[k] = n // g * row[k] + lcm[q] // gk * row[k - 1]
                 g = gk
-        dens = list(accumulate(map(lcm.__getitem__, map(n.__floordiv__, range(1, h + 1))), mul, initial=1))
+        quotients = map(n.__floordiv__, range(1, h + 1))
+        dens = list(accumulate(map(lcm.__getitem__, quotients), mul, initial=1))
         dens += [dens[h]] * (n - h)  # D(n, k) = n! for k >= h
         yield SymRationalTable(n, tuple(row), tuple(dens))
 

@@ -56,8 +56,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("bound", [True, False, 2.5, "200"])
     def test_bound_not_an_int_is_value_error(self, bound):
-        # a bool bound once ran as 1 and a float one died inside the suite
-        # with a bare TypeError; both are refused before anything runs
+        # a bool is an int too and would run as 1, and a float would fail
+        # inside the suite with a bare TypeError
         with pytest.raises(ValueError, match=f"suite form2 bound {bound!r} is not an int"):
             run_suite("form2", bound)
 
