@@ -1,9 +1,8 @@
-"""Exact integer and rational primitives.
+"""Exact integer primitives.
 
 Primality testing, prime streams, and factorial/binomial arithmetic modulo
-prime powers.  Everything here is pure and deterministic;
-big integers are plain ``int``, exact rationals are ``fractions.Fraction``
-(already normalized: positive denominator, sign in the numerator, gcd 1).
+prime powers.  Everything here is pure and deterministic; big integers are
+plain ``int``.
 """
 
 from __future__ import annotations
@@ -12,17 +11,11 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, islice
 from math import isqrt
 
-from .errors import (
-    AssertionFailure,
-    DenominatorNotCoprime,
-    FactoringBudgetExceeded,
-    ZeroNumerator,
-)
+from .errors import AssertionFailure, FactoringBudgetExceeded
 
 __all__ = [
     "ResidueClass",
@@ -39,7 +32,6 @@ __all__ = [
     "binomial_mod_prime_power",
     "binomial_mod",
     "valuation",
-    "num_valuation",
     "factor_completely",
 ]
 
@@ -419,16 +411,3 @@ def binomial_mod(n: int, k: int, m: int) -> ResidueClass:
         raise AssertionFailure("CRT modulus differs from m", m=m, observed=modulus)
     return ResidueClass(value, m)
 
-
-def num_valuation(r: Fraction, q: int) -> int:
-    """Exponent of the prime q in the numerator of r.
-
-    This is the fractional-congruence valuation: it requires gcd(den, q) = 1
-    and a nonzero numerator.
-    """
-    _check_base(q)
-    if r.denominator % q == 0:
-        raise DenominatorNotCoprime(f"{q} divides denominator of {r}")
-    if r.numerator == 0:
-        raise ZeroNumerator("numerator valuation of 0 is undefined")
-    return valuation(r.numerator, q)

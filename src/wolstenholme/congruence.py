@@ -5,8 +5,10 @@ The one module that computes w(n), with one kernel per job: exactly
 prime by Lucas' theorem (_w_mod_prime), modulo n^e at the n no small
 prime rules out (_w_power_residues), modulo p^3 from factorial residues
 (_w_from_factorials), and the primes q | w(p) - 1 of a primorial
-(_w_minus_one_gcds).  Also Wilson-type factorial residues,
-Wolstenholme/Babbage/Jones checks, the modified binomial w'(n) and its
+(_w_minus_one_gcds).  Also Wilson-type factorial residues and the
+restatement (2n-1)!/n! = (n-1)! (mod n); the per-n verdicts w(n) = 1 mod
+n^3 (Jones), mod p^4 (Wolstenholme primes), with which the scans reverify
+their hits, and mod n^2 (McIntosh); the modified binomial w'(n) and its
 divisor-product relation, the two-prime pair criterion, and the parity
 classification of large prime factors.
 """
@@ -47,7 +49,6 @@ __all__ = [
     "divisor_product_check",
     "divisor_product_checks",
     "wilson_residue",
-    "wilson_restatement_check",
     "wilson_restatement_checks",
     "jones_check",
     "is_wolstenholme_prime",
@@ -253,6 +254,8 @@ def wprime_mod(n: int, m: int) -> ResidueClass:
     """
     if n < 1:
         raise ValueError("w'(n) requires n >= 1")
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
     if pow(n, m.bit_length(), m):
         raise PreconditionViolated(
             f"modulus {m} has a prime factor that does not divide n={n}"
@@ -414,19 +417,9 @@ def wilson_residue(n: int, e: int) -> CongruenceVerdict:
     return CongruenceVerdict.check(n, ResidueClass(acc, m), m - 1)
 
 
-def wilson_restatement_check(n: int) -> bool:
-    """Check (2n-1)!/n! = (n-1)! (mod n); an identity, true for every n >= 2."""
-    if n < 2:
-        raise ValueError("requires n >= 2")
-    lhs = rhs = 1
-    for k in range(1, n):
-        lhs = lhs * (n + k) % n
-        rhs = rhs * k % n
-    return lhs == rhs
-
-
 def wilson_restatement_checks(n_max: int):
-    """Yield (n, wilson_restatement_check(n)) for n = 2..n_max in one pass.
+    """Yield (n, (2n-1)!/n! = (n-1)! (mod n)) for n = 2..n_max in one pass;
+    an identity, true for every n >= 2.
 
     (n-1)! and (2n-1)!/n! are carried exactly from one n to the next, the
     latter by (2n+1)!/(n+1)! = (2n-1)!/n! * (2n)(2n+1)/(n+1), an exact

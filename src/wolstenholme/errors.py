@@ -9,7 +9,6 @@ __all__ = [
     "InexactDivision",
     "ConstructionAssertFailure",
     "AssertionFailure",
-    "NotApplicable",
     "CheckpointError",
     "VersionMismatch",
     "ParamsMismatch",
@@ -68,10 +67,6 @@ class AssertionFailure(RuntimeError):
         self.context = context
         detail = ", ".join(f"{k}={v}" for k, v in context.items())
         super().__init__(f"{clause}" + (f" [{detail}]" if detail else ""))
-
-
-class NotApplicable(ValueError):
-    """Preconditions for a lifting step do not hold; reports which one."""
 
 
 class CheckpointError(Exception):

@@ -41,6 +41,8 @@ from .congruence import (
     _w_minus_one_gcds,
     _w_mod_prime,
     _w_power_residues,
+    is_wolstenholme_prime,
+    jones_check,
     pair_criterion,
     pair_direct_check,
     w_at,
@@ -276,7 +278,7 @@ def _gen_jones(params: dict, lo: int, hi: int):
             if prime_ok:
                 reverified = _w_from_factorials(n, low, high) == 1
             else:
-                reverified = w_mod(n, n**3).value == 1
+                reverified = jones_check(n).holds
             witness = {"modulus": str(n**3), "prime": prime_ok, "reverified": reverified}
             found.append((n, witness, "hit" if prime_ok and reverified else "fail"))
         yield n, found
@@ -287,7 +289,7 @@ def _gen_wolstenholme(params: dict, lo: int, hi: int):
         found = []
         if w % p**4 == 1:
             # independent route: the modular product instead of the recurrence
-            reverified = w_mod(p, p**4).value == 1
+            reverified = is_wolstenholme_prime(p)
             witness = {"modulus": str(p**4), "reverified": reverified}
             found.append((p, witness, "hit" if reverified else "fail"))
         yield p, found

@@ -23,7 +23,6 @@ D(n, k) is not n!, so those rows are not P's rows rescaled.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -38,10 +37,8 @@ __all__ = [
     "IntSymTable",
     "S1Row",
     "S2Diagonal",
-    "elem_sym_table",
     "elem_sym_rows",
     "perm_sym_rows",
-    "perm_sym_table",
     "stirling_tables",
     "s2_diagonals",
     "check_form2",
@@ -221,13 +218,6 @@ def elem_sym_rows(n_max: int):
         yield SymRationalTable(n, tuple(row), tuple(dens))
 
 
-def elem_sym_table(n: int) -> SymRationalTable:
-    """The full row S(n, 0..n)."""
-    if n < 0:
-        raise ValueError(n)
-    return deque(elem_sym_rows(n), maxlen=1)[0]
-
-
 def perm_sym_rows(n_max: int):
     """Yield IntSymTable for n = 0..n_max, built by the row recurrence
     P(n, k) = P(n-1, k) + n*P(n-1, k-1); nothing for n_max < 0."""
@@ -238,13 +228,6 @@ def perm_sym_rows(n_max: int):
             for k in range(n - 1, 0, -1):
                 row[k] += row[k - 1] * n
         yield IntSymTable(n, tuple(row))
-
-
-def perm_sym_table(n: int) -> IntSymTable:
-    """The full row P(n, 0..n)."""
-    if n < 0:
-        raise ValueError(n)
-    return deque(perm_sym_rows(n), maxlen=1)[0]
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +260,11 @@ def check_sP_relation(n: int, perm: IntSymTable, s1: S1Row) -> bool:
     """P(n, k) = (-1)^k s(n+1, n+1-k) for all 0 <= k <= n, read from the
     first-kind row s1 = s(n+1, .)."""
     perm, s1 = _row(perm, n), _row(s1, n + 1, S1Row)
-    return all(perm[k] == (-1) ** k * s1[n + 1 - k] for k in range(n + 1))
+    for k in range(n + 1):
+        s = s1[n + 1 - k]
+        if perm[k] != (-s if k % 2 else s):
+            return False
+    return True
 
 
 def stirling1_via_form3(n: int, k: int, row: S2Diagonal) -> int:

@@ -11,8 +11,10 @@ consecutive nodes -2, ..., -(k+1), so building M_k multiplies big integers
 by machine-size ones only.  Two routes read M_k: w_polys, one upward pass that
 yields W at every prime (the wpoly suite reads it), and construct_W, which
 nests the same recurrence from the top for one prime, so each R_k costs one
-multiply by a quadratic.  The module also carries the Taylor-shift/Hensel
-divisibility toolkit built on top of W.
+multiply by a quadratic.  On top of W sit its structural checks
+(verify_W), the test of a prime q > 2p dividing (w(p) - 1)/p^3 through W(p)
+(large_prime_divisor_check), and the scan of primes r = p - n dividing W(n)
+(trend_scan).
 """
 
 from __future__ import annotations
@@ -24,30 +26,20 @@ from typing import Iterator
 
 from .arith import _check_prime_ge5, double_factorial, is_prime, primes_in
 from .congruence import w_exact
-from .errors import (
-    AssertionFailure,
-    ConstructionAssertFailure,
-    InexactDivision,
-    NotApplicable,
-)
+from .errors import AssertionFailure, ConstructionAssertFailure, InexactDivision
 from .symmetric import S2Diagonal, _row, _s2_diagonals_down, s2_diagonals
 
 __all__ = [
     "IntPoly",
     "TrendRecord",
     "WReport",
-    "CoeffProfile",
     "poly_eval",
     "poly_eval_mod",
     "poly_derivative",
-    "poly_shift",
     "w_polys",
     "construct_W",
     "verify_W",
-    "coeff_profile",
     "large_prime_divisor_check",
-    "hensel_lift",
-    "shift_divisibility_check",
     "trend_scan",
 ]
 
@@ -92,16 +84,6 @@ def poly_eval_mod(f: IntPoly, x: int, m: int) -> int:
 
 def poly_derivative(f: IntPoly) -> IntPoly:
     return IntPoly(tuple(i * c for i, c in enumerate(f.coeffs) if i > 0))
-
-
-def poly_shift(f: IntPoly, n: int) -> IntPoly:
-    """Coefficients of f(x + n): eval(shift(f, n), t) = eval(f, t + n)."""
-    a = list(f.coeffs)
-    d = len(a)
-    for i in range(d - 1):
-        for j in range(d - 2, i - 1, -1):
-            a[j] += n * a[j + 1]
-    return IntPoly(tuple(a))
 
 
 def _check_W(p: int, w_poly: IntPoly) -> None:
@@ -259,43 +241,6 @@ def verify_W(p: int, w_poly: IntPoly) -> WReport:
     return WReport(p=p, degree=w_poly.degree, leading=leading, a0=a0, w_at_p=value)
 
 
-@dataclass(frozen=True)
-class CoeffProfile:
-    """Observed (not asserted) coefficient trends: where the largest
-    coefficient sits and whether signs alternate above index p-4."""
-
-    p: int
-    argmax_index: int
-    argmax_is_p_minus_4: bool
-    high_signs: tuple[int, ...]  # signs of a_i for i = p-4 .. 2p-7
-    signs_alternate: bool
-
-
-def coeff_profile(p: int, w_poly: IntPoly) -> CoeffProfile:
-    """Report which |a_i| of W(p) is largest and the sign pattern of the top half.
-
-    These are empirical observations, not theorems, so deviations are
-    flagged in the returned profile rather than raised.  A w_poly whose
-    degree is not 2p-7 raises ValueError.
-    """
-    _check_W(p, w_poly)
-    argmax = max(range(len(w_poly.coeffs)), key=lambda i: abs(w_poly.coeffs[i]))
-    signs = tuple(
-        1 if w_poly.coeff(i) > 0 else (-1 if w_poly.coeff(i) < 0 else 0)
-        for i in range(p - 4, 2 * p - 6)
-    )
-    alternate = all(
-        signs[i] != 0 and signs[i] == -signs[i + 1] for i in range(len(signs) - 1)
-    )
-    return CoeffProfile(
-        p=p,
-        argmax_index=argmax,
-        argmax_is_p_minus_4=argmax == p - 4,
-        high_signs=signs,
-        signs_alternate=alternate,
-    )
-
-
 def large_prime_divisor_check(p: int, q: int, w_poly: IntPoly) -> bool:
     """Does the prime q > p divide (w(p)-1)/p^3?
 
@@ -321,46 +266,6 @@ def large_prime_divisor_check(p: int, q: int, w_poly: IntPoly) -> bool:
                 "q | (w(p)-1)/p^3 disagrees with q | W(p)", p=p, q=q
             )
     return result
-
-
-def hensel_lift(f: IntPoly, r: int, n: int) -> int:
-    """Lift a simple root of f mod r to the unique root s mod r^2.
-
-    Requires r | f(n) and r not dividing f'(n); returns s in [0, r^2) with
-    s = n (mod r) and r^2 | f(s), via one Newton step
-    s = n - f(n) * f'(n)^-1 mod r^2.
-    """
-    fn = poly_eval(f, n)
-    if fn % r != 0:
-        raise NotApplicable(f"r={r} does not divide f({n})={fn}")
-    d = poly_eval(poly_derivative(f), n)
-    if d % r == 0:
-        raise NotApplicable(f"r={r} divides f'({n})={d}: root is not simple")
-    r2 = r * r
-    s = (n - fn * pow(d, -1, r2)) % r2
-    if poly_eval(f, s) % r2 != 0 or (s - n) % r != 0:
-        raise AssertionFailure(
-            "Newton step missed a root mod r^2", r=r, n=n, observed=s
-        )
-    return s
-
-
-def shift_divisibility_check(f: IntPoly, p: int, n: int) -> bool:
-    """Check the Taylor-shift divisibility biconditionals at d = p - n.
-
-    d | f(p) iff d | f(n) always (integer polynomial); when d | f'(n),
-    additionally d^2 | f(p) iff d^2 | f(n).
-    """
-    if p == n:
-        raise ValueError("requires p != n")
-    d = abs(p - n)
-    fp = poly_eval(f, p)
-    fn = poly_eval(f, n)
-    ok = (fp % d == 0) == (fn % d == 0)
-    if poly_eval(poly_derivative(f), n) % d == 0:
-        d2 = d * d
-        ok = ok and (fp % d2 == 0) == (fn % d2 == 0)
-    return ok
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 """The Fraction recurrence of the elementary symmetric functions S(n, k) of
 {1, 1/2, ..., 1/n}, kept as the test oracle of symmetric.elem_sym_rows,
-which carries each row as integers over denominators known in advance."""
+which carries each row as integers over denominators known in advance;
+and num_valuation, the valuation the expansion checks read on those
+Fraction rows before they read integer rows."""
 
 from fractions import Fraction
+
+from wolstenholme.arith import _check_base, valuation
+from wolstenholme.errors import DenominatorNotCoprime, ZeroNumerator
 
 
 def elem_sym_rows_by_fractions(n_max):
@@ -17,3 +22,17 @@ def elem_sym_rows_by_fractions(n_max):
             for k in range(n - 1, 0, -1):
                 row[k] += row[k - 1] * w
         yield tuple(row)
+
+
+def num_valuation(r: Fraction, q: int) -> int:
+    """Exponent of the prime q in the numerator of r.
+
+    This is the fractional-congruence valuation: it requires gcd(den, q) = 1
+    and a nonzero numerator.
+    """
+    _check_base(q)
+    if r.denominator % q == 0:
+        raise DenominatorNotCoprime(f"{q} divides denominator of {r}")
+    if r.numerator == 0:
+        raise ZeroNumerator("numerator valuation of 0 is undefined")
+    return valuation(r.numerator, q)

@@ -20,6 +20,7 @@ from wolstenholme.arith import (
     valuation,
 )
 from wolstenholme.congruence import (
+    mcintosh_check,
     pair_criterion,
     pair_direct_check,
     w_mod,
@@ -52,6 +53,17 @@ def test_criterion_01_wolstenholme_babbage():
             bad.append((p, 3))
     report(1, "Wolstenholme/Babbage to 2000", not bad, f"violations={bad}")
     assert not bad
+
+
+def test_criterion_01_mcintosh_converse():
+    # w(n) = 1 (mod n^2) exactly at the primes n >= 3: McIntosh's converse
+    # of Wolstenholme's theorem at the square of n, to 2000
+    holds = [n for n in range(2, 2001) if mcintosh_check(n).holds]
+    expected = [p for p in primes_upto(2000) if p >= 3]
+    ok = holds == expected
+    composites = sorted(set(holds) - set(expected))
+    report(1, "McIntosh converse mod n^2 to 2000", ok, f"composite hits={composites}")
+    assert ok
 
 
 def test_criterion_02_wilson():

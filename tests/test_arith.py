@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from elem_sym_oracle import num_valuation
 from factor_oracle import factor_by_each_prime
 from wolstenholme import arith
 from wolstenholme.arith import (
@@ -20,7 +21,6 @@ from wolstenholme.arith import (
     factorial_unit,
     is_prime,
     legendre_valuation,
-    num_valuation,
     prime_check,
     primes_in,
     primes_upto,
@@ -458,6 +458,7 @@ class TestFactorization:
 
 
 class TestNumValuation:
+    # the valuation oracle of symmetric's expansion checks, kept in tests/
     def test_spec_examples(self):
         assert num_valuation(Fraction(25, 12), 5) == 2
         assert num_valuation(Fraction(35, 24), 5) == 1

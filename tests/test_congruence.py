@@ -25,7 +25,6 @@ from wolstenholme.congruence import (
     w_exact,
     w_mod,
     wilson_residue,
-    wilson_restatement_check,
     wilson_restatement_checks,
     wprime_exact,
     wprime_mod,
@@ -58,6 +57,18 @@ def _wilson_verdict(n: int, fact: int, e: int) -> CongruenceVerdict:
     """wilson_residue(n, e) from an exact (n-1)!."""
     m = n**e
     return CongruenceVerdict.check(n, ResidueClass(fact % m, m), m - 1)
+
+
+def wilson_restatement_check(n: int) -> bool:
+    """Check (2n-1)!/n! = (n-1)! (mod n) by two modular products; the
+    per-n oracle of wilson_restatement_checks."""
+    if n < 2:
+        raise ValueError("requires n >= 2")
+    lhs = rhs = 1
+    for k in range(1, n):
+        lhs = lhs * (n + k) % n
+        rhs = rhs * k % n
+    return lhs == rhs
 
 
 def _w_mod_cube(p: int, low: _CarriedFactorial, high: _CarriedFactorial) -> int:
@@ -282,6 +293,14 @@ class TestWPrime:
             wprime_mod(6, (2**61 - 1) * (2**89 - 1))  # too large to factor
         with pytest.raises(PreconditionViolated):
             wprime_mod(12, 2**20 * 5)  # 2 divides 12, 5 does not
+
+    @pytest.mark.parametrize("m", [1, 0, -7])
+    def test_mod_rejects_modulus_below_two(self, m):
+        # raised by wprime_mod itself, before the O(n) product, not by
+        # ResidueClass after it (m = 1), pow (m = 0) or the precondition (m < 0)
+        with pytest.raises(ValueError, match=f"^modulus must be >= 2, got {m}$") as exc:
+            wprime_mod(10**6, m)
+        assert exc.traceback[-1].name == "wprime_mod"
 
 
 class TestDivisorProduct:

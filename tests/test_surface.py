@@ -2,9 +2,10 @@
 functions and classes it defines, the package re-exports the library
 modules' lists, no module imports a name it never uses or imports below
 its top level, every private top-level name has a caller in the package,
-only search reads the record format or judges a stream, only cli's main
-turns an error into exit 2, every check of a claim survives ``python -O``,
-and the README's library example runs."""
+every public one a caller in the package, an acceptance criterion or the
+benchmark's tracer, only search reads the record format or judges a
+stream, only cli's main turns an error into exit 2, every check of a claim
+survives ``python -O``, and the README's library example runs."""
 
 import ast
 import importlib
@@ -19,7 +20,8 @@ import pytest
 import wolstenholme
 
 SRC = Path(wolstenholme.__file__).parent
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 FILES = sorted(SRC.glob("*.py"))
 MODULES = [p.stem for p in FILES if p.stem not in ("__init__", "__main__")]
 
@@ -103,6 +105,40 @@ def test_every_private_name_is_used():
         if not any(name in names for key, names in uses.items() if key != id(definition))
     ]
     assert unused == []
+
+
+def _traced() -> set[str]:
+    """The "module.function" names perfbench's tracer wraps, read from its
+    TRACED table without importing it."""
+    tree = _tree(ROOT / "perfbench" / "tracer.py")
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    return {f"{module}.{name}" for module, name, _ in ast.literal_eval(table)}
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is code in the package outside the definition itself, an
+    # acceptance criterion, or the benchmark's tracer, which looks each
+    # traced name up by getattr; unit tests do not count
+    trees = [_tree(path) for path in FILES]
+    uses = {id(node): _referenced(node) for tree in trees for node in tree.body}
+    accepted = _referenced(_tree(ROOT / "tests" / "test_acceptance.py"))
+    traced = _traced()
+    orphans = [
+        f"{path.stem}.{node.name}"
+        for path, tree in zip(FILES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(node.name in names for key, names in uses.items() if key != id(node))
+        and node.name not in accepted
+        and f"{path.stem}.{node.name}" not in traced
+    ]
+    assert orphans == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)

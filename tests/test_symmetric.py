@@ -6,11 +6,11 @@ from itertools import combinations, islice
 
 import pytest
 
-from elem_sym_oracle import elem_sym_rows_by_fractions
+from elem_sym_oracle import elem_sym_rows_by_fractions, num_valuation
 from stirling_oracle import s2_diagonal_by_loop, stirling_rows_by_loop
 from weight_oracle import form4_by_comb, ident_sum_by_comb, stirling1_by_comb
 from wolstenholme import symmetric, verify, wpoly
-from wolstenholme.arith import double_factorial, num_valuation, primes_upto
+from wolstenholme.arith import double_factorial, primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme.errors import AssertionFailure, DenominatorNotCoprime, ZeroNumerator
 from wolstenholme.symmetric import (
@@ -25,11 +25,9 @@ from wolstenholme.symmetric import (
     check_int_expansion,
     check_sP_relation,
     elem_sym_rows,
-    elem_sym_table,
     form4_eval,
     ident_doublefact,
     perm_sym_rows,
-    perm_sym_table,
     s2_diagonals,
     s_pm_mod_p,
     stirling1_via_form3,
@@ -40,6 +38,16 @@ from wolstenholme.symmetric import (
 def s1_row(n):
     """The first-kind row s(n, 0..n), the last that stirling_tables(n) yields."""
     return deque(stirling_tables(n), maxlen=1)[0]
+
+
+def elem_row(n):
+    """The row S(n, 0..n), the last that elem_sym_rows(n) yields."""
+    return deque(elem_sym_rows(n), maxlen=1)[0]
+
+
+def perm_row(n):
+    """The row P(n, 0..n), the last that perm_sym_rows(n) yields."""
+    return deque(perm_sym_rows(n), maxlen=1)[0]
 
 
 def brute_elem_sym(values, k):
@@ -79,7 +87,7 @@ def brute_partitions(n, k):
 
 
 def _perm_row_by_loop(n):
-    """Row P(n, 0..n) rebuilt from scratch, as perm_sym_table once did per n."""
+    """Row P(n, 0..n) rebuilt from scratch, as the per-n table builder once did."""
     row = [1]
     for i in range(1, n + 1):
         row.append(row[-1] * i)
@@ -116,53 +124,41 @@ def _s_pm_mod_p_by_fractions(p, sym):
 
 class TestElementarySymmetric:
     def test_examples(self):
-        assert elem_sym_table(4)[1] == Fraction(25, 12)
-        assert elem_sym_table(5)[4] == Fraction(1, 8)
-        assert elem_sym_table(9)[0] == 1
-        assert elem_sym_table(3)[7] == 0
+        assert elem_row(4)[1] == Fraction(25, 12)
+        assert elem_row(5)[4] == Fraction(1, 8)
+        assert elem_row(9)[0] == 1
+        assert elem_row(3)[7] == 0
 
     def test_row_invariants(self):
         for n in (1, 5, 12):
-            tab = elem_sym_table(n)
+            tab = elem_row(n)
             assert tab[0] == 1
             assert tab[n] == Fraction(1, math.factorial(n))
 
     def test_brute_force_reciprocals(self):
         for n in range(1, 13):
             values = [Fraction(1, i) for i in range(1, n + 1)]
-            tab = elem_sym_table(n)
+            tab = elem_row(n)
             for k in range(n + 1):
                 assert tab[k] == brute_elem_sym(values, k), (n, k)
 
     def test_brute_force_integers(self):
         for n in range(1, 13):
             values = list(range(1, n + 1))
-            tab = perm_sym_table(n)
+            tab = perm_row(n)
             for k in range(n + 1):
                 assert tab[k] == brute_elem_sym(values, k), (n, k)
 
     def test_perm_examples(self):
-        assert perm_sym_table(4)[2] == 35
-        assert perm_sym_table(3)[3] == 6
-        assert perm_sym_table(4)[1] == 10
+        assert perm_row(4)[2] == 35
+        assert perm_row(3)[3] == 6
+        assert perm_row(4)[1] == 10
 
     def test_perm_rows_match_per_n_loop_to_120(self):
         rows = list(perm_sym_rows(120))
         assert [tab.n for tab in rows] == list(range(121))
         for tab in rows:
             assert tab == _perm_row_by_loop(tab.n), tab.n
-        assert perm_sym_table(120) == rows[-1]
-
-    def test_negative_rows_rejected(self):
-        for n in (-1, -5):
-            with pytest.raises(ValueError):
-                perm_sym_table(n)
-            with pytest.raises(ValueError):
-                elem_sym_table(n)
-            with pytest.raises(ValueError):
-                elem_sym_table(n)[0]
-        with pytest.raises(ValueError):
-            elem_sym_table(-3)[2]
 
     def test_row_passes_empty_below_zero(self):
         for n_max in (-1, -5):
@@ -378,18 +374,18 @@ class TestStirling:
 class TestIdentities:
     def test_form2_examples(self):
         for n in (4, 1, 10):
-            assert check_form2(n, elem_sym_table(n), perm_sym_table(n))
+            assert check_form2(n, elem_row(n), perm_row(n))
 
     def test_form2_and_sP_sweep(self):
         s1_rows = list(stirling_tables(61))
         for n in range(1, 61):
-            perm = perm_sym_table(n)
-            assert check_form2(n, elem_sym_table(n), perm)
+            perm = perm_row(n)
+            assert check_form2(n, elem_row(n), perm)
             assert check_sP_relation(n, perm=perm, s1=s1_rows[n + 1])
 
     def test_sP_examples(self):
-        assert perm_sym_table(3)[2] == 11 == s1_row(4)[2]
-        assert perm_sym_table(3)[3] == 6 == -s1_row(4)[1]
+        assert perm_row(3)[2] == 11 == s1_row(4)[2]
+        assert perm_row(3)[3] == 6 == -s1_row(4)[1]
 
     def test_form3_examples(self):
         rows = list(s2_diagonals(3))
@@ -418,19 +414,19 @@ class TestIdentities:
     def test_form_examples(self):
         # p=3: 1 + 3*(3/2) + 9*(1/2) = 10 = w(3)
         for p in (3, 5, 7):
-            assert check_form(p, perm_sym_table(p - 1))
+            assert check_form(p, perm_row(p - 1))
         assert w_exact(7) == 1716
 
     def test_int_expansion_examples(self):
         # p=5: (15/8)/5 + 5*(1/8) = 1 = (126-1)/125
         for p in (5, 7, 11):
-            assert check_int_expansion(p, perm_sym_table(p))
+            assert check_int_expansion(p, perm_row(p))
         assert (w_exact(11) - 1) % 11**3 == 0
 
     def test_int_expansion_needs_p_cubed(self):
         # 3^3 does not divide w(3) - 1 = 9: a claim, not a bare assert
         with pytest.raises(AssertionFailure, match="p\\^3 does not divide"):
-            check_int_expansion(3, perm_sym_table(3))
+            check_int_expansion(3, perm_row(3))
 
 
 def _bumped(row, j):
@@ -497,7 +493,7 @@ class TestSteppedWeights:
     def test_form2_rejects_a_denominator_not_dividing_n_factorial(self, n, k, q):
         # S(n, n-k) + 1/q has a denominator that does not divide n!, so
         # n! * S is no integer, whatever P(n, k) is
-        sym, perm = elem_sym_table(n), perm_sym_table(n)
+        sym, perm = elem_row(n), perm_row(n)
         entries = list(sym.entries)
         entries[n - k] += Fraction(1, q)
         forged = _sym_row(n, entries)
@@ -508,7 +504,7 @@ class TestSteppedWeights:
 
 class TestValuationPatterns:
     def test_bayat_p5(self):
-        rep = bayat_valuations(5, perm_sym_table(4))
+        rep = bayat_valuations(5, perm_row(4))
         assert rep.valuations == (2, 1, 1, 0)
 
     def test_bayat_sweep(self):
@@ -528,7 +524,7 @@ class TestValuationPatterns:
     def test_shifted_row_is_a_fraction_shift(self):
         # P(6, 5) + 1 is 6!*(S(6, 1) + 1/6!), and the Fraction oracle reads
         # the valuation 0 at k = 1 that the integer check rejects
-        sym = elem_sym_table(6)
+        sym = elem_row(6)
         entries = list(sym.entries)
         entries[1] += Fraction(1, math.factorial(6))
         shifted = _sym_row(6, entries)
@@ -536,18 +532,18 @@ class TestValuationPatterns:
         assert _bayat_valuations_by_fractions(7, shifted).val(1) == 0
 
     def test_zero_entry_has_no_valuation(self):
-        entries = list(perm_sym_table(6).entries)
+        entries = list(perm_row(6).entries)
         entries[5] = 0
         with pytest.raises(ZeroNumerator):
             bayat_valuations(7, IntSymTable(6, tuple(entries)))
-        entries = list(perm_sym_table(7).entries)
+        entries = list(perm_row(7).entries)
         entries[5] = 0  # P(7, 7-2) = 7!*S(7, 2)
         with pytest.raises(ZeroNumerator):
             s_pm_mod_p(7, IntSymTable(7, tuple(entries)))
 
     def test_s_pm_denominator_divisible(self):
         # v_7(P(7, 5)) = 0 would put 7 in the reduced denominator of S(7, 2)
-        entries = list(perm_sym_table(7).entries)
+        entries = list(perm_row(7).entries)
         entries[5] += 1
         assert entries[5] % 7
         with pytest.raises(DenominatorNotCoprime):
@@ -555,18 +551,18 @@ class TestValuationPatterns:
 
     def test_s_pm_examples(self):
         for p in (5, 7, 11):
-            assert s_pm_mod_p(p, perm_sym_table(p))
+            assert s_pm_mod_p(p, perm_row(p))
 
     def test_form4_examples(self):
         rows = list(s2_diagonals(5))
         assert form4_eval(5, 3, rows[3]) == Fraction(15, 8)
-        assert form4_eval(5, 1, rows[1]) == elem_sym_table(5)[4] == Fraction(1, 8)
-        assert form4_eval(7, 5, rows[5]) == elem_sym_table(7)[2]
+        assert form4_eval(5, 1, rows[1]) == elem_row(5)[4] == Fraction(1, 8)
+        assert form4_eval(7, 5, rows[5]) == elem_row(7)[2]
 
     def test_form4_cross_check(self):
         rows = list(s2_diagonals(21))
         for p in (5, 7, 11, 13, 17, 19, 23):
-            tab = elem_sym_table(p)
+            tab = elem_row(p)
             for k in range(1, p - 1, 2):
                 assert form4_eval(p, k, rows[k]) == tab[p - k], (p, k)
 
@@ -574,7 +570,7 @@ class TestValuationPatterns:
         # the form4 suite's comparison: p!*S(p, p-k) = P(p, k)
         rows = list(s2_diagonals(29))
         for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
-            perm = perm_sym_table(p)
+            perm = perm_row(p)
             for k in range(1, p - 1, 2):
                 assert form4_eval(p, k, rows[k]) * math.factorial(p) == perm[k], (p, k)
 
@@ -588,8 +584,8 @@ class TestTablesAreRequired:
     never builds the table it should have been given."""
 
     def test_row_checks_reject_wrong_n(self):
-        sym6, sym7 = elem_sym_table(6), elem_sym_table(7)
-        perm6, perm7 = perm_sym_table(6), perm_sym_table(7)
+        sym6, sym7 = elem_row(6), elem_row(7)
+        perm6, perm7 = perm_row(6), perm_row(7)
         s1_7 = s1_row(7)
         calls = [
             lambda: check_form2(6, sym7, perm6),
@@ -607,7 +603,7 @@ class TestTablesAreRequired:
     def test_row_checks_reject_wrong_kind(self):
         # a Fraction row where an integer row is read, or the reverse; any
         # row but a first-kind one where s(n+1, .) is read
-        sym6, sym7, perm6 = elem_sym_table(6), elem_sym_table(7), perm_sym_table(6)
+        sym6, sym7, perm6 = elem_row(6), elem_row(7), perm_row(6)
         s1_7 = s1_row(7)
         calls = [
             lambda: check_form2(6, perm6, perm6),
@@ -628,7 +624,7 @@ class TestTablesAreRequired:
         # a first-kind row one short of the subject's s(n+1, .); a diagonal
         # of the second kind for another k
         with pytest.raises(ValueError, match="need row 7, got row 6"):
-            check_sP_relation(6, perm_sym_table(6), s1_row(6))
+            check_sP_relation(6, perm_row(6), s1_row(6))
         rows = list(s2_diagonals(5))
         with pytest.raises(ValueError):
             stirling1_via_form3(9, 4, rows[3])
@@ -707,7 +703,7 @@ class TestIntegerRowsMatchFractionRows:
 def _shifted_row():
     # a wrong row of the right size (n = 6 for p = 7), made by perturbing
     # one entry, so only the valuation checks can reject it
-    tab = perm_sym_table(6)
+    tab = perm_row(6)
     entries = list(tab.entries)
     entries[5] += 1  # P(6, 5) = 6!*S(6, 1)
     return type(tab)(6, tuple(entries))

@@ -1,6 +1,5 @@
 import functools
 import math
-import random
 from collections import deque
 from itertools import islice
 
@@ -11,26 +10,17 @@ from weight_oracle import newton_M_by_factorials
 from wolstenholme.arith import double_factorial, is_prime, primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme import wpoly
-from wolstenholme.errors import (
-    AssertionFailure,
-    ConstructionAssertFailure,
-    InexactDivision,
-    NotApplicable,
-)
+from wolstenholme.errors import AssertionFailure, ConstructionAssertFailure, InexactDivision
 from wolstenholme.symmetric import S2Diagonal, s2_diagonals
 from wolstenholme.wpoly import (
     IntPoly,
     _inner,
     TrendRecord,
-    coeff_profile,
     construct_W,
-    hensel_lift,
     large_prime_divisor_check,
     poly_derivative,
     poly_eval,
     poly_eval_mod,
-    poly_shift,
-    shift_divisibility_check,
     trend_scan,
     verify_W,
     w_polys,
@@ -153,20 +143,6 @@ class TestPolyOps:
         assert poly_derivative(IntPoly((5,))).coeffs == ()
         assert poly_derivative(IntPoly(W5_COEFFS)).coeffs == (345, -60, 45)
 
-    def test_shift_example(self):
-        assert poly_shift(IntPoly((0, 0, 1)), 1).coeffs == (1, 2, 1)
-
-    def test_shift_property_random(self):
-        # eval(shift(f, n), t) = eval(f, t + n) on wide random inputs
-        rng = random.Random(42)
-        bound = 1 << 128
-        for _ in range(100):
-            deg = rng.randrange(0, 51)
-            f = IntPoly(tuple(rng.randrange(-bound, bound) for _ in range(deg + 1)))
-            n = rng.randrange(-bound, bound)
-            t = rng.randrange(-bound, bound)
-            assert poly_eval(poly_shift(f, n), t) == poly_eval(f, t + n)
-
 
 class TestTermBasis:
     def test_degree_invariant(self):
@@ -288,34 +264,6 @@ class TestWPolys:
             assert list(run_suite("wpoly", bound)) == []
 
 
-class TestCoeffProfile:
-    def test_p5(self):
-        prof = coeff_profile(5, construct_W(5))
-        assert prof.argmax_index == 1 == 5 - 4
-        assert prof.argmax_is_p_minus_4
-        assert prof.high_signs == (1, -1, 1)
-        assert prof.signs_alternate
-
-    def test_observed_trends_to_31(self):
-        # sign alternation holds throughout; the argmax observation holds
-        # only for small p under this normalization and is flagged, not
-        # asserted, beyond that
-        for p in primes_upto(31):
-            if p < 5:
-                continue
-            prof = coeff_profile(p, construct_W(p))
-            assert prof.signs_alternate
-            assert prof.argmax_is_p_minus_4 == (p <= 13)
-
-
-    def test_rejects_W_of_another_prime(self):
-        # W(5) has degree 3, W(7) degree 7: a caller error, not a finding
-        with pytest.raises(ValueError):
-            coeff_profile(7, construct_W(5))
-        with pytest.raises(ValueError):
-            coeff_profile(5, construct_W(7))
-
-
 class TestLargePrimeDivisors:
     def test_examples(self):
         w13 = construct_W(13)
@@ -334,55 +282,6 @@ class TestLargePrimeDivisors:
             large_prime_divisor_check(13, 263, construct_W(11))
         with pytest.raises(ValueError):
             large_prime_divisor_check(13, 17, construct_W(17))
-
-
-class TestHensel:
-    def test_spec_examples(self):
-        w5 = IntPoly(W5_COEFFS)
-        assert hensel_lift(w5, 2, 0) == 2  # W(2) = 720 = 0 (mod 4)
-        assert hensel_lift(IntPoly((-1, 0, 1)), 3, 1) == 1
-
-    def test_not_applicable(self):
-        w5 = IntPoly(W5_COEFFS)
-        with pytest.raises(NotApplicable):
-            hensel_lift(w5, 3, 0)  # 3 | W'(0) = 345
-        with pytest.raises(NotApplicable):
-            hensel_lift(w5, 7, 0)  # 7 does not divide W(0) = 30
-
-    def test_lift_property_random(self):
-        rng = random.Random(7)
-        lifted = 0
-        while lifted < 50:
-            deg = rng.randrange(1, 6)
-            f = IntPoly(tuple(rng.randrange(-100, 100) for _ in range(deg + 1)))
-            r = rng.choice((2, 3, 5, 7, 11, 13))
-            n = rng.randrange(0, r)
-            try:
-                s = hensel_lift(f, r, n)
-            except NotApplicable:
-                continue
-            assert poly_eval(f, s) % (r * r) == 0
-            assert (s - n) % r == 0
-            assert 0 <= s < r * r
-            lifted += 1
-
-
-class TestShiftDivisibility:
-    def test_examples(self):
-        w5 = IntPoly(W5_COEFFS)
-        assert shift_divisibility_check(w5, 5, 0)  # 5 | 30 and 5 | 2880
-        assert shift_divisibility_check(IntPoly((0, 0, 1)), 4, 2)
-        assert shift_divisibility_check(w5, 5, -2)  # 7 divides neither
-
-    def test_random_consistency(self):
-        rng = random.Random(99)
-        for _ in range(300):
-            deg = rng.randrange(0, 8)
-            f = IntPoly(tuple(rng.randrange(-50, 50) for _ in range(deg + 1)))
-            p = rng.randrange(-30, 30)
-            n = rng.randrange(-30, 30)
-            if p != n:
-                assert shift_divisibility_check(f, p, n)
 
 
 class TestTrendScan:
