@@ -120,18 +120,6 @@ def _sieve(left: int, right: int, base):
 
 
 _PRIMES = array("I", [2])  # every prime up to the largest bound asked for yet
-
-
-def _small_primes_upto(n: int) -> array:
-    """The primes <= n, read from one table that grows as bounds rise, one
-    sieve segment at a time."""
-    if n > _PRIMES[-1]:
-        base = _small_primes_upto(isqrt(n))  # may itself extend the table
-        for left in range(_PRIMES[-1] + 1, n + 1, _SEGMENT):
-            _PRIMES.extend(_sieve(left, min(left + _SEGMENT - 1, n), base))
-    return _PRIMES[: bisect_right(_PRIMES, n)]
-
-
 _SEGMENT = 1 << 16
 
 
@@ -143,14 +131,20 @@ def primes_in(lo: int, hi: int):
     """
     if hi < lo or hi < 2:
         return
-    base = _small_primes_upto(isqrt(hi))
+    base = primes_upto(isqrt(hi))
     for left in range(max(lo, 2), hi + 1, _SEGMENT):
         yield from _sieve(left, min(left + _SEGMENT - 1, hi), base)
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n as a list."""
-    return list(primes_in(2, n))
+def primes_upto(n: int) -> array:
+    """The primes <= n as an array("I"), copied from one table that grows
+    by primes_in's sieve as bounds rise; its 4-byte entries hold n < 2^32."""
+    if n >= 1 << 32:
+        raise ValueError(f"primes_upto needs n < 2**32, got {n}")
+    if n > _PRIMES[-1]:
+        primes_upto(isqrt(n))  # the base primes first, so the start below is final
+        _PRIMES.extend(primes_in(_PRIMES[-1] + 1, n))
+    return _PRIMES[: bisect_right(_PRIMES, n)]
 
 
 # --------------------------------------------------------------------------
@@ -224,12 +218,15 @@ def binomial_exact(n: int, k: int) -> int:
     return _prod_tree(runs, 2)
 
 
-def _check_base(q: int, *numbers: int) -> None:
-    # no base below 2 has digits, nor has a negative number: the loops never end
+def _check_base(q: int, *numbers: int, prime: bool = False) -> None:
+    # no base below 2 has digits, nor has a negative number: the loops never
+    # end; a composite q has no Wilson block sign and no units mod q^e
     if q < 2:
         raise ValueError(f"base must be >= 2, got {q}")
     if min(numbers, default=0) < 0:
         raise ValueError(f"digits need numbers >= 0, got {min(numbers)}")
+    if prime and not is_prime(q):
+        raise ValueError(f"requires a prime q, got {q}")
 
 
 def legendre_valuation(n: int, q: int) -> int:
@@ -282,6 +279,7 @@ def factorial_unit(n: int, q: int, e: int = 1) -> tuple[int, ResidueClass]:
     units below q^e, is -1 mod q^e, except +1 for q = 2 and e >= 3; so each
     level costs a sign and a loop over its partial block of m % q^e.
     """
+    _check_base(q, n, prime=True)
     Q = q**e
     val = legendre_valuation(n, q)
     full = 1 if q == 2 and e >= 3 else Q - 1
@@ -304,6 +302,7 @@ def binomial_mod_prime_power(n: int, k: int, q: int, e: int) -> ResidueClass:
     The valuation of C(n, k) at q is the base-q carry count of k + (n-k);
     when it reaches e the residue is 0 and no unit work is needed.
     """
+    _check_base(q, prime=True)
     Q = q**e
     if k < 0 or k > n:
         return ResidueClass(0, Q)
@@ -326,7 +325,7 @@ _TRIAL_RUN = 128  # table primes per run product
 @lru_cache(maxsize=1)
 def _trial_runs(limit: int) -> tuple[int, ...]:
     """The product of each run of _TRIAL_RUN consecutive primes <= limit."""
-    table = _small_primes_upto(limit)
+    table = primes_upto(limit)
     return tuple(math.prod(table[i : i + _TRIAL_RUN]) for i in range(0, len(table), _TRIAL_RUN))
 
 
@@ -356,10 +355,10 @@ def factor_completely(m: int) -> dict[int, int]:
         raise ValueError("factorization requires m >= 1")
     factors: dict[int, int] = {}
     first = min(_TRIAL_FIRST, _TRIAL_LIMIT)
-    rest = _divide_out(m, _small_primes_upto(min(isqrt(m), first)), factors)
+    rest = _divide_out(m, primes_upto(min(isqrt(m), first)), factors)
     if isqrt(rest) > first:
         runs = _trial_runs(_TRIAL_LIMIT)
-        table = _small_primes_upto(_TRIAL_LIMIT)
+        table = primes_upto(_TRIAL_LIMIT)
         for i, run in enumerate(runs):
             lo = i * _TRIAL_RUN
             if table[lo] ** 2 > rest:

@@ -370,7 +370,7 @@ def _wprime_parts(n_max: int):
                 mask[::q] = bytes(d // q + 1)
         count = list(accumulate(mask))  # count[x] = C(x)
         top, below = 2 * d - 1, bisect_right(primes, d)
-        nums, dens = primes[below : bisect_right(primes, top)], []
+        nums, dens = list(primes[below : bisect_right(primes, top)]), []
         for r in primes[:below]:
             if not mask[r]:
                 continue

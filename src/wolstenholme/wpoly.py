@@ -295,9 +295,9 @@ def trend_scan(p: int, w_poly: IntPoly, n_lo: int, n_hi: int) -> list[TrendRecor
     W'(n); that holds in the r > 2p regime, while r < 2p records hit the
     coefficient content of W (primes up to 2p-5 divide every coefficient)
     and divide both polynomials trivially.  Callers flag divides_w1 records
-    with r_exceeds_2p set.
+    with r_exceeds_2p set.  A w_poly whose degree is not 2p-7 raises ValueError.
     """
-    _check_prime_ge5(p)
+    _check_W(p, w_poly)
     if n_hi >= 0:
         raise ValueError("requires n_hi < 0 so that r = p - n > p")
     if n_lo > n_hi:

@@ -6,7 +6,10 @@ def pytest_addoption(parser):
         "--stretch",
         action="store_true",
         default=False,
-        help="run the long stretch check w'(16843^2)",
+        help=(
+            "run the long tests marked stretch: w'(16843^2), w(10^6), rel to 6000, "
+            "W(601), pairs to p = 69239, new-conjecture to q = 10^8"
+        ),
     )
 
 

@@ -6,7 +6,7 @@ from bisect import bisect_right
 from itertools import islice
 from math import isqrt
 
-from wolstenholme.arith import _TRIAL_LIMIT, _small_primes_upto, is_prime
+from wolstenholme.arith import _TRIAL_LIMIT, is_prime, primes_upto
 from wolstenholme.errors import FactoringBudgetExceeded
 
 
@@ -19,7 +19,7 @@ def factor_by_each_prime(m):
     tried = 1  # every prime <= tried is divided out of rest
     while tried < min(_TRIAL_LIMIT, isqrt(rest)):
         top = min(_TRIAL_LIMIT, isqrt(rest), max(2 * tried, 1 << 10))
-        table = _small_primes_upto(top)
+        table = primes_upto(top)
         for p in islice(table, bisect_right(table, tried), None):
             if p * p > rest:
                 break

@@ -94,7 +94,7 @@ class TestPrimeStream:
 
     def test_matches_trial_division(self):
         expected = [n for n in range(2, 5000) if trial_division_is_prime(n)]
-        assert primes_upto(4999) == expected
+        assert list(primes_upto(4999)) == expected
 
     def test_segment_boundaries(self):
         # windows straddling the segment size must not lose primes
@@ -109,7 +109,26 @@ class TestPrimeStream:
     def test_small_primes_upto(self):
         primes = [n for n in range(401) if trial_division_is_prime(n)]
         for n in range(401):
-            assert list(arith._small_primes_upto(n)) == [p for p in primes if p <= n], n
+            assert list(primes_upto(n)) == [p for p in primes if p <= n], n
+
+    def test_upto_grows_one_table_from_cold(self, monkeypatch):
+        # each bound past the top extends the table through primes_in's
+        # sieve, the base primes first, so no prime is added twice; each call
+        # returns a copy, so one held across the next growth blocks nothing
+        monkeypatch.setattr(arith, "_PRIMES", array("I", [2]))
+        primes = trial_division_window(2, 70000)
+        held = []
+        for n in (1, 3, 10, 11, 12, 1000, 1021, 1 << 16, 70000, 9):
+            held.append(primes_upto(n))
+            assert isinstance(held[-1], array), n
+            assert list(held[-1]) == [p for p in primes if p <= n], n
+        assert list(arith._PRIMES) == primes
+
+    def test_upto_refuses_a_bound_past_4_byte_entries(self):
+        top = len(arith._PRIMES)
+        with pytest.raises(ValueError, match=r"n < 2\*\*32, got 4294967296"):
+            primes_upto(2**32)
+        assert len(arith._PRIMES) == top
 
     @pytest.mark.parametrize("lo", [0, 1, 2, 3])
     def test_low_starts(self, lo):
@@ -339,6 +358,20 @@ class TestBaseBelowTwo:
     def test_raises_value_error(self, call):
         with pytest.raises(ValueError, match="base must be >= 2"):
             call()
+
+
+class TestCompositeBase:
+    # the Wilson-block signs hold for prime q only: at q = 4, 6! = 4 * 180
+    # with 180 = 0 (mod 4), yet the recursion gave the unit 2; binomials at
+    # q = 4, 6, 9 came out wrong or failed to invert a non-unit
+    @pytest.mark.parametrize("q", [4, 6, 9, 15, 25])
+    def test_raises_value_error_naming_q(self, q):
+        with pytest.raises(ValueError, match=f"requires a prime q, got {q}$"):
+            factorial_unit(6, q, 1)
+        with pytest.raises(ValueError, match=f"requires a prime q, got {q}$"):
+            binomial_mod_prime_power(10, 3, q, 2)
+        with pytest.raises(ValueError, match=f"requires a prime q, got {q}$"):
+            binomial_mod_prime_power(10, 11, q, 2)  # before the k > n shortcut
 
 
 class TestNegativeArgument:

@@ -66,6 +66,14 @@ from wolstenholme.cli import main
 result = {"code": main(["verify", "ident"])}  # a violation would print to stdout
 """
 
+_NEW_CONJECTURE_10_8 = """
+import sys
+from wolstenholme.cli import main
+
+argv = ["scan", "new-conjecture", "--p-max", "200", "--q-max", "100000000", "--out", sys.argv[1]]
+result = {"code": main(argv)}
+"""
+
 _REPORT_NEW_CONJECTURE = """
 from wolstenholme.search import check_stream
 
@@ -92,12 +100,12 @@ needs_vmhwm = pytest.mark.skipif(
 )
 
 
-def _fresh(script: str, *argv: str) -> dict:
+def _fresh(script: str, *argv: str, timeout: int = 300) -> dict:
     """Run script in a fresh interpreter; its result and peak RSS."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     r = subprocess.run(
         [sys.executable, "-c", script + _REPORT, *argv],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout)
@@ -200,11 +208,24 @@ def test_trial_runs_traced_peak_under_1_mib(monkeypatch):
 
 def test_small_modulus_builds_no_runs(monkeypatch):
     # 997^4 is split by the primes below 2^10, which the table already holds
-    monkeypatch.setattr(arith, "_PRIMES", array("I", arith._small_primes_upto(1 << 10)))
+    monkeypatch.setattr(arith, "_PRIMES", array("I", arith.primes_upto(1 << 10)))
     arith._trial_runs.cache_clear()
     assert factor_completely(997**4) == {997: 4}
     assert arith._trial_runs.cache_info().misses == 0
     assert len(arith._PRIMES) == 172
+
+
+def test_new_conjecture_q_list_traced_peak_under_2_5_mib(monkeypatch):
+    # the q are the 78498 primes below 10^6, a copy of the 4-byte prime
+    # table, grown here from cold: the scan peaked at 1.73 MiB in all, and
+    # at 4.12 MiB with the q as a list of ints
+    monkeypatch.setattr(arith, "_PRIMES", array("I", [2]))
+    params = {"p_max": 50, "q_max": 10**6}
+    recs = []
+    peak = _traced_peak_mib(lambda: recs.extend(search.scan_records("new-conjecture", params)))
+    assert [(r.subject, r.witness["q"], r.verdict) for r in recs] == [(13, "3", "hit")]
+    assert peak < 2.5, peak
+    assert len(arith._PRIMES) == 78498  # the q list read the table
 
 
 def test_form2_suite_traced_peak_under_2_mib():
@@ -294,3 +315,21 @@ def test_pairs_range_finds_third_published_pair(tmp_path):
     assert [replace(r, params_hash="") for r in ranged] == [
         replace(r, params_hash="") for r in known
     ]
+
+
+# sha256 of scan new-conjecture --p-max 200 --q-max 100000000: four hits,
+# at p = 13, 107, 113 and 137
+_NEW_CONJECTURE_10_8_SHA256 = "3f3a6bf9522e644a47b35ea0ae1de766727487ae5a65393657bcb675ed4604df"
+
+
+@pytest.mark.stretch
+@needs_vmhwm
+def test_new_conjecture_to_q_10_8_under_200_mib(tmp_path):
+    # about four minutes; the q are the 5761455 primes up to 10^8, whose
+    # product P has 144 Mbit.  Held as a copy of the 4-byte prime table they
+    # left the scan at 175.6 MiB VmHWM, and as a list of ints at 352.0 MiB
+    path = tmp_path / "new-conjecture.jsonl"
+    out = _fresh(_NEW_CONJECTURE_10_8, str(path), timeout=900)
+    assert out["code"] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _NEW_CONJECTURE_10_8_SHA256
+    assert out["peak_kib"] < 200 * 1024, out["peak_kib"]

@@ -328,9 +328,11 @@ class TestTrendScan:
 
     def test_matches_is_prime_loop_on_double_roots(self):
         # W(p)'s own r > 2p records never divide W', so a polynomial with
-        # double roots at n = p - r exercises the divides_w1 branch
-        for p in (5, 7, 11):
-            coeffs = [1]
+        # double roots at n = p - r exercises the divides_w1 branch; the
+        # factor x^(2p-11) gives it W(p)'s degree 2p-7 and no record, as no
+        # r = p - n divides n (so p = 5, degree 3, cannot hold the 4 roots)
+        for p in (7, 11, 13):
+            coeffs = [0] * (2 * p - 11) + [1]
             for n in (p - 101, p - 101, p - 103, p - 211):
                 coeffs = _poly_mul(coeffs, (-n, 1))
             f = IntPoly(tuple(coeffs))
@@ -367,6 +369,11 @@ class TestTrendScan:
             trend_scan(5, w5, -10, 0)
         with pytest.raises(ValueError):
             trend_scan(5, w5, -1, -5)
+
+    def test_rejects_W_of_another_prime(self):
+        # W(5) read as W(7) gave a record at r = 17 instead of an error
+        with pytest.raises(ValueError, match="degree 7, got degree 3"):
+            trend_scan(7, construct_W(5), -100, -1)
 
 
 def test_wpoly_verify_suite_clean():
