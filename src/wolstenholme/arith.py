@@ -18,7 +18,6 @@ from math import isqrt
 from .errors import AssertionFailure, FactoringBudgetExceeded
 
 __all__ = [
-    "ResidueClass",
     "PrimalityCheck",
     "prime_check",
     "is_prime",
@@ -34,20 +33,6 @@ __all__ = [
     "valuation",
     "factor_completely",
 ]
-
-
-@dataclass(frozen=True)
-class ResidueClass:
-    """A value together with its modulus; result type of modular computations."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value} not reduced mod {self.modulus}")
 
 
 # --------------------------------------------------------------------------
@@ -120,6 +105,9 @@ def _sieve(left: int, right: int, base):
 
 
 _PRIMES = array("I", [2])  # every prime up to the largest bound asked for yet
+_BOUND_LIMIT = 1 << 32  # the table's entries are 4 bytes
+# (t, n): no prime lies in (t, n], for the last bound n sieved past a top t
+_BARE = (2, 2)
 _SEGMENT = 1 << 16
 
 
@@ -136,14 +124,22 @@ def primes_in(lo: int, hi: int):
         yield from _sieve(left, min(left + _SEGMENT - 1, hi), base)
 
 
+def _grow(n: int) -> None:
+    """Grow _PRIMES to every prime <= n, n < 2^32, by primes_in's sieve,
+    unless it already holds them or the last sieve found none past its top."""
+    global _BARE
+    if n >= _BOUND_LIMIT:
+        raise ValueError(f"primes_upto needs n < 2**32, got {n}")
+    if n > _PRIMES[-1] and not (_BARE[0] == _PRIMES[-1] and n <= _BARE[1]):
+        _grow(isqrt(n))  # the base primes first, so the start below is final
+        _PRIMES.extend(primes_in(_PRIMES[-1] + 1, n))
+        _BARE = (_PRIMES[-1], n)
+
+
 def primes_upto(n: int) -> array:
     """The primes <= n as an array("I"), copied from one table that grows
     by primes_in's sieve as bounds rise; its 4-byte entries hold n < 2^32."""
-    if n >= 1 << 32:
-        raise ValueError(f"primes_upto needs n < 2**32, got {n}")
-    if n > _PRIMES[-1]:
-        primes_upto(isqrt(n))  # the base primes first, so the start below is final
-        _PRIMES.extend(primes_in(_PRIMES[-1] + 1, n))
+    _grow(n)
     return _PRIMES[: bisect_right(_PRIMES, n)]
 
 
@@ -206,7 +202,7 @@ def binomial_exact(n: int, k: int) -> int:
     j, root = n - k, isqrt(n)
     powers = chain(
         (
-            r ** (legendre_valuation(n, r) - legendre_valuation(k, r) - legendre_valuation(j, r))
+            r ** (_legendre(n, r) - _legendre(k, r) - _legendre(j, r))
             for r in primes_in(2, root)
         ),
         (r for r in primes_in(root + 1, n // 2) if n // r - k // r - j // r),
@@ -220,7 +216,8 @@ def binomial_exact(n: int, k: int) -> int:
 
 def _check_base(q: int, *numbers: int, prime: bool = False) -> None:
     # no base below 2 has digits, nor has a negative number: the loops never
-    # end; a composite q has no Wilson block sign and no units mod q^e
+    # end; for a composite q Legendre's formula fails, and there is no
+    # Wilson block sign and no group of units mod q^e
     if q < 2:
         raise ValueError(f"base must be >= 2, got {q}")
     if min(numbers, default=0) < 0:
@@ -229,9 +226,20 @@ def _check_base(q: int, *numbers: int, prime: bool = False) -> None:
         raise ValueError(f"requires a prime q, got {q}")
 
 
+def _check_prime_power(q: int, e: int, *numbers: int) -> None:
+    _check_base(q, *numbers, prime=True)
+    if e < 1:
+        raise ValueError(f"exponent e must be >= 1, got {e}")
+
+
 def legendre_valuation(n: int, q: int) -> int:
     """Exponent of the prime q in n!, via the floor-sum formula."""
-    _check_base(q, n)
+    _check_base(q, n, prime=True)
+    return _legendre(n, q)
+
+
+def _legendre(n: int, q: int) -> int:
+    """legendre_valuation without its checks, for callers that hold a prime."""
     total = 0
     while n:
         n //= q
@@ -267,7 +275,7 @@ def valuation(n: int, q: int) -> int:
     return v
 
 
-def factorial_unit(n: int, q: int, e: int = 1) -> tuple[int, ResidueClass]:
+def factorial_unit(n: int, q: int, e: int = 1) -> tuple[int, int]:
     """Split n! as q^val * unit with q not dividing unit.
 
     Returns (val, unit mod q^e) where val is the Legendre valuation and
@@ -279,9 +287,9 @@ def factorial_unit(n: int, q: int, e: int = 1) -> tuple[int, ResidueClass]:
     units below q^e, is -1 mod q^e, except +1 for q = 2 and e >= 3; so each
     level costs a sign and a loop over its partial block of m % q^e.
     """
-    _check_base(q, n, prime=True)
+    _check_prime_power(q, e, n)
     Q = q**e
-    val = legendre_valuation(n, q)
+    val = _legendre(n, q)
     full = 1 if q == 2 and e >= 3 else Q - 1
     unit = 1
     m = n
@@ -293,27 +301,26 @@ def factorial_unit(n: int, q: int, e: int = 1) -> tuple[int, ResidueClass]:
             if a % q:
                 unit = unit * a % Q
         m //= q
-    return val, ResidueClass(unit, Q)
+    return val, unit
 
 
-def binomial_mod_prime_power(n: int, k: int, q: int, e: int) -> ResidueClass:
+def binomial_mod_prime_power(n: int, k: int, q: int, e: int) -> int:
     """C(n, k) mod q^e for prime q, via generalized factorials.
 
     The valuation of C(n, k) at q is the base-q carry count of k + (n-k);
     when it reaches e the residue is 0 and no unit work is needed.
     """
-    _check_base(q, prime=True)
+    _check_prime_power(q, e)
     Q = q**e
     if k < 0 or k > n:
-        return ResidueClass(0, Q)
+        return 0
     c = carry_count(k, n - k, q)
     if c >= e:
-        return ResidueClass(0, Q)
+        return 0
     _, un = factorial_unit(n, q, e)
     _, uk = factorial_unit(k, q, e)
     _, unk = factorial_unit(n - k, q, e)
-    u = un.value * pow(uk.value * unk.value % Q, -1, Q) % Q
-    return ResidueClass(q**c * u % Q, Q)
+    return q**c * un * pow(uk * unk, -1, Q) % Q
 
 
 _TRIAL_LIMIT = 10**6
@@ -358,14 +365,14 @@ def factor_completely(m: int) -> dict[int, int]:
     rest = _divide_out(m, primes_upto(min(isqrt(m), first)), factors)
     if isqrt(rest) > first:
         runs = _trial_runs(_TRIAL_LIMIT)
-        table = primes_upto(_TRIAL_LIMIT)
+        _grow(_TRIAL_LIMIT)  # the runs' primes, read in place
         for i, run in enumerate(runs):
             lo = i * _TRIAL_RUN
-            if table[lo] ** 2 > rest:
+            if _PRIMES[lo] ** 2 > rest:
                 break
             g = math.gcd(rest, run)
             if g > 1:
-                primes = (p for p in table[lo : lo + _TRIAL_RUN] if g % p == 0)
+                primes = (p for p in _PRIMES[lo : lo + _TRIAL_RUN] if g % p == 0)
                 rest = _divide_out(rest, primes, factors)
     if rest > 1:
         if rest <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(rest):
@@ -384,7 +391,7 @@ def _crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
     return x % m, m
 
 
-def binomial_mod(n: int, k: int, m: int) -> ResidueClass:
+def binomial_mod(n: int, k: int, m: int) -> int:
     """C(n, k) mod m for any modulus m >= 2.
 
     Factors m, reduces per prime power, and recombines by CRT.  When m
@@ -394,19 +401,16 @@ def binomial_mod(n: int, k: int, m: int) -> ResidueClass:
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     if k < 0 or k > n:
-        return ResidueClass(0, m)
+        return 0
     try:
         factors = factor_completely(m)
     except FactoringBudgetExceeded:
         if n <= _EXACT_FALLBACK_LIMIT:
-            return ResidueClass(binomial_exact(n, k) % m, m)
+            return binomial_exact(n, k) % m
         raise
-    parts = [
-        (binomial_mod_prime_power(n, k, q, a).value, q**a)
-        for q, a in sorted(factors.items())
-    ]
+    parts = [(binomial_mod_prime_power(n, k, q, a), q**a) for q, a in sorted(factors.items())]
     value, modulus = _crt(parts)
     if modulus != m:
         raise AssertionFailure("CRT modulus differs from m", m=m, observed=modulus)
-    return ResidueClass(value, m)
+    return value
 

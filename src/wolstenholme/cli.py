@@ -92,7 +92,11 @@ def _cmd_verify(args) -> int:
     bound = args.bound if args.bound is not None else default_bound(args.suite)
     t0 = time.perf_counter()
     checked = violations = 0
-    for res in run_suite(args.suite, bound):
+    try:
+        results = run_suite(args.suite, bound)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from exc
+    for res in results:
         checked += 1
         if not res.ok:
             violations += 1
@@ -120,7 +124,10 @@ def _scan_params(args) -> dict:
     }
     if sd.known and args.known:
         params["stretch"] = args.stretch  # the published form names it, given or not
-    missing, unread = sd.check(params)
+    try:
+        missing, unread = sd.check(params)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from exc
     if unread:
         raise _Usage(f"scan {args.scan} does not take {_flags(unread)}")
     if missing:

@@ -24,7 +24,6 @@ from itertools import accumulate, compress
 from typing import Callable
 
 from .arith import (
-    ResidueClass,
     _check_prime_ge5,
     _prod_tree,
     binomial_exact,
@@ -38,7 +37,6 @@ from .arith import (
 from .errors import BudgetExceeded, AssertionFailure, PreconditionViolated
 
 __all__ = [
-    "CongruenceVerdict",
     "PairCriterionResult",
     "FactorBand",
     "w_exact",
@@ -59,27 +57,6 @@ __all__ = [
 ]
 
 PAIR_DIRECT_BUDGET = 10**5
-
-
-@dataclass(frozen=True)
-class CongruenceVerdict:
-    """Outcome of one residue test: does the subject hit its target mod m?"""
-
-    subject: int
-    modulus: int
-    residue: ResidueClass
-    target: int
-    holds: bool
-
-    @classmethod
-    def check(cls, subject: int, residue: ResidueClass, target: int) -> "CongruenceVerdict":
-        return cls(
-            subject=subject,
-            modulus=residue.modulus,
-            residue=residue,
-            target=target,
-            holds=residue.value == target,
-        )
 
 
 @dataclass(frozen=True)
@@ -144,8 +121,8 @@ def w_at(points):
         yield n, w
 
 
-def w_mod(n: int, m: int) -> ResidueClass:
-    """w(n) mod m.
+def w_mod(n: int, m: int) -> int:
+    """w(n) mod m, in [0, m).
 
     w(n) * (n-1)! = (n+1)(n+2)...(2n-1), so whenever (n-1)! is a unit mod m
     the residue is the O(n) modular product of (n+k) times the inverse of
@@ -167,7 +144,7 @@ def w_mod(n: int, m: int) -> ResidueClass:
             num = 1
             for k in range(n + 1, 2 * n):
                 num = num * k % m
-            return ResidueClass(num * pow(den, -1, m) % m, m)
+            return num * pow(den, -1, m) % m
     return binomial_mod(2 * n - 1, n - 1, m)
 
 
@@ -244,8 +221,8 @@ def wprime_exact(n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def wprime_mod(n: int, m: int) -> ResidueClass:
-    """w'(n) mod m, for moduli whose prime factors all divide n.
+def wprime_mod(n: int, m: int) -> int:
+    """w'(n) mod m, in [0, m), for moduli whose prime factors all divide n.
 
     Under that precondition every k coprime to n is invertible mod m, so the
     defining product can be evaluated as (prod of 2n-k) * (prod of k)^-1.
@@ -265,7 +242,7 @@ def wprime_mod(n: int, m: int) -> ResidueClass:
         if math.gcd(k, n) == 1:
             num = num * (2 * n - k) % m
             den = den * k % m
-    return ResidueClass(num * pow(den, -1, m) % m, m)
+    return num * pow(den, -1, m) % m
 
 
 def _divisors(n: int) -> list[int]:
@@ -402,11 +379,12 @@ def divisor_product_checks(n_max: int):
         )
 
 
-def wilson_residue(n: int, e: int) -> CongruenceVerdict:
-    """Verdict on (n-1)! = -1 (mod n^e), by modular product.
+def wilson_residue(n: int, e: int) -> int:
+    """(n-1)! mod n^e, by modular product.
 
-    e = 1 characterizes primes, e = 2 Wilson primes; e = 3 is conjectured
-    to never hold.
+    It is n^e - 1, that is (n-1)! = -1 (mod n^e), for e = 1 exactly at the
+    primes, for e = 2 at the Wilson primes; e = 3 is conjectured never to
+    give it.
     """
     if n < 2:
         raise ValueError("Wilson residue requires n >= 2")
@@ -414,7 +392,7 @@ def wilson_residue(n: int, e: int) -> CongruenceVerdict:
     acc = 1
     for k in range(2, n):
         acc = acc * k % m
-    return CongruenceVerdict.check(n, ResidueClass(acc, m), m - 1)
+    return acc
 
 
 def wilson_restatement_checks(n_max: int):
@@ -432,21 +410,21 @@ def wilson_restatement_checks(n_max: int):
         ratio = ratio * (2 * n) * (2 * n + 1) // (n + 1)
 
 
-def jones_check(n: int) -> CongruenceVerdict:
-    """Verdict on w(n) = 1 (mod n^3)."""
+def jones_check(n: int) -> bool:
+    """True iff w(n) = 1 (mod n^3)."""
     if n < 2:
         raise ValueError("requires n >= 2")
-    return CongruenceVerdict.check(n, w_mod(n, n**3), 1)
+    return w_mod(n, n**3) == 1
 
 
 def is_wolstenholme_prime(p: int) -> bool:
     """True iff w(p) = 1 (mod p^4); only 16843 and 2124679 are known."""
     _check_prime_ge5(p)
-    return w_mod(p, p**4).value == 1
+    return w_mod(p, p**4) == 1
 
 
-def mcintosh_check(n: int) -> CongruenceVerdict:
-    """Verdict on w(n) = 1 (mod n^2).
+def mcintosh_check(n: int) -> bool:
+    """True iff w(n) = 1 (mod n^2).
 
     For n = p^2 with p an odd prime, additionally asserts the derivation
     step w(n) = w(p) (mod n^2); a failure there signals a defect.
@@ -454,14 +432,14 @@ def mcintosh_check(n: int) -> CongruenceVerdict:
     if n < 2:
         raise ValueError("requires n >= 2")
     m = n * n
-    verdict = CongruenceVerdict.check(n, w_mod(n, m), 1)
+    residue = w_mod(n, m)
     r = math.isqrt(n)
     if r >= 3 and r * r == n and is_prime(r):
-        if verdict.residue.value != w_mod(r, m).value:
+        if residue != w_mod(r, m):
             raise AssertionFailure(
                 "w(p^2) = w(p) (mod p^4) derivation step failed", n=n, p=r
             )
-    return verdict
+    return residue == 1
 
 
 def _validate_pair(p: int, q: int, e: int) -> None:
@@ -482,8 +460,8 @@ def pair_criterion(p: int, q: int, e: int) -> PairCriterionResult:
     exercised against pair_direct_check in the test suite.
     """
     _validate_pair(p, q, e)
-    left = w_mod(p, q**e).value == 1
-    right = w_mod(q, p**e).value == 1
+    left = w_mod(p, q**e) == 1
+    right = w_mod(q, p**e) == 1
     return PairCriterionResult(p, q, e, left, right, left and right)
 
 

@@ -33,7 +33,7 @@ from itertools import islice
 from time import monotonic
 from typing import Callable, Iterable, Iterator
 
-from .arith import _prod_tree, primes_in, primes_upto, valuation
+from .arith import _BOUND_LIMIT, _prod_tree, primes_in, primes_upto, valuation
 from .congruence import (
     PAIR_DIRECT_BUDGET,
     _factorial_residues,
@@ -278,7 +278,7 @@ def _gen_jones(params: dict, lo: int, hi: int):
             if prime_ok:
                 reverified = _w_from_factorials(n, low, high) == 1
             else:
-                reverified = jones_check(n).holds
+                reverified = jones_check(n)
             witness = {"modulus": str(n**3), "prime": prime_ok, "reverified": reverified}
             found.append((n, witness, "hit" if prime_ok and reverified else "fail"))
         yield n, found
@@ -299,14 +299,14 @@ def _gen_mod5(params: dict, lo: int, hi: int):
     for n, residue in _w_power_residues(lo, hi, 5):
         found = []
         if residue == 1:
-            witness = {"modulus": str(n**5), "reverified": w_mod(n, n**5).value == 1}
+            witness = {"modulus": str(n**5), "reverified": w_mod(n, n**5) == 1}
             found.append((n, witness, "fail"))  # the scan asserts no such n exists
         yield n, found
 
 
 def _new_conjecture_record(p: int, q: int, m: int) -> tuple[int, dict, str]:
     """The record of q^2 | m = (w(p) - 1) / p^v, reverified mod q^2."""
-    reverified = w_mod(p, q * q).value == 1
+    reverified = w_mod(p, q * q) == 1
     witness = {
         "q": str(q),
         "valuation": str(valuation(m, q)),
@@ -383,7 +383,7 @@ class _ScanDef:
         and the params it does not read.  A bound it reads that is not an
         int, or a published-form switch that is not a bool, is a ValueError:
         it would stamp the same records with another params hash, or fail
-        mid-scan."""
+        mid-scan.  So is a bound of 2^32 or more, past the prime table's."""
         published = self.known and params.get("known") is True
         keys = ("known", "stretch") if published else self.required
         for k in keys:
@@ -392,6 +392,8 @@ class _ScanDef:
             if v is not None and not (isinstance(v, bool) == published and isinstance(v, int)):
                 kind = "a bool" if published else "an int"
                 raise ValueError(f"scan {self.name} param {k}={v!r} is not {kind}")
+            if not published and v is not None and v >= _BOUND_LIMIT:
+                raise ValueError(f"scan {self.name} param {k}={v} is not below 2**32")
         return [k for k in keys if params.get(k) is None], [k for k in params if k not in keys]
 
     def stream(self, params: dict, h: str, after: int | None = None) -> Iterator:
@@ -532,14 +534,17 @@ def run_scan(
     truncated, and the generator starts after last_subject, so no earlier
     subject is computed again.  limit_subjects stops early after that many
     subjects, computing none past them (used to exercise interruption in
-    tests); a negative value raises ValueError.  The summary counts only the
-    subjects and records of this call: a resumed run leaves out those before
-    its checkpoint, in its ratio report too.
+    tests); a value that is negative, a bool or not an int raises
+    ValueError.  The summary counts only the subjects and records of this
+    call: a resumed run leaves out those before its checkpoint, in its
+    ratio report too.
     """
     h = params_digest(params)
     sd = _scan_def(name, params)
-    if limit_subjects is not None and limit_subjects < 0:
-        raise ValueError(f"limit_subjects must be >= 0, got {limit_subjects}")
+    if limit_subjects is not None and (
+        isinstance(limit_subjects, bool) or not isinstance(limit_subjects, int) or limit_subjects < 0
+    ):
+        raise ValueError(f"limit_subjects must be an int >= 0, got {limit_subjects!r}")
 
     after: int | None = None
     already_emitted = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator
 
-from .arith import factor_completely, primes_upto
+from .arith import _BOUND_LIMIT, factor_completely, primes_upto
 from .congruence import (
     divisor_product_checks,
     factor_band_classify,
@@ -196,11 +196,14 @@ def default_bound(name: str) -> int:
 
 def run_suite(name: str, bound: int | None = None) -> Iterator[SuiteResult]:
     """Run the named suite up to bound (suite default if omitted).  A bound
-    that is not an int, or is a bool, is a ValueError before anything runs."""
+    that is not an int, is a bool, or is 2^32 or more (past the prime
+    table's) is a ValueError before anything runs."""
     key = _resolve(name)
     fn, default = _SUITES[key]
     if bound is None:
         bound = default
     elif isinstance(bound, bool) or not isinstance(bound, int):
         raise ValueError(f"suite {key} bound {bound!r} is not an int")
+    if bound >= _BOUND_LIMIT:
+        raise ValueError(f"suite {key} bound {bound} is not below 2**32")
     return fn(bound)

@@ -11,7 +11,6 @@ from elem_sym_oracle import num_valuation
 from factor_oracle import factor_by_each_prime
 from wolstenholme import arith
 from wolstenholme.arith import (
-    ResidueClass,
     binomial_exact,
     binomial_mod,
     binomial_mod_prime_power,
@@ -193,9 +192,9 @@ class TestFactorials:
 class TestFactorialUnit:
     def test_spec_values(self):
         # 10!/3^4 = 44800 = 7 (mod 9)
-        assert factorial_unit(10, 3, 2) == (4, ResidueClass(7, 9))
-        assert factorial_unit(0, 7, 2) == (0, ResidueClass(1, 49))
-        assert factorial_unit(4, 5, 2) == (0, ResidueClass(24, 25))
+        assert factorial_unit(10, 3, 2) == (4, 7)
+        assert factorial_unit(0, 7, 2) == (0, 1)
+        assert factorial_unit(4, 5, 2) == (0, 24)
 
     def test_reconstruction_small_grid(self):
         # q^val * unit = n! (mod q^(val+e)), i.e. unit = (n!/q^val) mod q^e
@@ -209,7 +208,7 @@ class TestFactorialUnit:
                     assert val == legendre_valuation(n, q)
                     exact_unit = f // q**val
                     assert exact_unit % q != 0
-                    assert unit.value == exact_unit % q**e, (n, q, e)
+                    assert unit == exact_unit % q**e, (n, q, e)
 
     def test_large_modulus_no_table(self):
         # q^e far above n: no level has a full block to sign, and each
@@ -218,7 +217,15 @@ class TestFactorialUnit:
         val, unit = factorial_unit(2500, q, 3)
         f = math.factorial(2500)
         assert val == legendre_valuation(2500, q) == 2
-        assert unit.value == (f // q**val) % q**3
+        assert unit == (f // q**val) % q**3
+
+    def test_one_primality_test_per_call(self, monkeypatch):
+        # the exponent comes from the unchecked Legendre loop, as q is known
+        # to be prime by then
+        calls = []
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        assert factorial_unit(2500, 1009, 3)[0] == 2
+        assert calls == [1009]
 
 
 class TestBinomials:
@@ -244,6 +251,14 @@ class TestBinomials:
         for n in range(0, 121):
             for k in range(-1, n + 2):
                 assert binomial_exact(n, k) == self._comb(n, k), (n, k)
+
+    def test_route_by_primes_tests_no_primality(self, monkeypatch):
+        # w(18000), the mod5 resume entry, takes three Legendre exponents per
+        # prime r <= sqrt(n); the primes come from the sieve, so none is tested
+        calls = []
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        assert binomial_exact(35999, 17999) == math.comb(35999, 17999)
+        assert calls == []
 
     def test_exact_vs_comb_random(self):
         rng = random.Random(20261020)
@@ -286,9 +301,9 @@ class TestBinomials:
                     assert carry_count(k, n - k, q) == valuation(c, q), (n, k, q)
 
     def test_prime_power_examples(self):
-        assert binomial_mod_prime_power(9, 4, 5, 3).value == 1  # Wolstenholme at p=5
-        assert binomial_mod_prime_power(40, 0, 3, 2).value == 1
-        assert binomial_mod_prime_power(25, 12, 3, 2).value == 1  # 5200300 mod 9
+        assert binomial_mod_prime_power(9, 4, 5, 3) == 1  # Wolstenholme at p=5
+        assert binomial_mod_prime_power(40, 0, 3, 2) == 1
+        assert binomial_mod_prime_power(25, 12, 3, 2) == 1  # 5200300 mod 9
 
     def test_prime_power_vs_exact_grid(self):
         rng = random.Random(20260810)
@@ -298,12 +313,12 @@ class TestBinomials:
             q = rng.choice((2, 3, 5, 7, 11, 13))
             e = rng.randrange(1, 4)
             got = binomial_mod_prime_power(n, k, q, e)
-            assert got.value == math.comb(n, k) % q**e, (n, k, q, e)
+            assert got == math.comb(n, k) % q**e, (n, k, q, e)
 
     def test_binomial_mod_examples(self):
-        assert binomial_mod(17, 8, 9).value == 1  # 24310 mod 9
-        assert binomial_mod(7, 3, 64).value == 35
-        assert binomial_mod(9, 4, 6).value == 0  # 126 = 6 * 21
+        assert binomial_mod(17, 8, 9) == 1  # 24310 mod 9
+        assert binomial_mod(7, 3, 64) == 35
+        assert binomial_mod(9, 4, 6) == 0  # 126 = 6 * 21
 
     def test_binomial_mod_vs_exact_sampled(self):
         rng = random.Random(13)
@@ -311,14 +326,14 @@ class TestBinomials:
             n = rng.randrange(0, 300)
             k = rng.randrange(0, n + 1) if n else 0
             m = rng.randrange(2, 10**4)
-            assert binomial_mod(n, k, m).value == math.comb(n, k) % m, (n, k, m)
+            assert binomial_mod(n, k, m) == math.comb(n, k) % m, (n, k, m)
 
     def test_unfactorable_modulus_falls_back_to_exact(self):
         m = 1000003 * 1000033  # both primes above the trial budget
         with pytest.raises(FactoringBudgetExceeded) as exc:
             factor_completely(m)
         assert exc.value.cofactor == m
-        assert binomial_mod(50, 20, m).value == math.comb(50, 20) % m
+        assert binomial_mod(50, 20, m) == math.comb(50, 20) % m
 
 
 class TestBaseBelowTwo:
@@ -363,15 +378,36 @@ class TestBaseBelowTwo:
 class TestCompositeBase:
     # the Wilson-block signs hold for prime q only: at q = 4, 6! = 4 * 180
     # with 180 = 0 (mod 4), yet the recursion gave the unit 2; binomials at
-    # q = 4, 6, 9 came out wrong or failed to invert a non-unit
+    # q = 4, 6, 9 came out wrong or failed to invert a non-unit; Legendre's
+    # floor sum gave 2 for the exponent of 4 in 10!, which is 4
     @pytest.mark.parametrize("q", [4, 6, 9, 15, 25])
     def test_raises_value_error_naming_q(self, q):
+        with pytest.raises(ValueError, match=f"requires a prime q, got {q}$"):
+            legendre_valuation(10, q)
         with pytest.raises(ValueError, match=f"requires a prime q, got {q}$"):
             factorial_unit(6, q, 1)
         with pytest.raises(ValueError, match=f"requires a prime q, got {q}$"):
             binomial_mod_prime_power(10, 3, q, 2)
         with pytest.raises(ValueError, match=f"requires a prime q, got {q}$"):
             binomial_mod_prime_power(10, 11, q, 2)  # before the k > n shortcut
+
+
+class TestExponentBelowOne:
+    # q^0 = 1 has no residues to hold; e = 0 failed only in the result
+    # type, after the work, and e = -1 raised a bare TypeError
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e: factorial_unit(5, 3, e),
+            lambda e: binomial_mod_prime_power(9, 4, 5, e),
+            lambda e: binomial_mod_prime_power(9, 10, 5, e),  # before the k > n shortcut
+        ],
+        ids=["factorial_unit", "binomial_prime_power", "binomial_prime_power-k-past-n"],
+    )
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_raises_value_error_naming_e(self, call, e):
+        with pytest.raises(ValueError, match=f"exponent e must be >= 1, got {e}$"):
+            call(e)
 
 
 class TestNegativeArgument:
@@ -507,11 +543,3 @@ class TestNumValuation:
 
     def test_sign_lives_in_numerator(self):
         assert num_valuation(Fraction(-50, 3), 5) == 2
-
-
-class TestResidueClass:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResidueClass(0, 1)
-        with pytest.raises(ValueError):
-            ResidueClass(9, 9)

@@ -61,6 +61,11 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match=f"suite form2 bound {bound!r} is not an int"):
             run_suite("form2", bound)
 
+    @pytest.mark.parametrize("name", ["bands", "equ"])
+    def test_bound_past_the_prime_table_is_value_error(self, name):
+        with pytest.raises(ValueError, match=rf"suite {name} bound 4294967296 is not below 2\*\*32$"):
+            run_suite(name, 2**32)
+
 
 # argv: module.function to die in, the call k to die at, then the CLI argv
 _KILL_IN_SAVE = """
@@ -153,6 +158,28 @@ class TestScanCommand:
         out = tmp_path / "records.jsonl"
         assert cli_module.main(["scan", *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"usage error: scan {argv[0]} does not take {flags}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scan", "new-conjecture", "--p-max", "10", "--q-max", "4294967296"],
+             "scan new-conjecture param q_max=4294967296 is not below 2**32"),
+            (["scan", "pairs", "--p-max", "10", "--q-max", "4294967296"],
+             "scan pairs param q_max=4294967296 is not below 2**32"),
+            (["verify", "bands", "--bound", "4294967296"],
+             "suite bands bound 4294967296 is not below 2**32"),
+        ],
+        ids=["new-conjecture", "pairs", "verify"],
+    )
+    def test_bound_past_the_prime_table_is_usage_error(self, tmp_path, capsys, argv, message):
+        # each died in primes_upto with a traceback and exit 1, the exit of a
+        # violated expectation, after --out was created
+        out = tmp_path / "records.jsonl"
+        extra = ["--out", str(out)] if argv[0] == "scan" else []
+        assert cli_module.main([*argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
         assert not out.exists()
 
     def test_scan_flags_are_the_table_keys(self):

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from wolstenholme import congruence
-from wolstenholme.arith import ResidueClass, is_prime, primes_in, primes_upto
+from wolstenholme.arith import is_prime, primes_in, primes_upto
 from wolstenholme.congruence import (
-    CongruenceVerdict,
     _divisors,
     _factorial_residues,
     _prod_tree,
@@ -51,12 +50,6 @@ class _CarriedFactorial:
             self.value *= math.prod(range(self.n + 1, n + 1))
         self.n = n
         return self.value
-
-
-def _wilson_verdict(n: int, fact: int, e: int) -> CongruenceVerdict:
-    """wilson_residue(n, e) from an exact (n-1)!."""
-    m = n**e
-    return CongruenceVerdict.check(n, ResidueClass(fact % m, m), m - 1)
 
 
 def wilson_restatement_check(n: int) -> bool:
@@ -239,9 +232,9 @@ def _gate_moduli(n: int) -> tuple[int, ...]:
 
 class TestWMod:
     def test_examples(self):
-        assert w_mod(5, 125).value == 1
-        assert w_mod(7, 5).value == 1
-        assert w_mod(5, 7).value == 0
+        assert w_mod(5, 125) == 1
+        assert w_mod(7, 5) == 1
+        assert w_mod(5, 7) == 0
 
     def test_both_strategies_match_exact(self):
         # moduli sharing small factors with the range take the CRT route,
@@ -250,18 +243,18 @@ class TestWMod:
             w = w_exact(n)
             moduli = (4, 9, 30, 64, n * n + 1, 101, 997, n**3 if n > 1 else 8)
             for m in moduli + _gate_moduli(n):
-                assert w_mod(n, m).value == w % m, (n, m)
+                assert w_mod(n, m) == w % m, (n, m)
 
     def test_prime_power_of_subject(self):
         # modulus p^e with n = p: (p-1)! is a unit, so the product route runs
         for p in (5, 7, 11, 13, 101):
-            assert w_mod(p, p**3).value == w_exact(p) % p**3
+            assert w_mod(p, p**3) == w_exact(p) % p**3
 
     def test_unfactorable_modulus(self):
         # two large primes: trial division cannot split m, and n is past the
         # exact fallback of binomial_mod, but (n-1)! is a unit mod m
         n, m = 200_001, (2**61 - 1) * (2**89 - 1)
-        assert w_mod(n, m).value == math.comb(2 * n - 1, n - 1) % m
+        assert w_mod(n, m) == math.comb(2 * n - 1, n - 1) % m
 
 
 class TestWPrime:
@@ -275,16 +268,16 @@ class TestWPrime:
             assert wprime_exact(p) == w_exact(p)
 
     def test_mod_examples(self):
-        assert wprime_mod(3, 9).value == 1
-        assert wprime_mod(35, 35**3).value == 1  # pair generalization at pq = 35
-        assert wprime_mod(25, 5**4).value == 1  # prime-square case
+        assert wprime_mod(3, 9) == 1
+        assert wprime_mod(35, 35**3) == 1  # pair generalization at pq = 35
+        assert wprime_mod(25, 5**4) == 1  # prime-square case
 
     def test_mod_matches_exact_fraction(self):
         for n in (4, 6, 9, 10, 12, 25):
             m = n * n
             r = wprime_exact(n)
             expected = r.numerator * pow(r.denominator, -1, m) % m
-            assert wprime_mod(n, m).value == expected
+            assert wprime_mod(n, m) == expected
 
     def test_mod_precondition(self):
         with pytest.raises(PreconditionViolated):
@@ -296,8 +289,9 @@ class TestWPrime:
 
     @pytest.mark.parametrize("m", [1, 0, -7])
     def test_mod_rejects_modulus_below_two(self, m):
-        # raised by wprime_mod itself, before the O(n) product, not by
-        # ResidueClass after it (m = 1), pow (m = 0) or the precondition (m < 0)
+        # raised by wprime_mod itself, before the O(n) product; without it
+        # m = 1 gives 0 after that product, m = 0 fails in pow and m < 0 in
+        # the precondition
         with pytest.raises(ValueError, match=f"^modulus must be >= 2, got {m}$") as exc:
             wprime_mod(10**6, m)
         assert exc.traceback[-1].name == "wprime_mod"
@@ -447,8 +441,7 @@ class TestFactorialResidues:
             fact = _CarriedFactorial()
             residues = _factorial_residues([p - 1 for p in ps], [p**e for p in ps])
             for p, r in zip(ps, residues):
-                v = _wilson_verdict(p, fact.at(p - 1), e)
-                assert (r, p**e, r == p**e - 1) == (v.residue.value, v.modulus, v.holds)
+                assert r == fact.at(p - 1) % p**e, (p, e)
         lows = _factorial_residues([p - 1 for p in ps], [p**3 for p in ps])
         highs = _factorial_residues([2 * p - 1 for p in ps], [p**4 for p in ps])
         low_c, high_c = _CarriedFactorial(), _CarriedFactorial()
@@ -458,17 +451,16 @@ class TestFactorialResidues:
 
 class TestWilson:
     def test_wilson_primes(self):
-        assert wilson_residue(5, 2).holds
-        assert wilson_residue(13, 2).holds
-        assert wilson_residue(563, 2).holds
+        assert wilson_residue(5, 2) == 5**2 - 1
+        assert wilson_residue(13, 2) == 13**2 - 1
+        assert wilson_residue(563, 2) == 563**2 - 1
 
     def test_composite_residue_zero(self):
-        v = wilson_residue(8, 1)
-        assert not v.holds and v.residue.value == 0
+        assert wilson_residue(8, 1) == 0
 
     def test_prime_iff_for_small_n(self):
         for n in range(2, 500):
-            assert wilson_residue(n, 1).holds == is_prime(n)
+            assert (wilson_residue(n, 1) == n - 1) == is_prime(n)
 
     def test_restatement_examples(self):
         assert wilson_restatement_check(5)
@@ -488,14 +480,14 @@ class TestWilson:
 
 class TestJonesAndMcIntosh:
     def test_jones_examples(self):
-        assert jones_check(5).holds
-        assert not jones_check(4).holds  # 35 mod 64
-        assert not jones_check(25).holds
+        assert jones_check(5)
+        assert not jones_check(4)  # 35 mod 64
+        assert not jones_check(25)
 
     def test_jones_small_sweep(self):
         for n in range(2, 300):
             expected = n >= 5 and is_prime(n)
-            assert jones_check(n).holds == expected, n
+            assert jones_check(n) == expected, n
 
     def test_wolstenholme_prime_examples(self):
         assert is_wolstenholme_prime(16843)
@@ -503,17 +495,15 @@ class TestJonesAndMcIntosh:
         assert not is_wolstenholme_prime(11)
 
     def test_mcintosh_examples(self):
-        assert mcintosh_check(7).holds
-        v = mcintosh_check(25)
-        assert not v.holds and v.residue.value == 126  # w(25) = w(5) (mod 625)
-        v = mcintosh_check(4)
-        assert not v.holds and v.residue.value == 3
+        assert mcintosh_check(7)
+        assert not mcintosh_check(25) and w_mod(25, 625) == 126  # w(25) = w(5) (mod 625)
+        assert not mcintosh_check(4) and w_mod(4, 16) == 3
 
     def test_mcintosh_prime_square_derivation(self):
         # the w(p^2) = w(p) (mod p^4) step is asserted inside the check
         for p in (3, 5, 7, 11):
-            v = mcintosh_check(p * p)
-            assert v.residue.value == w_exact(p) % p**4
+            assert mcintosh_check(p * p) == (w_exact(p) % p**4 == 1)
+            assert w_mod(p * p, p**4) == w_exact(p) % p**4
 
     def test_squares_and_cubes_mod_n(self):
         # w(n) = 1 (mod n) for n = p^2 (odd p <= 97) and n = p^3 (5 <= p <= 31)
@@ -521,17 +511,17 @@ class TestJonesAndMcIntosh:
             if p == 2:
                 continue
             n = p * p
-            assert w_mod(n, n).value == 1, p
+            assert w_mod(n, n) == 1, p
         for p in primes_upto(31):
             if p < 5:
                 continue
             n = p**3
-            assert w_mod(n, n).value == 1, p
+            assert w_mod(n, n) == 1, p
 
     def test_wolstenholme_prime_not_mod_fifth_power(self):
         # 16843 passes at p^4 but not at p^5
-        assert w_mod(16843, 16843**4).value == 1
-        assert w_mod(16843, 16843**5).value != 1
+        assert w_mod(16843, 16843**4) == 1
+        assert w_mod(16843, 16843**5) != 1
 
 
 class TestPairs:
@@ -599,7 +589,7 @@ class TestFactorBands:
         # the exact w(p) reduced mod q against the per-q modular route
         for p in [*primes_upto(500)[2:], 2003]:
             for b in factor_band_classify(p):
-                assert b.actual_divides == (w_mod(p, b.q).value == 0), (p, b.q)
+                assert b.actual_divides == (w_mod(p, b.q) == 0), (p, b.q)
 
     def test_band_geometry(self):
         for b in factor_band_classify(37):

@@ -33,7 +33,7 @@ from wolstenholme.cli import main
 ps = list(primes_in(2**17 - 4096, 2**17))[-64:]
 assert len(ps) == 64 and ps[-1] < 2**17
 # C(4p+1, 2p) mod p, at 64 distinct prime moduli near 2^17
-residues = [binomial_mod(4 * p + 1, 2 * p, p).value for p in ps]
+residues = [binomial_mod(4 * p + 1, 2 * p, p) for p in ps]
 code = main(["classify", "65537", "--out", os.devnull])
 result = {"residues": residues, "code": code}
 """
@@ -213,6 +213,22 @@ def test_small_modulus_builds_no_runs(monkeypatch):
     assert factor_completely(997**4) == {997: 4}
     assert arith._trial_runs.cache_info().misses == 0
     assert len(arith._PRIMES) == 172
+
+
+def test_warm_factor_completely_sieves_nothing_and_copies_no_table(monkeypatch):
+    # once the runs and the table to 10^6 exist, a call reads the table in
+    # place: it copied the 78498 primes (a 308 KiB peak) and sieved
+    # [999984, 10^6], past the top prime 999983, at every call
+    m = 1031 * 1033 * 7
+    assert factor_completely(m) == {7: 1, 1031: 1, 1033: 1}
+    sieves = []
+    real = arith._sieve
+    monkeypatch.setattr(arith, "_sieve", lambda *args: sieves.append(args[:2]) or real(*args))
+    got = []
+    peak = _traced_peak_mib(lambda: got.append(factor_completely(m)))
+    assert got == [{7: 1, 1031: 1, 1033: 1}]
+    assert sieves == []
+    assert peak < 100 / 1024, peak
 
 
 def test_new_conjecture_q_list_traced_peak_under_2_5_mib(monkeypatch):

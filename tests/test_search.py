@@ -20,6 +20,7 @@ from wolstenholme.errors import (
     VersionMismatch,
 )
 from wolstenholme.search import (
+    _SCANS,
     FORMAT_VERSION,
     Checkpoint,
     ScanRecord,
@@ -249,6 +250,18 @@ class TestRunner:
         assert buf.getvalue() == ""
         assert not os.path.exists(cpath)
 
+    @pytest.mark.parametrize("limit", [True, 2.5, "3"])
+    def test_limit_not_an_int_rejected(self, tmp_path, limit):
+        # True ran 1 subject, 2.5 failed in islice after the CSV header was
+        # written, and "3" failed the sign test with a TypeError
+        buf = io.StringIO()
+        cpath = str(tmp_path / "cp.json")
+        with pytest.raises(ValueError, match=f"limit_subjects must be an int >= 0, got {limit!r}"):
+            run_scan("wilson", {"limit": 100}, buf, fmt="csv", checkpoint_path=cpath,
+                     limit_subjects=limit)
+        assert buf.getvalue() == ""
+        assert not os.path.exists(cpath)
+
     def test_rejects_resume_of_other_scan(self, tmp_path):
         cpath = str(tmp_path / "cp.json")
         run_scan("jones", {"limit": 20}, io.StringIO(), checkpoint_path=cpath)
@@ -311,6 +324,22 @@ class TestRunner:
             scan_records(name, params)
         assert sink.getvalue() == ""
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [
+            ("wilson", {"limit": 2**32}, "limit"),
+            ("new-conjecture", {"p_max": 10, "q_max": 2**32}, "q_max"),
+            ("pairs", {"p_max": 2**32, "q_max": 10}, "p_max"),
+        ],
+        ids=["limit", "q_max", "p_max"],
+    )
+    def test_bound_past_the_prime_table(self, name, params, key):
+        # the table's entries are 4 bytes: a q_max of 2^32 died in
+        # primes_upto mid-run, and a bound that large never ends
+        with pytest.raises(ValueError, match=rf"param {key}=4294967296 is not below 2\*\*32$"):
+            _SCANS[name].check(params)
+        assert _SCANS[name].check({**params, key: 2**32 - 1}) == ([], [])
 
     def test_csv_roundtrip(self):
         buf = io.StringIO()
@@ -629,8 +658,7 @@ class TestCarriedPaths:
         assert len(calls) == 1
         assert [x + 1 for x, _, _ in seen] == expected
         for x, m, residue in seen:
-            verdict = wilson_residue(x + 1, e)
-            assert (m, residue) == (verdict.modulus, verdict.residue.value)
+            assert (m, residue) == ((x + 1) ** e, wilson_residue(x + 1, e))
 
     @pytest.mark.parametrize("after", [None, 1499])
     def test_wolstenholme_residues(self, monkeypatch, after):
@@ -647,7 +675,7 @@ class TestCarriedPaths:
         start = 5 if after is None else after + 1
         assert [p for p, _ in seen] == [p for p in primes_upto(3000) if p >= start]
         for p, residue in seen:
-            assert residue == w_mod(p, p**4).value
+            assert residue == w_mod(p, p**4)
 
     def test_wolstenholme_hit_reverified_without_factoring(self, monkeypatch):
         # the hit at 16843 is reverified by w_mod's modular product mod p^4,
@@ -673,7 +701,7 @@ class TestCarriedPaths:
         for (p, low, high), residue in seen:
             assert low == math.factorial(p - 1) % p**3
             assert high == math.factorial(2 * p - 1) % p**4
-            assert residue == w_mod(p, p**3).value
+            assert residue == w_mod(p, p**3)
 
     def test_jones_formula_off_wolstenholme(self):
         # below 5 the residue is not 1, so the formula's value is visible
@@ -739,7 +767,7 @@ class TestCarriedPaths:
         for n, w in w_iter(limit, 2):
             recs = []
             if w % n**e == 1:
-                reverified = w_mod(n, n**e).value == 1
+                reverified = w_mod(n, n**e) == 1
                 witness, verdict = {"modulus": str(n**e), "reverified": reverified}, "fail"
                 if scan == "jones":
                     witness["prime"] = n >= 5 and is_prime(n)
@@ -769,7 +797,7 @@ class TestCarriedPaths:
             for q in qs:
                 if q == p or m % (q * q):
                     continue
-                reverified = w_mod(p, q * q).value == 1
+                reverified = w_mod(p, q * q) == 1
                 witness = {
                     "q": str(q),
                     "valuation": str(valuation(m, q)),
@@ -875,7 +903,7 @@ class TestCarriedPaths:
             above = next(q for q in range(power + 1, 2 * power) if is_prime(q))
             near_powers += [below, above]  # 2 to 4 base-p digits in n - 1
         for q in [*primes_in(p + 1, 3000), *near_powers]:
-            assert w_mod_p(q) == w_mod(q, p).value, q
+            assert w_mod_p(q) == w_mod(q, p), q
 
     def test_range_scans_kernel_calls(self, monkeypatch):
         # the pairs right half never reaches w_mod or binomial_mod, and
