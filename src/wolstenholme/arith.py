@@ -226,10 +226,14 @@ def _check_base(q: int, *numbers: int, prime: bool = False) -> None:
         raise ValueError(f"requires a prime q, got {q}")
 
 
+def _check_exponent(e: int) -> None:
+    if not isinstance(e, int) or e < 1:
+        raise ValueError(f"exponent e must be >= 1, got {e}")
+
+
 def _check_prime_power(q: int, e: int, *numbers: int) -> None:
     _check_base(q, *numbers, prime=True)
-    if e < 1:
-        raise ValueError(f"exponent e must be >= 1, got {e}")
+    _check_exponent(e)
 
 
 def legendre_valuation(n: int, q: int) -> int:
@@ -355,8 +359,10 @@ def factor_completely(m: int) -> dict[int, int]:
     may still hold, rest takes one gcd with each product of 128 consecutive
     primes up to 10^6 (built once) and is divided only by the primes of the
     runs whose gcd exceeds 1.  Moduli in this package are built from known
-    primes, so this nearly always completes; raises FactoringBudgetExceeded
-    (with the partial factorization) when a composite cofactor survives.
+    primes, so this nearly always completes.  A composite cofactor left
+    over is accepted when it is a power of one prime; raises
+    FactoringBudgetExceeded (with the partial factorization) when any other
+    composite cofactor survives.
     """
     if m < 1:
         raise ValueError("factorization requires m >= 1")
@@ -378,8 +384,28 @@ def factor_completely(m: int) -> dict[int, int]:
         if rest <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(rest):
             factors[rest] = factors.get(rest, 0) + 1
         else:
+            # every prime factor of rest exceeds _TRIAL_LIMIT, which bounds
+            # the k of a prime power rest = r^k
+            k = 2
+            while (_TRIAL_LIMIT + 1) ** k <= rest:
+                r = _iroot(rest, k)
+                if r**k == rest and is_prime(r):
+                    factors[r] = k
+                    return factors
+                k += 1
             raise FactoringBudgetExceeded(m, factors, rest)
     return factors
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, k >= 2, by Newton's method in integers,
+    from 2^ceil(bits/k), which is at least the root."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _crt(residues: list[tuple[int, int]]) -> tuple[int, int]:

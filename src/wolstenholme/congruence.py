@@ -24,6 +24,7 @@ from itertools import accumulate, compress
 from typing import Callable
 
 from .arith import (
+    _check_exponent,
     _check_prime_ge5,
     _prod_tree,
     binomial_exact,
@@ -37,7 +38,6 @@ from .arith import (
 from .errors import BudgetExceeded, AssertionFailure, PreconditionViolated
 
 __all__ = [
-    "PairCriterionResult",
     "FactorBand",
     "w_exact",
     "w_at",
@@ -57,18 +57,6 @@ __all__ = [
 ]
 
 PAIR_DIRECT_BUDGET = 10**5
-
-
-@dataclass(frozen=True)
-class PairCriterionResult:
-    """Both halves of the pair criterion at a given power level."""
-
-    p: int
-    q: int
-    level: int
-    left: bool  # w(p) = 1 mod q^level
-    right: bool  # w(q) = 1 mod p^level
-    combined: bool
 
 
 @dataclass(frozen=True)
@@ -388,6 +376,7 @@ def wilson_residue(n: int, e: int) -> int:
     """
     if n < 2:
         raise ValueError("Wilson residue requires n >= 2")
+    _check_exponent(e)
     m = n**e
     acc = 1
     for k in range(2, n):
@@ -453,16 +442,15 @@ def _validate_pair(p: int, q: int, e: int) -> None:
             raise ValueError(f"{x} is not a prime >= {floor} (level {e})")
 
 
-def pair_criterion(p: int, q: int, e: int) -> PairCriterionResult:
-    """Evaluate both halves of the pair criterion at level e.
+def pair_criterion(p: int, q: int, e: int) -> tuple[bool, bool]:
+    """The two halves of the pair criterion at level e: (w(p) = 1 mod q^e,
+    w(q) = 1 mod p^e).
 
-    combined is equivalent to w(pq) = 1 (mod (pq)^e); the equivalence is
+    Both hold exactly when w(pq) = 1 (mod (pq)^e); the equivalence is
     exercised against pair_direct_check in the test suite.
     """
     _validate_pair(p, q, e)
-    left = w_mod(p, q**e) == 1
-    right = w_mod(q, p**e) == 1
-    return PairCriterionResult(p, q, e, left, right, left and right)
+    return w_mod(p, q**e) == 1, w_mod(q, p**e) == 1
 
 
 def pair_direct_check(p: int, q: int, e: int) -> bool:

@@ -3,10 +3,8 @@
 __all__ = [
     "FactoringBudgetExceeded",
     "DenominatorNotCoprime",
-    "ZeroNumerator",
     "PreconditionViolated",
     "BudgetExceeded",
-    "InexactDivision",
     "ConstructionAssertFailure",
     "AssertionFailure",
     "CheckpointError",
@@ -36,20 +34,12 @@ class DenominatorNotCoprime(ValueError):
     """Numerator valuation is undefined when the prime divides the denominator."""
 
 
-class ZeroNumerator(ValueError):
-    """Numerator valuation is undefined for zero."""
-
-
 class PreconditionViolated(ValueError):
     """An operation was called outside its stated domain."""
 
 
 class BudgetExceeded(RuntimeError):
     """A direct (exact) computation was requested beyond its size budget."""
-
-
-class InexactDivision(ArithmeticError):
-    """An exact polynomial or integer division left a remainder."""
 
 
 class ConstructionAssertFailure(RuntimeError):

@@ -351,8 +351,7 @@ def _gen_pairs(params: dict, lo: int, hi: int | None):
     if params.get("known"):
         for p, q in KNOWN_PAIRS if params.get("stretch") else KNOWN_PAIRS[:2]:
             if p >= lo:
-                r = pair_criterion(p, q, 1)
-                yield p, _pair_record(p, q, r.left, r.right, True)
+                yield p, _pair_record(p, q, *pair_criterion(p, q, 1), True)
         return
     # each prime p carries its pairs (p, q), q > p, in q order, at the q whose
     # left half w(p) = 1 (mod q) holds, q | g; a p at or above q_max has no

@@ -30,7 +30,7 @@ from operator import mul
 
 from .arith import double_factorial, valuation
 from .congruence import w_exact
-from .errors import AssertionFailure, DenominatorNotCoprime, ZeroNumerator
+from .errors import AssertionFailure, DenominatorNotCoprime
 
 __all__ = [
     "SymRationalTable",
@@ -47,7 +47,6 @@ __all__ = [
     "ident_doublefact",
     "check_form",
     "check_int_expansion",
-    "BayatReport",
     "bayat_valuations",
     "s_pm_mod_p",
     "form4_eval",
@@ -330,50 +329,33 @@ def check_int_expansion(p: int, perm: IntSymTable) -> bool:
     return total == w1 // p**2 * math.factorial(p)
 
 
-def _valuation(x: int, p: int) -> int:
-    """v_p of the nonzero table entry x; ZeroNumerator for 0."""
-    if x == 0:
-        raise ZeroNumerator("numerator valuation of 0 is undefined")
-    return valuation(x, p)
+def bayat_valuations(p: int, perm: IntSymTable) -> tuple[int, ...]:
+    """Verify the valuation pattern of the row S(p-1, *) at the prime p, and
+    return v_p(num S(p-1, k)) for k = 1..p-1.
 
-
-@dataclass(frozen=True)
-class BayatReport:
-    """Numerator valuations at p of the row S(p-1, 1..p-1)."""
-
-    p: int
-    valuations: tuple[int, ...]  # valuations[k-1] = v_p(num S(p-1, k))
-
-    def val(self, k: int) -> int:
-        return self.valuations[k - 1]
-
-
-def bayat_valuations(p: int, perm: IntSymTable) -> BayatReport:
-    """Verify the valuation pattern of the row S(p-1, *) at the prime p.
-
-    p does not divide (p-1)!, so v_p(num S(p-1, k)) = v_p(P(p-1, p-1-k)).
-    Asserts: v >= 1 for even k <= p-3, v >= 2 for odd k <= p-4, the ladder
-    v(k) = 1 + v(k+1) for odd k <= p-2, and S(p-1, p-2) = 0 (mod p).
+    p does not divide (p-1)!, so v_p(num S(p-1, k)) = v_p(P(p-1, p-1-k));
+    a zero entry raises valuation's ValueError.  Asserts: v >= 1 for even
+    k <= p-3, v >= 2 for odd k <= p-4, the ladder v(k) = 1 + v(k+1) for
+    odd k <= p-2, and S(p-1, p-2) = 0 (mod p).
     Raises AssertionFailure carrying (p, k, observed) on any violation.
     """
     perm = _row(perm, p - 1)
-    vals = tuple(_valuation(perm[p - 1 - k], p) for k in range(1, p))
-    report = BayatReport(p, vals)
+    vals = (None, *(valuation(perm[p - 1 - k], p) for k in range(1, p)))  # v(k) = vals[k]
     for k in range(1, p):
-        v = report.val(k)
+        v = vals[k]
         if k % 2 == 0 and k <= p - 3 and v < 1:
             raise AssertionFailure("even-index valuation below 1", p=p, k=k, observed=v)
         if k % 2 == 1 and k <= p - 4 and v < 2:
             raise AssertionFailure("odd-index valuation below 2", p=p, k=k, observed=v)
-        if k % 2 == 1 and k <= p - 2 and v != 1 + report.val(k + 1):
+        if k % 2 == 1 and k <= p - 2 and v != 1 + vals[k + 1]:
             raise AssertionFailure(
-                "valuation ladder broken", p=p, k=k, observed=(v, report.val(k + 1))
+                "valuation ladder broken", p=p, k=k, observed=(v, vals[k + 1])
             )
-    if report.val(p - 2) < 1:
+    if vals[p - 2] < 1:
         raise AssertionFailure(
-            "S(p-1, p-2) not divisible by p", p=p, k=p - 2, observed=report.val(p - 2)
+            "S(p-1, p-2) not divisible by p", p=p, k=p - 2, observed=vals[p - 2]
         )
-    return report
+    return vals[1:]
 
 
 def s_pm_mod_p(p: int, perm: IntSymTable) -> bool:
@@ -385,7 +367,7 @@ def s_pm_mod_p(p: int, perm: IntSymTable) -> bool:
     """
     perm = _row(perm, p)
     for m in range(2, p - 2, 2):
-        v = _valuation(perm[p - m], p)
+        v = valuation(perm[p - m], p)
         if v == 0:
             raise DenominatorNotCoprime(f"{p} divides the denominator of S({p}, {m})")
         if v < 2:

@@ -149,14 +149,12 @@ def _suite_wpoly(bound: int) -> Iterator[SuiteResult]:
             if q > 2 * p and not large_prime_divisor_check(p, q, w_poly=w_poly):
                 problems.append(f"divisor equivalence failed at q={q}")
         content = math.gcd(*w_poly.coeffs)
-        for rec in trend_scan(p, w_poly, -10 * p * p, -1):
-            if rec.divides_w1:
-                if rec.r_exceeds_2p:
-                    problems.append(f"trend violated at n={rec.n}, r={rec.r}")
-                elif content % rec.r != 0:
-                    problems.append(
-                        f"unexplained double divisor at n={rec.n}, r={rec.r}"
-                    )
+        for r, divides_w1 in trend_scan(p, w_poly, -10 * p * p, -1):
+            if divides_w1:
+                if r > 2 * p:
+                    problems.append(f"trend violated at n={p - r}, r={r}")
+                elif content % r != 0:
+                    problems.append(f"unexplained double divisor at n={p - r}, r={r}")
                 # r < 2p dividing the coefficient content divides W and W'
                 # identically; not a trend statement
         yield SuiteResult("wpoly", p, not problems, "; ".join(problems))

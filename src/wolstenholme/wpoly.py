@@ -26,13 +26,11 @@ from typing import Iterator
 
 from .arith import _check_prime_ge5, double_factorial, is_prime, primes_in
 from .congruence import w_exact
-from .errors import AssertionFailure, ConstructionAssertFailure, InexactDivision
+from .errors import AssertionFailure, ConstructionAssertFailure
 from .symmetric import S2Diagonal, _row, _s2_diagonals_down, s2_diagonals
 
 __all__ = [
     "IntPoly",
-    "TrendRecord",
-    "WReport",
     "poly_eval",
     "poly_eval_mod",
     "poly_derivative",
@@ -121,7 +119,7 @@ def _newton_M(k: int, row: S2Diagonal) -> list[int]:
             y = [b - a for a, b in zip(y, y[1:])]
         q, r = divmod(y[0], m_fact)
         if r:
-            raise InexactDivision(f"Newton coefficient {m} of M_{k} is not integral")
+            raise ConstructionAssertFailure(f"Newton coefficient {m} of M_{k} is not integral")
         d.append(-q if m % 2 else q)
     acc = [d[-1]]
     for m in range(k - 2, -1, -1):  # acc * (x + m + 2) + d_m
@@ -210,16 +208,7 @@ def construct_W(p: int) -> IntPoly:
     return _checked_W(p, s)
 
 
-@dataclass(frozen=True)
-class WReport:
-    p: int
-    degree: int
-    leading: int
-    a0: int
-    w_at_p: int
-
-
-def verify_W(p: int, w_poly: IntPoly) -> WReport:
+def verify_W(p: int, w_poly: IntPoly) -> None:
     """Check all structural claims about w_poly = W(p): degree 2p-7, leading
     coefficient (2p-5)!!, (p-3)! divides a0, and the evaluation identity.
 
@@ -238,7 +227,6 @@ def verify_W(p: int, w_poly: IntPoly) -> WReport:
     rhs = (w_exact(p) - 1) * math.factorial(2 * p - 4) * math.factorial(p - 1)
     if value * (p + 1) * p**3 != rhs:
         raise AssertionFailure("evaluation identity failed", p=p)
-    return WReport(p=p, degree=w_poly.degree, leading=leading, a0=a0, w_at_p=value)
 
 
 def large_prime_divisor_check(p: int, q: int, w_poly: IntPoly) -> bool:
@@ -268,34 +256,17 @@ def large_prime_divisor_check(p: int, q: int, w_poly: IntPoly) -> bool:
     return result
 
 
-@dataclass(frozen=True)
-class TrendRecord:
-    """A prime r = p - n > p dividing W(n), and whether it divides W'(n) too.
-
-    r_exceeds_2p marks the regime where r can actually divide (w(p)-1)/p^3:
-    a prime in (p, 2p] always divides w(p) itself, and every prime in
-    (p, 2p-5] divides the coefficient content of W outright, so only
-    r > 2p records bear on the observed trend.
-    """
-
-    p: int
-    n: int
-    r: int
-    divides_w: bool
-    divides_w1: bool
-    r_exceeds_2p: bool
-
-
-def trend_scan(p: int, w_poly: IntPoly, n_lo: int, n_hi: int) -> list[TrendRecord]:
+def trend_scan(p: int, w_poly: IntPoly, n_lo: int, n_hi: int) -> list[tuple[int, bool]]:
     """Scan n in [n_lo, n_hi] (all negative, so r = p - n > p is prime-sized).
 
-    Given w_poly = W(p), emits a record for each prime r = p - n dividing
-    W(n), in ascending n.  W(p) and W'(p) are evaluated once, exactly, and
-    each r is one remainder of each.  The observed trend is that r never also divides
-    W'(n); that holds in the r > 2p regime, while r < 2p records hit the
+    Given w_poly = W(p), emits (r, r | W'(n)) for each prime r = p - n
+    dividing W(n), in ascending n.  W(p) and W'(p) are evaluated once,
+    exactly, and each r is one remainder of each.  The observed trend is
+    that r never also divides W'(n); that holds in the r > 2p regime, the
+    only one where r can divide (w(p)-1)/p^3, while r < 2p hits the
     coefficient content of W (primes up to 2p-5 divide every coefficient)
-    and divide both polynomials trivially.  Callers flag divides_w1 records
-    with r_exceeds_2p set.  A w_poly whose degree is not 2p-7 raises ValueError.
+    and divides both polynomials trivially.  Callers flag r > 2p dividing
+    W'(n).  A w_poly whose degree is not 2p-7 raises ValueError.
     """
     _check_W(p, w_poly)
     if n_hi >= 0:
@@ -305,17 +276,5 @@ def trend_scan(p: int, w_poly: IntPoly, n_lo: int, n_hi: int) -> list[TrendRecor
     # n = p - r is congruent to p mod r, so W(n) = W(p) and W'(n) = W'(p) mod r
     w_p = poly_eval(w_poly, p)
     w1_p = poly_eval(poly_derivative(w_poly), p)
-    records = []
-    for r in primes_in(p - n_hi, p - n_lo):
-        if w_p % r == 0:
-            records.append(
-                TrendRecord(
-                    p=p,
-                    n=p - r,
-                    r=r,
-                    divides_w=True,
-                    divides_w1=w1_p % r == 0,
-                    r_exceeds_2p=r > 2 * p,
-                )
-            )
+    records = [(r, w1_p % r == 0) for r in primes_in(p - n_hi, p - n_lo) if w_p % r == 0]
     return records[::-1]

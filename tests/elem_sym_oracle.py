@@ -7,7 +7,7 @@ Fraction rows before they read integer rows."""
 from fractions import Fraction
 
 from wolstenholme.arith import _check_base, valuation
-from wolstenholme.errors import DenominatorNotCoprime, ZeroNumerator
+from wolstenholme.errors import DenominatorNotCoprime
 
 
 def elem_sym_rows_by_fractions(n_max):
@@ -28,11 +28,9 @@ def num_valuation(r: Fraction, q: int) -> int:
     """Exponent of the prime q in the numerator of r.
 
     This is the fractional-congruence valuation: it requires gcd(den, q) = 1
-    and a nonzero numerator.
+    and a nonzero numerator; valuation raises ValueError for 0.
     """
     _check_base(q)
     if r.denominator % q == 0:
         raise DenominatorNotCoprime(f"{q} divides denominator of {r}")
-    if r.numerator == 0:
-        raise ZeroNumerator("numerator valuation of 0 is undefined")
     return valuation(r.numerator, q)

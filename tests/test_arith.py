@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from elem_sym_oracle import num_valuation
-from factor_oracle import factor_by_each_prime
+from factor_oracle import factor_by_each_prime, prime_power_root
 from wolstenholme import arith
 from wolstenholme.arith import (
     binomial_exact,
@@ -28,7 +28,6 @@ from wolstenholme.arith import (
 from wolstenholme.errors import (
     DenominatorNotCoprime,
     FactoringBudgetExceeded,
-    ZeroNumerator,
 )
 
 
@@ -328,6 +327,12 @@ class TestBinomials:
             m = rng.randrange(2, 10**4)
             assert binomial_mod(n, k, m) == math.comb(n, k) % m, (n, k, m)
 
+    def test_prime_power_modulus_above_trial_limit(self):
+        # n = 300000 is past the exact fallback's 200000, so these raised
+        m = 1000003**2
+        assert binomial_mod(300000, 5, m) == math.comb(300000, 5) % m
+        assert binomial_mod(300000, 299990, 6 * m) == math.comb(300000, 10) % (6 * m)
+
     def test_unfactorable_modulus_falls_back_to_exact(self):
         m = 1000003 * 1000033  # both primes above the trial budget
         with pytest.raises(FactoringBudgetExceeded) as exc:
@@ -438,10 +443,40 @@ class TestFactorization:
         p = 2124679  # second Wolstenholme prime, above nothing special: just prime
         assert factor_completely(4 * p) == {2: 2, p: 1}
 
+    def test_prime_power_cofactor_above_trial_limit(self):
+        # trial division leaves r^k whole when r > 10^6; it raised
+        # FactoringBudgetExceeded before a cofactor could be a prime power
+        r, s = 1000003, 1000033
+        for m, factors in [
+            (r**2, {r: 2}),
+            (r**3, {r: 3}),
+            (12 * r**5, {2: 2, 3: 1, r: 5}),
+            (997 * (2**61 - 1) ** 2, {997: 1, 2**61 - 1: 2}),
+            (s**16, {s: 16}),  # 319 bits: a bound k <= bits // 20 stops at 15
+        ]:
+            assert factor_completely(m) == factors == factor_by_each_prime(m), m
+        # a cofactor with two distinct primes, their product squared too, still raises
+        for m, cofactor in [(r * s, r * s), (r**2 * s, r**2 * s), (8 * (r * s) ** 2, (r * s) ** 2)]:
+            with pytest.raises(FactoringBudgetExceeded) as exc:
+                factor_completely(m)
+            assert exc.value.cofactor == cofactor, m
+
+    def test_iroot_is_the_floor_root(self):
+        rng = random.Random(40)
+        for _ in range(300):
+            n, k = rng.getrandbits(rng.randrange(1, 400)) + 1, rng.randrange(2, 12)
+            x = arith._iroot(n, k)
+            assert x**k <= n < (x + 1) ** k, (n, k)
+        for x in (2, 3, 1000003, 2**61 - 1):
+            for k in (2, 3, 7):
+                assert arith._iroot(x**k, k) == x
+                assert arith._iroot(x**k - 1, k) == x - 1
+
     @staticmethod
     def _plain(m, trial_limit):
         """Trial division by every integer 2..trial_limit, as factor_completely
-        did before it divided by primes only."""
+        did before it divided by primes only, with a cofactor that is a prime
+        power accepted as it is now."""
         factors, rest = {}, m
         for p in range(2, trial_limit + 1):
             if p * p > rest:
@@ -452,6 +487,8 @@ class TestFactorization:
         if rest > 1:
             if rest <= trial_limit * trial_limit or is_prime(rest):
                 factors[rest] = factors.get(rest, 0) + 1
+            elif root := prime_power_root(rest, trial_limit):
+                factors[root[0]] = root[1]
             else:
                 return "budget", m, factors, rest
         return factors
@@ -538,7 +575,7 @@ class TestNumValuation:
             num_valuation(Fraction(3, 10), 5)
 
     def test_zero_numerator(self):
-        with pytest.raises(ZeroNumerator):
+        with pytest.raises(ValueError, match="valuation of zero is undefined"):
             num_valuation(Fraction(0), 5)
 
     def test_sign_lives_in_numerator(self):

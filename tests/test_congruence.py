@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wolstenholme import congruence
-from wolstenholme.arith import is_prime, primes_in, primes_upto
+from wolstenholme.arith import binomial_mod_prime_power, is_prime, primes_in, primes_upto
 from wolstenholme.congruence import (
     _divisors,
     _factorial_residues,
@@ -182,7 +182,7 @@ class TestWMinusOneGcds:
         for p, _, g in self._gcds(math.prod(self.QS)):
             for q in self.QS[1:]:  # pair_criterion takes primes >= 3
                 if q != p:
-                    left = pair_criterion(p, q, 1).left
+                    left, _ = pair_criterion(p, q, 1)
                     assert (g % q == 0) == left, (p, q)
                     lefts += left
         assert lefts == 18
@@ -197,7 +197,7 @@ class TestWMinusOneGcds:
             for (p, _, g), (_, _, g_dropped) in zip(full, self._gcds(math.prod(self.QS) // q)):
                 assert g_dropped == g // math.gcd(g, q), (p, q)
                 if g % q == 0:
-                    assert (g_dropped % q == 0) != pair_criterion(p, q, 1).left, (p, q)
+                    assert (g_dropped % q == 0) != pair_criterion(p, q, 1)[0], (p, q)
 
     def test_squares_against_plain(self):
         # new-conjecture's squares gcd(m // g, g) are the q != p with q^2 | w(p) - 1
@@ -458,6 +458,12 @@ class TestWilson:
     def test_composite_residue_zero(self):
         assert wilson_residue(8, 1) == 0
 
+    @pytest.mark.parametrize("n, e", [(2, 0), (5, 0), (5, -1), (5, 1.5), (5, 2.0)])
+    def test_exponent_must_be_an_int_at_least_one(self, n, e):
+        # (2, 0) gave 1, outside [0, 1); (5, -1) the float 0.19999...; (5, 2.0) 24.0
+        with pytest.raises(ValueError, match="exponent e must be >= 1"):
+            wilson_residue(n, e)
+
     def test_prime_iff_for_small_n(self):
         for n in range(2, 500):
             assert (wilson_residue(n, 1) == n - 1) == is_prime(n)
@@ -523,15 +529,27 @@ class TestJonesAndMcIntosh:
         assert w_mod(16843, 16843**4) == 1
         assert w_mod(16843, 16843**5) != 1
 
+    @pytest.mark.stretch
+    def test_twice_a_prime_above_trial_limit(self):
+        # factoring n^e for n = 2 * 1000003 leaves 1000003^e, which raised
+        # FactoringBudgetExceeded; the oracle reduces w(n) mod 2^e and mod
+        # 1000003^e apart and joins them by CRT
+        n, r = 2000006, 1000003
+        for e, check in ((3, jones_check), (2, mcintosh_check)):
+            a = binomial_mod_prime_power(2 * n - 1, n - 1, 2, e)
+            b = binomial_mod_prime_power(2 * n - 1, n - 1, r, e)
+            residue = a + 2**e * ((b - a) * pow(2**e, -1, r**e) % r**e)
+            assert w_mod(n, n**e) == residue, e
+            assert check(n) is (residue == 1), e
+
 
 class TestPairs:
     def test_known_pairs_level_one(self):
-        assert pair_criterion(29, 937, 1).combined
-        assert pair_criterion(787, 2543, 1).combined
+        assert pair_criterion(29, 937, 1) == (True, True)
+        assert pair_criterion(787, 2543, 1) == (True, True)
 
     def test_failing_pair(self):
-        r = pair_criterion(5, 7, 1)
-        assert not r.left and not r.combined
+        assert pair_criterion(5, 7, 1) == (False, True)  # w(7) = 1 mod 5 alone
 
     def test_direct_examples(self):
         assert pair_direct_check(29, 937, 1) is True
@@ -543,18 +561,27 @@ class TestPairs:
         for i, p in enumerate(primes):
             for q in primes[i + 1 :]:
                 for e in (1, 2, 3):
-                    assert pair_direct_check(p, q, e) == pair_criterion(p, q, e).combined
+                    assert pair_direct_check(p, q, e) == all(pair_criterion(p, q, e))
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             pair_direct_check(69239, 231433, 1)
+
+    @pytest.mark.stretch
+    def test_level_two_above_trial_limit(self):
+        # w(q) mod p^2 for p = 1000003 goes through binomial_mod, whose
+        # modulus p^2 raised FactoringBudgetExceeded
+        p, q = 1000003, 1000033
+        left = binomial_mod_prime_power(2 * p - 1, p - 1, q, 2) == 1
+        right = binomial_mod_prime_power(2 * q - 1, q - 1, p, 2) == 1
+        assert pair_criterion(p, q, 2) == (left, right)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             pair_criterion(5, 5, 1)
         with pytest.raises(ValueError):
             pair_criterion(3, 7, 3)  # level 3 needs both >= 5
-        assert pair_criterion(3, 7, 1) is not None
+        assert pair_criterion(3, 7, 1) == (False, False)
 
 
 class TestFactorBands:

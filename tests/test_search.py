@@ -119,10 +119,12 @@ class TestCheckpointFile:
         path = str(tmp_path / "cp.json")
         checkpoint_save(cp, path)
         assert checkpoint_load(path) == cp
-        raw = json.load(open(path))
+        with open(path) as fh:
+            raw = json.load(fh)
         assert raw["fmt"] == "csv" and raw["format_version"] == FORMAT_VERSION
         del raw["fmt"]
-        json.dump(raw, open(path, "w"))
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
         with pytest.raises(CorruptFile):
             checkpoint_load(path)
 
@@ -134,9 +136,11 @@ class TestCheckpointFile:
         out, path = tmp_path / "out.jsonl", str(tmp_path / "cp.json")
         with open(out, "w") as sink:
             run_scan("pairs", params, sink, checkpoint_path=path, limit_subjects=8)
-        raw = json.load(open(path))
+        with open(path) as fh:
+            raw = json.load(fh)
         raw["last_subject"] = [29, 937]
-        json.dump(raw, open(path, "w"))
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
         with pytest.raises(CorruptFile, match="last_subject"):
             checkpoint_load(path)
         before = out.read_bytes()
@@ -158,9 +162,11 @@ class TestCheckpointFile:
         path = str(tmp_path / "cp.json")
         cp = Checkpoint("jones", {"limit": 50}, params_digest({"limit": 50}), 37, 4)
         checkpoint_save(cp, path)
-        raw = json.load(open(path))
+        with open(path) as fh:
+            raw = json.load(fh)
         raw["format_version"] = FORMAT_VERSION + 1
-        json.dump(raw, open(path, "w"))
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
         with pytest.raises(VersionMismatch):
             checkpoint_load(path)
 
@@ -187,9 +193,11 @@ class TestCheckpointFile:
         path = str(tmp_path / "cp.json")
         cp = Checkpoint("jones", {"limit": 50}, params_digest({"limit": 50}), 37, 4)
         checkpoint_save(cp, path)
-        raw = json.load(open(path))
+        with open(path) as fh:
+            raw = json.load(fh)
         raw["params"] = {"limit": 999}
-        json.dump(raw, open(path, "w"))
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
         with pytest.raises(CorruptFile):
             checkpoint_load(path)
 
@@ -725,7 +733,7 @@ class TestCarriedPaths:
         ps = list(primes_in(start, 40))
         assert [p for p, _, _ in gcds] == ps
         expected = [
-            (p, q) for p in ps for q in primes_in(p + 1, 400) if pair_criterion(p, q, 1).left
+            (p, q) for p in ps for q in primes_in(p + 1, 400) if pair_criterion(p, q, 1)[0]
         ]
         if after is None:  # the left halves of (11, 53), (13, 263), (17, 53), (37, 109)
             assert len(expected) == 4
@@ -733,8 +741,7 @@ class TestCarriedPaths:
         assert [args[:2] for args, _ in seen] == expected
         for args, _ in seen:
             p, q, left, right = args[:4]
-            res = pair_criterion(p, q, 1)
-            assert (left, right) == (res.left, res.right)
+            assert (left, right) == pair_criterion(p, q, 1)
 
         # the published pairs take both halves from pair_criterion, which
         # reduces w(p) mod q: no exact w(p), no gcd kernel, no Lucas table
@@ -750,8 +757,7 @@ class TestCarriedPaths:
         assert [args[:2] for args, _ in seen] == [pq for pq in search.KNOWN_PAIRS if pq[0] >= start]
         for args, _ in seen:
             p, q, left, right, always = args
-            res = pair_criterion(p, q, 1)
-            assert (left, right, always) == (res.left, res.right, True)
+            assert (left, right, always) == (*pair_criterion(p, q, 1), True)
         # a resume after each published p carries on with the pairs after it
         full = _drain("pairs", params)
         assert stream == [item for item in full if item[0] >= start]

@@ -10,12 +10,11 @@ from weight_oracle import newton_M_by_factorials
 from wolstenholme.arith import double_factorial, is_prime, primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme import wpoly
-from wolstenholme.errors import AssertionFailure, ConstructionAssertFailure, InexactDivision
+from wolstenholme.errors import AssertionFailure, ConstructionAssertFailure
 from wolstenholme.symmetric import S2Diagonal, s2_diagonals
 from wolstenholme.wpoly import (
     IntPoly,
     _inner,
-    TrendRecord,
     construct_W,
     large_prime_divisor_check,
     poly_derivative,
@@ -38,7 +37,7 @@ def _div_linear(coeffs, c):
         out[i - 1] = carry
         carry = -c * carry
     if coeffs[0] + carry != 0:
-        raise InexactDivision(f"(x + {c}) does not divide polynomial")
+        raise ArithmeticError(f"(x + {c}) does not divide polynomial")
     return out
 
 
@@ -110,7 +109,7 @@ def _trend_by_is_prime(p, w_poly, n_lo, n_hi):
         r = p - n
         if is_prime(r) and poly_eval_mod(w_poly, n, r) == 0:
             divides_w1 = poly_eval_mod(w1, n, r) == 0
-            records.append(TrendRecord(p, n, r, True, divides_w1, r > 2 * p))
+            records.append((r, divides_w1))
     return records
 
 
@@ -175,20 +174,20 @@ class TestConstructW:
         assert w7.coeffs[-1] == 945  # 9!!
 
     def test_verify_examples(self):
-        rep = verify_W(5, construct_W(5))
-        assert rep.leading == 15 and rep.a0 == 30 and rep.w_at_p == 2880
-        rep = verify_W(7, construct_W(7))
-        assert rep.leading == 945
+        w5, w7 = construct_W(5), construct_W(7)
+        assert verify_W(5, w5) is None and verify_W(7, w7) is None
+        assert w5.coeffs[-1] == 15 and w5.coeff(0) == 30 and poly_eval(w5, 5) == 2880
+        assert w7.coeffs[-1] == 945
 
     def test_verify_sweep_to_31(self):
         for p in primes_upto(31):
             if p < 5:
                 continue
             w_poly = construct_W(p)
-            rep = verify_W(p, w_poly)
-            assert rep.degree == 2 * p - 7
-            assert rep.leading == double_factorial(2 * p - 5)
-            assert rep.a0 % math.factorial(p - 3) == 0
+            verify_W(p, w_poly)
+            assert w_poly.degree == 2 * p - 7
+            assert w_poly.coeffs[-1] == double_factorial(2 * p - 5)
+            assert w_poly.coeff(0) % math.factorial(p - 3) == 0
 
     def test_evaluation_identity_exact(self):
         for p in (5, 7, 11, 13):
@@ -292,11 +291,7 @@ class TestTrendScan:
 
     def test_known_r_above_2p_record(self):
         # 263 = 13 - (-250) divides (w(13)-1)/13^3, and the trend holds there
-        recs = trend_scan(13, construct_W(13), -250, -250)
-        assert len(recs) == 1
-        rec = recs[0]
-        assert rec.r == 263 and rec.r_exceeds_2p
-        assert rec.divides_w and not rec.divides_w1
+        assert trend_scan(13, construct_W(13), -250, -250) == [(263, False)]
 
     @pytest.mark.parametrize(
         "p, n_lo, n_hi",
@@ -338,7 +333,7 @@ class TestTrendScan:
             f = IntPoly(tuple(coeffs))
             recs = trend_scan(p, f, -10 * p * p, -1)
             assert recs == _trend_by_is_prime(p, f, -10 * p * p, -1)
-            assert [(rec.r, rec.divides_w1) for rec in recs if rec.r in (101, 103, 211)] == [
+            assert [rec for rec in recs if rec[0] in (101, 103, 211)] == [
                 (211, False), (103, False), (101, True)
             ]
 
@@ -351,17 +346,17 @@ class TestTrendScan:
         for c in w_poly.coeffs:
             content = math.gcd(content, c)
         recs = trend_scan(p, w_poly, -10 * p * p, -1)
-        doubles = [r for r in recs if r.divides_w1]
+        doubles = [r for r, divides_w1 in recs if divides_w1]
         assert doubles, "expected content-driven records at p=17"
-        for rec in doubles:
-            assert not rec.r_exceeds_2p
-            assert content % rec.r == 0
+        for r in doubles:
+            assert r <= 2 * p
+            assert content % r == 0
 
     def test_no_trend_violations_above_2p_small(self):
         for p, w_poly in w_polys(23):
-            for rec in trend_scan(p, w_poly, -10 * p * p, -1):
-                if rec.r_exceeds_2p:
-                    assert not rec.divides_w1, rec
+            for r, divides_w1 in trend_scan(p, w_poly, -10 * p * p, -1):
+                if r > 2 * p:
+                    assert not divides_w1, (p, r)
 
     def test_range_validation(self):
         w5 = IntPoly(W5_COEFFS)
