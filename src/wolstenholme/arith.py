@@ -227,7 +227,7 @@ def _check_base(q: int, *numbers: int, prime: bool = False) -> None:
 
 
 def _check_exponent(e: int) -> None:
-    if not isinstance(e, int) or e < 1:
+    if isinstance(e, bool) or not isinstance(e, int) or e < 1:
         raise ValueError(f"exponent e must be >= 1, got {e}")
 
 

@@ -35,7 +35,7 @@ from .arith import (
     primes_upto,
     valuation,
 )
-from .errors import BudgetExceeded, AssertionFailure, PreconditionViolated
+from .errors import AssertionFailure
 
 __all__ = [
     "FactorBand",
@@ -114,17 +114,19 @@ def w_mod(n: int, m: int) -> int:
 
     w(n) * (n-1)! = (n+1)(n+2)...(2n-1), so whenever (n-1)! is a unit mod m
     the residue is the O(n) modular product of (n+k) times the inverse of
-    (n-1)!.  That route is tried only for m > 2n-1.  The smaller moduli
-    include every m < n, which always shares a prime with (n-1)!, and for
-    all of them binomial_mod is cheap: each prime power q^e of m costs it
-    a sign and at most q^e multiplications per base-q digit of 2n-1.
-    Every other modulus goes through binomial_mod.
+    (n-1)!.  That route is tried only for m > 2n-1 that shares no prime
+    with n unless n is prime: a prime of a composite n is below n, so it
+    divides (n-1)! too.  The smaller moduli include every m < n, which
+    always shares a prime with (n-1)!, and for all of them binomial_mod is
+    cheap: each prime power q^e of m costs it a sign and at most q^e
+    multiplications per base-q digit of 2n-1.  Every other modulus goes
+    through binomial_mod.
     """
     if n < 1:
         raise ValueError("w(n) requires n >= 1")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    if m > 2 * n - 1:
+    if m > 2 * n - 1 and (math.gcd(m, n) == 1 or is_prime(n)):
         den = 1
         for k in range(1, n):
             den = den * k % m
@@ -215,14 +217,14 @@ def wprime_mod(n: int, m: int) -> int:
     Under that precondition every k coprime to n is invertible mod m, so the
     defining product can be evaluated as (prod of 2n-k) * (prod of k)^-1.
     The precondition holds iff m divides n^e for e >= every exponent in m,
-    and m.bit_length() bounds those exponents.
+    and m.bit_length() bounds those exponents; any other m raises ValueError.
     """
     if n < 1:
         raise ValueError("w'(n) requires n >= 1")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     if pow(n, m.bit_length(), m):
-        raise PreconditionViolated(
+        raise ValueError(
             f"modulus {m} has a prime factor that does not divide n={n}"
         )
     num = den = 1
@@ -432,7 +434,7 @@ def mcintosh_check(n: int) -> bool:
 
 
 def _validate_pair(p: int, q: int, e: int) -> None:
-    if e not in (1, 2, 3):
+    if isinstance(e, bool) or e not in (1, 2, 3):
         raise ValueError("level must be 1, 2, or 3")
     floor = 5 if e == 3 else 3
     if p == q:
@@ -457,11 +459,11 @@ def pair_direct_check(p: int, q: int, e: int) -> bool:
     """w(pq) = 1 (mod (pq)^e) by direct exact binomial reduction.
 
     Independent of pair_criterion (no per-prime-power factorial route);
-    budgeted at pq <= 100000.
+    budgeted at pq <= 100000, past which it raises ValueError.
     """
     _validate_pair(p, q, e)
     if p * q > PAIR_DIRECT_BUDGET:
-        raise BudgetExceeded(f"pq = {p * q} exceeds direct budget {PAIR_DIRECT_BUDGET}")
+        raise ValueError(f"pq = {p * q} exceeds direct budget {PAIR_DIRECT_BUDGET}")
     m = (p * q) ** e
     return w_exact(p * q) % m == 1
 

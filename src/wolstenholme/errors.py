@@ -1,18 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = [
-    "FactoringBudgetExceeded",
-    "DenominatorNotCoprime",
-    "PreconditionViolated",
-    "BudgetExceeded",
-    "ConstructionAssertFailure",
-    "AssertionFailure",
-    "CheckpointError",
-    "VersionMismatch",
-    "ParamsMismatch",
-    "CorruptFile",
-    "PrefixMismatch",
-]
+__all__ = ["FactoringBudgetExceeded", "AssertionFailure", "CheckpointError"]
 
 
 class FactoringBudgetExceeded(RuntimeError):
@@ -30,25 +18,6 @@ class FactoringBudgetExceeded(RuntimeError):
         )
 
 
-class DenominatorNotCoprime(ValueError):
-    """Numerator valuation is undefined when the prime divides the denominator."""
-
-
-class PreconditionViolated(ValueError):
-    """An operation was called outside its stated domain."""
-
-
-class BudgetExceeded(RuntimeError):
-    """A direct (exact) computation was requested beyond its size budget."""
-
-
-class ConstructionAssertFailure(RuntimeError):
-    """An internal consistency check failed while building a polynomial.
-
-    This signals a defect in the construction, never an expected outcome.
-    """
-
-
 class AssertionFailure(RuntimeError):
     """A verified mathematical claim failed; carries the failing clause."""
 
@@ -60,20 +29,5 @@ class AssertionFailure(RuntimeError):
 
 
 class CheckpointError(Exception):
-    """Base class for checkpoint load failures."""
-
-
-class VersionMismatch(CheckpointError):
-    """Checkpoint was written by an incompatible format version."""
-
-
-class ParamsMismatch(CheckpointError):
-    """Checkpoint belongs to a run with different scan parameters."""
-
-
-class CorruptFile(CheckpointError):
-    """Checkpoint file is unreadable or structurally invalid."""
-
-
-class PrefixMismatch(CheckpointError):
-    """The output to resume does not start with the bytes the checkpoint covers."""
+    """A checkpoint cannot be resumed: unreadable, malformed, of another
+    format version or scan, or not matching the output it covers."""

@@ -48,13 +48,7 @@ from .congruence import (
     w_at,
     w_mod,
 )
-from .errors import (
-    CheckpointError,
-    CorruptFile,
-    ParamsMismatch,
-    PrefixMismatch,
-    VersionMismatch,
-)
+from .errors import CheckpointError
 
 __all__ = [
     "ScanRecord",
@@ -190,29 +184,30 @@ _FIELD_CHECKS = {
 
 
 def checkpoint_load(path: str, expected_params: dict | None = None) -> Checkpoint:
-    """Load and validate a checkpoint; raises VersionMismatch / ParamsMismatch /
-    CorruptFile as appropriate, a field of the wrong type or range included."""
+    """Load and validate a checkpoint; raises CheckpointError for an unreadable
+    file, another format version or params, or a field of the wrong type or
+    range."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptFile(f"cannot read checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict) or "format_version" not in payload:
-        raise CorruptFile(f"checkpoint {path} is missing fields")
+        raise CheckpointError(f"checkpoint {path} is missing fields")
     if payload["format_version"] != FORMAT_VERSION:
-        raise VersionMismatch(
+        raise CheckpointError(
             f"checkpoint format {payload['format_version']} != {FORMAT_VERSION}"
         )
     names = [f.name for f in fields(Checkpoint)]
     if not set(names).issubset(payload):
-        raise CorruptFile(f"checkpoint {path} is missing fields")
+        raise CheckpointError(f"checkpoint {path} is missing fields")
     malformed = [k for k, ok in _FIELD_CHECKS.items() if not ok(payload[k])]
     if malformed:
-        raise CorruptFile(f"checkpoint {path} has malformed fields {malformed}")
+        raise CheckpointError(f"checkpoint {path} has malformed fields {malformed}")
     if params_digest(payload["params"]) != payload["params_hash"]:
-        raise CorruptFile(f"checkpoint {path} params digest does not match")
+        raise CheckpointError(f"checkpoint {path} params digest does not match")
     if expected_params is not None and params_digest(expected_params) != payload["params_hash"]:
-        raise ParamsMismatch(
+        raise CheckpointError(
             f"checkpoint {path} belongs to params {payload['params']}"
         )
     return Checkpoint(**{name: payload[name] for name in names})
@@ -491,12 +486,12 @@ def _cut_back(sink, cp: Checkpoint) -> _Tally:
     tally that continues from there."""
     got, digest = _prefix_digest(sink, cp.offset)
     if got != cp.offset:
-        raise PrefixMismatch(
+        raise CheckpointError(
             f"the output holds {got} bytes, fewer than the {cp.offset} the "
             "checkpoint covers"
         )
     if digest.hexdigest() != cp.sha256:
-        raise PrefixMismatch(
+        raise CheckpointError(
             f"the output's first {cp.offset} bytes differ from those the "
             "checkpoint covers"
         )
@@ -524,14 +519,14 @@ def run_scan(
     more after the last save (or the start), and at the end if subjects ran
     since then; sink is flushed first, so a checkpoint never claims
     unflushed work.  If checkpoint_path exists, the run resumes after its
-    last completed subject; a checkpoint of another scan or format
-    (ParamsMismatch), or whose last_subject is below the scan's first
-    (CorruptFile), is rejected before sink is touched.  sink must then hold
-    the earlier output: a file opened from its path (append mode is fine) or
-    an in-memory stream.  Its first `offset` bytes must match the
-    checkpoint's sha256, else PrefixMismatch; anything after them is
-    truncated, and the generator starts after last_subject, so no earlier
-    subject is computed again.  limit_subjects stops early after that many
+    last completed subject; a checkpoint of another scan or format, or whose
+    last_subject is below the scan's first, raises CheckpointError before
+    sink is touched.  sink must then hold the earlier output: a file opened
+    from its path (append mode is fine) or an in-memory stream.  Its first
+    `offset` bytes must match the checkpoint's sha256, else CheckpointError
+    again; anything after them is truncated, and the generator starts
+    after last_subject, so no earlier subject is computed again.
+    limit_subjects stops early after that many
     subjects, computing none past them (used to exercise interruption in
     tests); a value that is negative, a bool or not an int raises
     ValueError.  The summary counts only the subjects and records of this
@@ -551,12 +546,12 @@ def run_scan(
     if checkpoint_path and os.path.exists(checkpoint_path):
         cp = checkpoint_load(checkpoint_path, expected_params=params)
         if (cp.scan, cp.fmt) != (name, fmt):
-            raise ParamsMismatch(
+            raise CheckpointError(
                 f"checkpoint is for scan {cp.scan!r} in {cp.fmt}, not {name!r} in {fmt}"
             )
         if cp.last_subject < sd.first:
-            raise CorruptFile(f"checkpoint {checkpoint_path} has last_subject "
-                              f"{cp.last_subject}, below the scan's first subject")
+            raise CheckpointError(f"checkpoint {checkpoint_path} has last_subject "
+                                  f"{cp.last_subject}, below the scan's first subject")
         tally = _cut_back(sink, cp)
         after = cp.last_subject
         already_emitted = cp.records_emitted

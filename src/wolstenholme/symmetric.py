@@ -30,7 +30,7 @@ from operator import mul
 
 from .arith import double_factorial, valuation
 from .congruence import w_exact
-from .errors import AssertionFailure, DenominatorNotCoprime
+from .errors import AssertionFailure
 
 __all__ = [
     "SymRationalTable",
@@ -363,13 +363,13 @@ def s_pm_mod_p(p: int, perm: IntSymTable) -> bool:
 
     p!*S(p, m) = P(p, p-m) and v_p(p!) = 1, so p divides the reduced
     numerator iff v_p(P(p, p-m)) >= 2; v_p = 0 puts p in the reduced
-    denominator and raises DenominatorNotCoprime.
+    denominator and raises ValueError.
     """
     perm = _row(perm, p)
     for m in range(2, p - 2, 2):
         v = valuation(perm[p - m], p)
         if v == 0:
-            raise DenominatorNotCoprime(f"{p} divides the denominator of S({p}, {m})")
+            raise ValueError(f"{p} divides the denominator of S({p}, {m})")
         if v < 2:
             return False
     return True

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .arith import _check_prime_ge5, double_factorial, is_prime, primes_in
 from .congruence import w_exact
-from .errors import AssertionFailure, ConstructionAssertFailure
+from .errors import AssertionFailure
 from .symmetric import S2Diagonal, _row, _s2_diagonals_down, s2_diagonals
 
 __all__ = [
@@ -119,7 +119,7 @@ def _newton_M(k: int, row: S2Diagonal) -> list[int]:
             y = [b - a for a, b in zip(y, y[1:])]
         q, r = divmod(y[0], m_fact)
         if r:
-            raise ConstructionAssertFailure(f"Newton coefficient {m} of M_{k} is not integral")
+            raise AssertionFailure("Newton coefficient of M_k is not integral", k=k, m=m)
         d.append(-q if m % 2 else q)
     acc = [d[-1]]
     for m in range(k - 2, -1, -1):  # acc * (x + m + 2) + d_m
@@ -143,16 +143,14 @@ def _checked_W(p: int, v: list[int]) -> IntPoly:
     """W(p) = V_(p-2)/x, after checking the constant term, the degree and
     the evaluation identity against the exact w(p)."""
     if v[0] != 0:
-        raise ConstructionAssertFailure(f"nonzero constant term at p={p}")
+        raise AssertionFailure("nonzero constant term", p=p)
     w_poly = IntPoly(tuple(v[1:]))
     if w_poly.degree != 2 * p - 7:
-        raise ConstructionAssertFailure(
-            f"degree {w_poly.degree} != 2p-7 = {2 * p - 7} at p={p}"
-        )
+        raise AssertionFailure("degree != 2p-7", p=p, degree=w_poly.degree)
     lhs = poly_eval(w_poly, p) * (p + 1) * p**3
     rhs = (w_exact(p) - 1) * math.factorial(2 * p - 4) * math.factorial(p - 1)
     if lhs != rhs:
-        raise ConstructionAssertFailure(f"evaluation identity failed at p={p}")
+        raise AssertionFailure("evaluation identity failed", p=p)
     return w_poly
 
 

@@ -7,7 +7,6 @@ Fraction rows before they read integer rows."""
 from fractions import Fraction
 
 from wolstenholme.arith import _check_base, valuation
-from wolstenholme.errors import DenominatorNotCoprime
 
 
 def elem_sym_rows_by_fractions(n_max):
@@ -28,9 +27,10 @@ def num_valuation(r: Fraction, q: int) -> int:
     """Exponent of the prime q in the numerator of r.
 
     This is the fractional-congruence valuation: it requires gcd(den, q) = 1
-    and a nonzero numerator; valuation raises ValueError for 0.
+    and a nonzero numerator, and raises ValueError otherwise; valuation
+    raises it for 0.
     """
     _check_base(q)
     if r.denominator % q == 0:
-        raise DenominatorNotCoprime(f"{q} divides denominator of {r}")
+        raise ValueError(f"{q} divides denominator of {r}")
     return valuation(r.numerator, q)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,6 @@ from wolstenholme.congruence import (
     wprime_exact,
     wprime_mod,
 )
-from wolstenholme.errors import BudgetExceeded, PreconditionViolated
 from w_oracle import w_iter
 from wprime_oracle import wprime_parts_by_masks
 
@@ -256,6 +256,44 @@ class TestWMod:
         n, m = 200_001, (2**61 - 1) * (2**89 - 1)
         assert w_mod(n, m) == math.comb(2 * n - 1, n - 1) % m
 
+    @staticmethod
+    def _traced_lines(n, m):
+        """w_mod(n, m) and the number of lines it ran in its own frame."""
+        lines = 0
+
+        def trace(frame, event, arg):
+            nonlocal lines
+            if frame.f_code is not w_mod.__code__:
+                return None
+            lines += event == "line"
+            return trace
+
+        before = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            return w_mod(n, m), lines
+        finally:
+            sys.settrace(before)
+
+    @pytest.mark.parametrize(
+        "n, m, product",
+        [
+            (2006, 2006**3, False),
+            (2006, 17 * (10**9 + 7), False),
+            (25, 5 * 1009, False),
+            (2003, 2003**3, True),
+            (2006, 10**9 + 7, True),
+        ],
+    )
+    def test_product_only_where_it_can_be_a_unit(self, n, m, product):
+        # a prime of a composite n is below n and divides (n-1)!, so for an
+        # m sharing it binomial_mod is called at once (the O(n) loop for
+        # (n-1)! ran first: 4017 lines at (2006, 2006^3)); for n prime or m
+        # sharing no prime with n, (n-1)! may be a unit and the loop runs
+        got, lines = self._traced_lines(n, m)
+        assert got == w_exact(n) % m
+        assert lines > 2 * n if product else lines < 20
+
 
 class TestWPrime:
     def test_examples(self):
@@ -280,11 +318,11 @@ class TestWPrime:
             assert wprime_mod(n, m) == expected
 
     def test_mod_precondition(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(ValueError, match="modulus 35 has a prime factor that does not divide n=6"):
             wprime_mod(6, 35)  # 5 and 7 do not divide 6
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(ValueError, match="has a prime factor that does not divide n=6"):
             wprime_mod(6, (2**61 - 1) * (2**89 - 1))  # too large to factor
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(ValueError, match=f"modulus {2**20 * 5} has a prime factor"):
             wprime_mod(12, 2**20 * 5)  # 2 divides 12, 5 does not
 
     @pytest.mark.parametrize("m", [1, 0, -7])
@@ -458,9 +496,10 @@ class TestWilson:
     def test_composite_residue_zero(self):
         assert wilson_residue(8, 1) == 0
 
-    @pytest.mark.parametrize("n, e", [(2, 0), (5, 0), (5, -1), (5, 1.5), (5, 2.0)])
+    @pytest.mark.parametrize("n, e", [(2, 0), (5, 0), (5, -1), (5, 1.5), (5, 2.0), (5, True)])
     def test_exponent_must_be_an_int_at_least_one(self, n, e):
-        # (2, 0) gave 1, outside [0, 1); (5, -1) the float 0.19999...; (5, 2.0) 24.0
+        # (2, 0) gave 1, outside [0, 1); (5, -1) the float 0.19999...; (5, 2.0)
+        # 24.0; (5, True) 4, as True == 1
         with pytest.raises(ValueError, match="exponent e must be >= 1"):
             wilson_residue(n, e)
 
@@ -564,7 +603,7 @@ class TestPairs:
                     assert pair_direct_check(p, q, e) == all(pair_criterion(p, q, e))
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(ValueError, match=f"pq = {69239 * 231433} exceeds direct budget 100000"):
             pair_direct_check(69239, 231433, 1)
 
     @pytest.mark.stretch
@@ -582,6 +621,10 @@ class TestPairs:
         with pytest.raises(ValueError):
             pair_criterion(3, 7, 3)  # level 3 needs both >= 5
         assert pair_criterion(3, 7, 1) == (False, False)
+        # True == 1 gave pair_criterion(5, 7, True) = (False, True)
+        for check in (pair_criterion, pair_direct_check):
+            with pytest.raises(ValueError, match="level must be 1, 2, or 3"):
+                check(5, 7, True)
 
 
 class TestFactorBands:

@@ -12,13 +12,7 @@ from wolstenholme import arith, congruence, search
 from wolstenholme.arith import is_prime, primes_in, primes_upto, valuation
 from wolstenholme.cli import main
 from wolstenholme.congruence import pair_criterion, w_exact, w_mod, wilson_residue
-from wolstenholme.errors import (
-    CheckpointError,
-    CorruptFile,
-    ParamsMismatch,
-    PrefixMismatch,
-    VersionMismatch,
-)
+from wolstenholme.errors import CheckpointError
 from wolstenholme.search import (
     _SCANS,
     FORMAT_VERSION,
@@ -125,7 +119,7 @@ class TestCheckpointFile:
         del raw["fmt"]
         with open(path, "w") as fh:
             json.dump(raw, fh)
-        with pytest.raises(CorruptFile):
+        with pytest.raises(CheckpointError, match="is missing fields"):
             checkpoint_load(path)
 
     def test_pair_last_subject_is_malformed(self, tmp_path, capsys):
@@ -141,7 +135,7 @@ class TestCheckpointFile:
         raw["last_subject"] = [29, 937]
         with open(path, "w") as fh:
             json.dump(raw, fh)
-        with pytest.raises(CorruptFile, match="last_subject"):
+        with pytest.raises(CheckpointError, match=r"malformed fields \['last_subject'\]"):
             checkpoint_load(path)
         before = out.read_bytes()
         argv = ["scan", "pairs", "--p-max", "40", "--q-max", "1000",
@@ -155,7 +149,7 @@ class TestCheckpointFile:
         path = str(tmp_path / "cp.json")
         cp = Checkpoint("jones", {"limit": 50}, params_digest({"limit": 50}), 37, 4)
         checkpoint_save(cp, path)
-        with pytest.raises(ParamsMismatch):
+        with pytest.raises(CheckpointError, match="belongs to params {'limit': 50}"):
             checkpoint_load(path, expected_params={"limit": 51})
 
     def test_version_mismatch(self, tmp_path):
@@ -167,14 +161,14 @@ class TestCheckpointFile:
         raw["format_version"] = FORMAT_VERSION + 1
         with open(path, "w") as fh:
             json.dump(raw, fh)
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(CheckpointError, match=f"checkpoint format {FORMAT_VERSION + 1} != "):
             checkpoint_load(path)
 
     def test_corrupt_file(self, tmp_path):
         path = str(tmp_path / "cp.json")
         with open(path, "w") as fh:
             fh.write('{"scan": "jones"')  # truncated
-        with pytest.raises(CorruptFile):
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
             checkpoint_load(path)
 
     def test_unwritable_path_is_named(self, tmp_path):
@@ -198,7 +192,7 @@ class TestCheckpointFile:
         raw["params"] = {"limit": 999}
         with open(path, "w") as fh:
             json.dump(raw, fh)
-        with pytest.raises(CorruptFile):
+        with pytest.raises(CheckpointError, match="params digest does not match"):
             checkpoint_load(path)
 
 
@@ -273,7 +267,7 @@ class TestRunner:
     def test_rejects_resume_of_other_scan(self, tmp_path):
         cpath = str(tmp_path / "cp.json")
         run_scan("jones", {"limit": 20}, io.StringIO(), checkpoint_path=cpath)
-        with pytest.raises(ParamsMismatch):
+        with pytest.raises(CheckpointError, match="is for scan 'jones' in jsonl, not 'mod5'"):
             run_scan("mod5", {"limit": 20}, io.StringIO(), checkpoint_path=cpath)
 
     def test_unknown_scan(self):
@@ -434,7 +428,8 @@ class TestSeekResume:
         else:
             del data[-1]
         out.write_bytes(bytes(data))
-        with pytest.raises(PrefixMismatch):
+        message = "first .* bytes differ" if where == "flip" else "bytes, fewer than the"
+        with pytest.raises(CheckpointError, match=message):
             self._leg2(out, cpath, "jones", params)
         assert out.read_bytes() == bytes(data)  # nothing truncated or appended
 
@@ -443,7 +438,7 @@ class TestSeekResume:
         params = {"limit": 300}
         out, cpath = self._leg1(tmp_path, "jones", params, first)
         before = out.read_bytes()
-        with pytest.raises(ParamsMismatch):
+        with pytest.raises(CheckpointError, match=f"in {first}, not 'jones' in {second}"):
             self._leg2(out, cpath, "jones", params, second)
         assert out.read_bytes() == before  # nothing truncated or appended
 
@@ -455,7 +450,7 @@ class TestSeekResume:
             def write(self, text):
                 raise AssertionError("nothing may be written")
 
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="cannot be read back"):
             run_scan("jones", {"limit": 20}, WriteOnly(), checkpoint_path=cpath)
 
     def test_v1_checkpoint_rejected(self, tmp_path):
@@ -470,9 +465,9 @@ class TestSeekResume:
         }
         with open(path, "w") as fh:
             json.dump(v1, fh)
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(CheckpointError, match="checkpoint format 1 != "):
             checkpoint_load(path)
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(CheckpointError, match="checkpoint format 1 != "):
             run_scan("jones", {"limit": 50}, io.StringIO(), checkpoint_path=path)
 
     def test_checkpoint_offset_and_digest(self, tmp_path):

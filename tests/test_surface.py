@@ -4,8 +4,9 @@ modules' lists, no module imports a name it never uses or imports below
 its top level, every private top-level name has a caller in the package,
 every public one a caller in the package, an acceptance criterion or the
 benchmark's tracer, only search reads the record format or judges a
-stream, only cli's main turns an error into exit 2, every check of a claim
-survives ``python -O``, and the README's library example runs."""
+stream, only cli's main turns an error into exit 2, every error type has a
+handler in the package, every check of a claim survives ``python -O``, and
+the README's library example runs."""
 
 import ast
 import importlib
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import wolstenholme
+from wolstenholme import errors
 
 SRC = Path(wolstenholme.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -195,6 +197,19 @@ def test_cli_exits_two_only_in_main():
     tree = _tree(SRC / "cli.py")
     main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
     assert _returns_two(tree) == _returns_two(main) != []
+
+
+def test_every_error_type_is_caught():
+    # an error type is kept only for a handler that acts on it; a failure
+    # nothing tells apart from ValueError or AssertionFailure is one of those
+    caught = {
+        name
+        for path in FILES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for name in _referenced(node.type)
+    }
+    assert sorted(set(errors.__all__) - caught) == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)

@@ -10,7 +10,7 @@ from weight_oracle import newton_M_by_factorials
 from wolstenholme.arith import double_factorial, is_prime, primes_upto
 from wolstenholme.congruence import w_exact
 from wolstenholme import wpoly
-from wolstenholme.errors import AssertionFailure, ConstructionAssertFailure
+from wolstenholme.errors import AssertionFailure
 from wolstenholme.symmetric import S2Diagonal, s2_diagonals
 from wolstenholme.wpoly import (
     IntPoly,
@@ -209,17 +209,34 @@ class TestConstructW:
 
     @pytest.mark.parametrize("build", [construct_W, lambda p: dict(w_polys(p))[p]])
     def test_perturbed_M_k_is_caught(self, monkeypatch, build):
-        newton_M = wpoly._newton_M
-
-        def perturbed(k, row):
-            m = newton_M(k, row)
-            if k == 7:
-                m[2] += 1
-            return m
-
-        monkeypatch.setattr(wpoly, "_newton_M", perturbed)
-        with pytest.raises(ConstructionAssertFailure):
+        # M_7 enters W(p) for every p >= 9: the pass fails at p = 11, its
+        # first prime past 7, construct_W at p = 13
+        _perturb_M_7(monkeypatch)
+        with pytest.raises(AssertionFailure, match=r"^evaluation identity failed \[p=1[13]\]$"):
             build(13)
+
+    def test_construction_failure_escapes_the_suite(self, monkeypatch):
+        # the wpoly suite makes a violation row only of what verify_W
+        # raises; a failure while w_polys builds W(p) ends the suite instead
+        from wolstenholme.verify import run_suite
+
+        _perturb_M_7(monkeypatch)
+        rows = run_suite("wpoly", 13)
+        assert [(r.subject, r.ok) for r in islice(rows, 2)] == [(5, True), (7, True)]
+        with pytest.raises(AssertionFailure, match=r"evaluation identity failed \[p=11\]$"):
+            next(rows)
+
+
+def _perturb_M_7(monkeypatch):
+    newton_M = wpoly._newton_M
+
+    def perturbed(k, row):
+        m = newton_M(k, row)
+        if k == 7:
+            m[2] += 1
+        return m
+
+    monkeypatch.setattr(wpoly, "_newton_M", perturbed)
 
 
 class TestWPolys:
