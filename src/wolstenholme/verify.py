@@ -134,20 +134,21 @@ def _suite_bands(bound: int) -> Iterator[SuiteResult]:
 
 def _suite_wpoly(bound: int) -> Iterator[SuiteResult]:
     for p, w_poly in w_polys(bound):
-        problems = []
-        try:
-            verify_W(p, w_poly)
-        except AssertionFailure as exc:
-            problems.append(str(exc))
         # prime divisors by trial division to 10^6; a surviving composite
         # cofactor is left out
         try:
             factors = factor_completely((w_exact(p) - 1) // p**3)
         except FactoringBudgetExceeded as exc:
             factors = exc.partial
-        for q in factors:
-            if q > 2 * p and not large_prime_divisor_check(p, q, w_poly=w_poly):
-                problems.append(f"divisor equivalence failed at q={q}")
+        # a false claim about W, or about a divisor q, is this prime's row
+        problems = []
+        try:
+            verify_W(p, w_poly)
+            for q in factors:
+                if q > 2 * p:
+                    large_prime_divisor_check(p, q, w_poly)  # each q divides: True or raises
+        except AssertionFailure as exc:
+            problems.append(str(exc))
         content = math.gcd(*w_poly.coeffs)
         for r, divides_w1 in trend_scan(p, w_poly, -10 * p * p, -1):
             if divides_w1:

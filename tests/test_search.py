@@ -69,6 +69,20 @@ class TestScans:
         assert scan_records("new-conjecture", {"p_max": 5, "q_max": 100}) == []
         assert scan_records("new-conjecture", {"p_max": 7, "q_max": 100}) == []
 
+    def test_new_conjecture_records_every_square_divisor_to_300(self):
+        # the records are exactly the q != p with q^2 | w(p) - 1, by w_mod
+        # over every pair of primes up to 300; each has q < p, so no
+        # n = pq with 3 <= p < q <= 300 has both halves of the level-2 pair
+        # criterion, w(n) = 1 (mod n^2)
+        ps = primes_upto(300)
+        recs = scan_records("new-conjecture", {"p_max": 300, "q_max": 300})
+        found = [(r.subject, int(r.witness["q"])) for r in recs]
+        expected = [(p, q) for p in ps for q in ps if q != p and w_mod(p, q * q) == 1]
+        assert found == expected == [(13, 3), (107, 7), (113, 7), (137, 17)]
+        assert all(r.verdict == "hit" for r in recs)
+        pairs = itertools.combinations([p for p in ps if p >= 3], 2)
+        assert [(p, q) for p, q in pairs if all(pair_criterion(p, q, 2))] == []
+
     def test_new_conjecture_ratio_report(self):
         recs = scan_records("new-conjecture", {"p_max": 100, "q_max": 1000})
         rep = max_ratio_report(recs)

@@ -5,8 +5,9 @@ its top level, every private top-level name has a caller in the package,
 every public one a caller in the package, an acceptance criterion or the
 benchmark's tracer, only search reads the record format or judges a
 stream, only cli's main turns an error into exit 2, every error type has a
-handler in the package, every check of a claim survives ``python -O``, and
-the README's library example runs."""
+handler in the package, every check of a claim survives ``python -O``,
+each failure clause is raised at one site, and the README's library example
+runs."""
 
 import ast
 import importlib
@@ -217,6 +218,23 @@ def test_no_bare_assert(path):
     # python -O strips assert statements; a check of a claim must raise
     asserts = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
     assert asserts == []
+
+
+def test_each_failure_clause_is_raised_at_one_site():
+    # a claim is checked in one place, so its clause names one line of src/
+    sites: dict[str, list[str]] = {}
+    for path in FILES:
+        for node in ast.walk(_tree(path)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "AssertionFailure"
+            ):
+                clause = node.args[0]
+                assert isinstance(clause, ast.Constant), f"{path.name}:{node.lineno}"
+                sites.setdefault(clause.value, []).append(f"{path.name}:{node.lineno}")
+    assert len(sites) > 1
+    assert {c: s for c, s in sites.items() if len(s) > 1} == {}
 
 
 _FORGED_FORM4 = """

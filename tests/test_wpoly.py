@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 from collections import deque
 from itertools import islice
@@ -209,22 +210,39 @@ class TestConstructW:
 
     @pytest.mark.parametrize("build", [construct_W, lambda p: dict(w_polys(p))[p]])
     def test_perturbed_M_k_is_caught(self, monkeypatch, build):
-        # M_7 enters W(p) for every p >= 9: the pass fails at p = 11, its
-        # first prime past 7, construct_W at p = 13
+        # M_7 enters W(p) for every p >= 9; the builders only build, and
+        # verify_W finds the false W that either one returns
         _perturb_M_7(monkeypatch)
-        with pytest.raises(AssertionFailure, match=r"^evaluation identity failed \[p=1[13]\]$"):
-            build(13)
+        w_poly = build(13)
+        with pytest.raises(AssertionFailure, match=r"^evaluation identity failed \[p=13\]$"):
+            verify_W(13, w_poly)
 
-    def test_construction_failure_escapes_the_suite(self, monkeypatch):
-        # the wpoly suite makes a violation row only of what verify_W
-        # raises; a failure while w_polys builds W(p) ends the suite instead
+    def test_perturbed_M_k_is_a_violation_row(self, monkeypatch):
         from wolstenholme.verify import run_suite
 
         _perturb_M_7(monkeypatch)
-        rows = run_suite("wpoly", 13)
-        assert [(r.subject, r.ok) for r in islice(rows, 2)] == [(5, True), (7, True)]
-        with pytest.raises(AssertionFailure, match=r"evaluation identity failed \[p=11\]$"):
-            next(rows)
+        rows = list(run_suite("wpoly", 13))
+        assert [(r.subject, r.ok) for r in rows] == [(5, True), (7, True), (11, False), (13, False)]
+        assert rows[2].detail.startswith("evaluation identity failed [p=11]")
+
+    def test_forged_divisor_claim_is_a_violation_row(self, monkeypatch):
+        # with q | W(p) forged false, the prime q = 53 > 22 dividing
+        # (w(11)-1)/11^3 makes the large-prime equivalence fail at p = 11
+        from wolstenholme.verify import run_suite
+
+        monkeypatch.setattr(wpoly, "poly_eval_mod", lambda f, x, m: 1)
+        rows = list(run_suite("wpoly", 11))
+        assert [(r.subject, r.ok) for r in rows] == [(5, True), (7, True), (11, False)]
+        assert "q=53" in rows[2].detail
+
+    def test_cli_verify_reports_the_perturbation(self, monkeypatch, capsys):
+        from wolstenholme.cli import main
+
+        _perturb_M_7(monkeypatch)
+        assert main(["verify", "wpoly", "--bound", "13"]) == 1
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(v["suite"], v["subject"]) for v in lines] == [("wpoly", 11), ("wpoly", 13)]
+        assert lines[0]["detail"].startswith("evaluation identity failed [p=11]")
 
 
 def _perturb_M_7(monkeypatch):
@@ -397,3 +415,14 @@ def test_wpoly_verify_suite_clean():
     assert [r.subject for r in results] == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     bad = [r for r in results if not r.ok]
     assert not bad, bad
+
+
+@pytest.mark.stretch
+def test_wpoly_verify_suite_clean_to_307():
+    # past the acceptance bound of 61: verify_W, the large-prime divisor
+    # equivalence and the trend rule at each of the 61 primes up to 307
+    from wolstenholme.verify import run_suite
+
+    results = list(run_suite("wpoly", 307))
+    assert [r.subject for r in results] == [p for p in primes_upto(307) if p >= 5]
+    assert [r for r in results if not r.ok] == []
