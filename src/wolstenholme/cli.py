@@ -19,7 +19,7 @@ from contextlib import nullcontext
 
 from .arith import is_prime
 from .congruence import factor_band_classify
-from .errors import CheckpointError
+from .errors import AssertionFailure, CheckpointError
 from .search import _FORMATS, _SCANS, check_stream, run_scan, scan_names
 from .verify import _ALIASES, default_bound, run_suite, suite_names
 from .wpoly import construct_W, poly_eval, verify_W
@@ -251,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         if exc.filename is None:
             raise
         message = f"usage error: cannot write {exc.filename}: {exc.strerror}"
+    except AssertionFailure as exc:  # a false claim, as wpoly's verify_W finds
+        print(f"claim failed: {exc}", file=sys.stderr)
+        return 1
     print(message, file=sys.stderr)
     return 2
 

@@ -88,22 +88,16 @@ class ScanRecord:
     verdict: str  # hit | fail
     params_hash: str
 
-    def subject_json(self, separators=_COMPACT) -> str:
-        """The subject as JSON: an int, or a pair as a list."""
+    def columns(self) -> dict:
+        """The JSON object of the jsonl line: the columns in order, a pair
+        subject as a list, the witness (flat) with its keys sorted."""
         subject = list(self.subject) if isinstance(self.subject, tuple) else self.subject
-        return json.dumps(subject, separators=separators)
+        witness = dict(sorted(self.witness.items()))
+        return dict(zip(_COLUMNS, (self.scan, subject, witness, self.verdict, self.params_hash)))
 
     def witness_json(self) -> str:
         """The canonical witness: sorted keys, compact."""
         return json.dumps(self.witness, sort_keys=True, separators=_COMPACT)
-
-    def to_json(self) -> str:
-        """The jsonl line, without its newline: the columns in order, compact."""
-        scan, verdict, h = map(json.dumps, (self.scan, self.verdict, self.params_hash))
-        return (
-            f'{{"scan":{scan},"subject":{self.subject_json()},'
-            f'"witness":{self.witness_json()},"verdict":{verdict},"params_hash":{h}}}'
-        )
 
     @classmethod
     def from_fields(cls, row) -> ScanRecord | None:
@@ -599,15 +593,19 @@ def _flush(sink) -> None:
 
 def _make_writer(sink: _Tally, fmt: str, header: bool) -> Callable[[ScanRecord], None]:
     if fmt == "jsonl":
-        return lambda rec: sink.write(rec.to_json() + "\n")
+        return lambda rec: sink.write(json.dumps(rec.columns(), separators=_COMPACT) + "\n")
     if fmt == "csv":
         writer = csv.writer(sink, lineterminator="\n")
         if header:
             writer.writerow(_COLUMNS)
-        # a pair subject keeps JSON's default spacing, "[29, 937]"
-        return lambda rec: writer.writerow(
-            [rec.scan, rec.subject_json(None), rec.witness_json(), rec.verdict, rec.params_hash]
-        )
+
+        def write(rec: ScanRecord) -> None:
+            row = rec.columns()
+            # a pair subject keeps JSON's default spacing, "[29, 937]"
+            row.update(subject=json.dumps(row["subject"]), witness=rec.witness_json())
+            writer.writerow(row.values())
+
+        return write
     raise ValueError(f"unknown format {fmt!r}")
 
 

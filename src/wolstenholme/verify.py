@@ -140,15 +140,17 @@ def _suite_wpoly(bound: int) -> Iterator[SuiteResult]:
             factors = factor_completely((w_exact(p) - 1) // p**3)
         except FactoringBudgetExceeded as exc:
             factors = exc.partial
-        # a false claim about W, or about a divisor q, is this prime's row
-        problems = []
+        # a false claim about W, or about a divisor q, is this prime's row;
+        # the trend scan reads only a W that passed, as it takes W for W(p)
         try:
             verify_W(p, w_poly)
             for q in factors:
                 if q > 2 * p:
                     large_prime_divisor_check(p, q, w_poly)  # each q divides: True or raises
         except AssertionFailure as exc:
-            problems.append(str(exc))
+            yield SuiteResult("wpoly", p, False, str(exc))
+            continue
+        problems = []
         content = math.gcd(*w_poly.coeffs)
         for r, divides_w1 in trend_scan(p, w_poly, -10 * p * p, -1):
             if divides_w1:

@@ -9,8 +9,8 @@ def pytest_addoption(parser):
         help=(
             "run the long tests marked stretch: w'(16843^2), w(10^6), rel to 6000, "
             "W(601), the wpoly suite to 307, pairs to p = 69239, new-conjecture to "
-            "q = 10^8, jones and mcintosh at n = 2 * 1000003, pairs at level 2 for "
-            "p = 1000003"
+            "q = 10^8 and to p = q = 10^5, jones and mcintosh at n = 2 * 1000003, "
+            "pairs at level 2 for p = 1000003"
         ),
     )
 

@@ -349,3 +349,22 @@ def test_new_conjecture_to_q_10_8_under_200_mib(tmp_path):
     assert out["code"] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _NEW_CONJECTURE_10_8_SHA256
     assert out["peak_kib"] < 200 * 1024, out["peak_kib"]
+
+
+# sha256 of scan new-conjecture --p-max 100000 --q-max 100000: 117 hits, no
+# fail, so no prime q > p up to 10^5 has q^2 | w(p) - 1, the first half of
+# w(pq) = 1 (mod (pq)^2) at level 2 of the pair criterion
+_NEW_CONJECTURE_SQUARE_10_5_SHA256 = (
+    "328e5d9ca3b3af2c6cc22182a2d84511698230da9f03d56477b2708681185266"
+)
+
+
+@pytest.mark.stretch
+def test_new_conjecture_square_to_10_5_has_no_fail(tmp_path):
+    # 148 to 220 s, nearly all in the gcd of each w(p) - 1 with the product
+    # of the 9592 primes up to 10^5
+    out = tmp_path / "out.jsonl"
+    with open(out, "w") as sink:
+        summary = run_scan("new-conjecture", {"p_max": 100000, "q_max": 100000}, sink)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _NEW_CONJECTURE_SQUARE_10_5_SHA256
+    assert (summary.subjects, summary.hits, summary.fails) == (9590, 117, 0)

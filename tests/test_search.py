@@ -992,6 +992,35 @@ def test_read_records_round_trip(name, params, fmt, digest):
     assert list(read_records(buf, fmt)) == scan_records(name, params)
 
 
+def _line_by_hand(rec: ScanRecord) -> str:
+    """The jsonl line spelled column by column, as the writer once built it:
+    the oracle of json.dumps(rec.columns())."""
+    subject = list(rec.subject) if isinstance(rec.subject, tuple) else rec.subject
+    scan, verdict, h = map(json.dumps, (rec.scan, rec.verdict, rec.params_hash))
+    return (
+        f'{{"scan":{scan},"subject":{json.dumps(subject, separators=(",", ":"))},'
+        f'"witness":{rec.witness_json()},"verdict":{verdict},"params_hash":{h}}}'
+    )
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("jones", {"limit": 3000}),
+        ("pairs", {"known": True, "stretch": False}),
+        ("new-conjecture", {"p_max": 300, "q_max": 300}),
+    ],
+)
+def test_columns_dump_to_the_line_spelled_by_hand(name, params):
+    recs = scan_records(name, params)
+    unsorted = ScanRecord("s", (5, 7), {"b": True, "a": "1"}, "fail", "h")
+    assert recs
+    for rec in [*recs, unsorted]:
+        columns = rec.columns()
+        assert tuple(columns) == search._COLUMNS
+        assert json.dumps(columns, separators=(",", ":")) == _line_by_hand(rec)
+
+
 def test_read_records_keeps_a_record_of_another_shape():
     # the reader decodes each line on its own; check_stream judges the shape
     stream = io.StringIO(_line(5, scan="wilson") + _line([5, 7], scan="wilson"))

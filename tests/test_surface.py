@@ -6,8 +6,8 @@ every public one a caller in the package, an acceptance criterion or the
 benchmark's tracer, only search reads the record format or judges a
 stream, only cli's main turns an error into exit 2, every error type has a
 handler in the package, every check of a claim survives ``python -O``,
-each failure clause is raised at one site, and the README's library example
-runs."""
+each failure clause is raised at one site, no JSON is spelled by hand,
+and the README's library example runs."""
 
 import ast
 import importlib
@@ -235,6 +235,35 @@ def test_each_failure_clause_is_raised_at_one_site():
                 sites.setdefault(clause.value, []).append(f"{path.name}:{node.lineno}")
     assert len(sites) > 1
     assert {c: s for c, s in sites.items() if len(s) > 1} == {}
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """The ids of the docstring constants of the module, classes and functions."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_json_is_written_by_json_dumps(path):
+    # a quoted member name and its colon, as in '{"scan":', is JSON spelled by
+    # hand beside the json.dumps that writes it; docstrings may show JSON
+    tree = _tree(path)
+    exempt = _docstrings(tree)
+    spelled = [
+        f"{n.lineno}: {n.value!r}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant)
+        and isinstance(n.value, str)
+        and id(n) not in exempt
+        and re.search(r'"\w+"\s*:', n.value)
+    ]
+    assert spelled == []
 
 
 _FORGED_FORM4 = """

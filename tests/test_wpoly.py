@@ -244,6 +244,35 @@ class TestConstructW:
         assert [(v["suite"], v["subject"]) for v in lines] == [("wpoly", 11), ("wpoly", 13)]
         assert lines[0]["detail"].startswith("evaluation identity failed [p=11]")
 
+    def test_cli_wpoly_reports_a_false_claim_in_one_line(self, monkeypatch, capsys, tmp_path):
+        from wolstenholme.cli import main
+
+        _perturb_M_7(monkeypatch)
+        out = tmp_path / "w13.json"
+        assert main(["wpoly", "13", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "claim failed: evaluation identity failed [p=13]\n",
+        )
+        assert not out.exists()
+
+    def test_wrong_degree_is_a_violation_row(self, monkeypatch):
+        # the trend scan, which reads W as W(p), does not run on a W that
+        # failed its claims: W(11) of degree 16 is row 11, not a ValueError
+        from wolstenholme import verify
+
+        built = verify.w_polys
+
+        def forged(bound):
+            for p, w_poly in built(bound):
+                yield p, IntPoly(w_poly.coeffs + (1,)) if p == 11 else w_poly
+
+        monkeypatch.setattr(verify, "w_polys", forged)
+        rows = list(verify.run_suite("wpoly", 13))
+        assert [(r.subject, r.ok) for r in rows] == [(5, True), (7, True), (11, False), (13, True)]
+        assert rows[2].detail == "degree != 2p-7 [p=11, degree=16]"
+
 
 def _perturb_M_7(monkeypatch):
     newton_M = wpoly._newton_M
